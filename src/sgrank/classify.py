@@ -16,12 +16,12 @@ deliberately out of scope (`figure_deferred` marks this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .core import SignedGraph, adjacency_matrix
 from .exact import rank as exact_rank
 from .invariants import (
-    bipartition,
     cycle_sign,
     girth_of_adjacency,
     is_balanced,
@@ -44,64 +44,29 @@ def _require_cyclic_connected(g: SignedGraph) -> None:
         raise ValueError("classification needs a graph with a cycle")
 
 
-def _cycle_order_if_cycle(g: SignedGraph) -> Optional[list[int]]:
-    """Vertices in cyclic walk order when the whole graph is one cycle."""
-    if g.m != g.n or any(d != 2 for d in g.degrees()):
-        return None
-    adj = g.neighbors()
-    order = [0, adj[0][0]]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == 0:
-            break
-        order.append(nxt)
-    return order if len(order) == g.n else None
+_BIT = (1).__lshift__  # u -> 1 << u
 
 
-def _complete_bipartite_sides(g: SignedGraph):
-    sides = bipartition(g.neighbors())
-    if sides is None:
-        return None
-    a, b = sides
-    if g.m != len(a) * len(b):
-        return None
-    return sorted(a), sorted(b)
-
-
-def _complete_multipartite_parts(g: SignedGraph):
-    """Parts of a complete multipartite graph (complement components),
-    or None when the graph is not complete multipartite."""
-    n = g.n
-    adj = [set() for _ in range(n)]
-    for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    part_of = [-1] * n
+def _complete_multipartite_parts(adj: list[list[int]]) -> Optional[list[list[int]]]:
+    """Parts of a complete multipartite graph, lowest vertex first, or
+    None.  A graph is complete multipartite iff non-adjacent vertices
+    always have equal neighborhoods; the part of v is then v with its
+    non-neighbors.  Neighborhoods are compared as bitmasks, built only for
+    the vertices visited, so most graphs are rejected after a few."""
+    n = len(adj)
+    rest = (1 << n) - 1  # vertices not yet in a part
     parts = []
-    for root in range(n):
-        if part_of[root] >= 0:
-            continue
-        comp = [root]
-        part_of[root] = len(parts)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if v != u and part_of[v] < 0 and v not in adj[u]:
-                    part_of[v] = len(parts)
-                    comp.append(v)
-                    stack.append(v)
-        parts.append(sorted(comp))
-    for part in parts:
-        for i, u in enumerate(part):
-            for v in part[i + 1:]:
-                if v in adj[u]:
-                    return None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v] and v not in adj[u]:
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        mask = sum(map(_BIT, adj[v]))
+        part = [u for u in range(n) if not (mask >> u) & 1]
+        for u in part:
+            if u != v and (
+                len(adj[u]) != len(adj[v]) or sum(map(_BIT, adj[u])) != mask
+            ):
                 return None
+        rest &= mask
+        parts.append(part)
     return parts
 
 
@@ -109,7 +74,7 @@ def is_rank3_tripartite(g: SignedGraph) -> Optional[dict]:
     """Certificate when g is complete tripartite signed so that every
     vertex's signed neighborhood matches its part leader's exactly or
     exactly swapped.  These signings are precisely the rank-3 ones."""
-    parts = _complete_multipartite_parts(g)
+    parts = _complete_multipartite_parts(g.neighbors())
     if parts is None or len(parts) != 3:
         return None
     signs = g.sign_map()
@@ -138,12 +103,12 @@ def is_rank3_tripartite(g: SignedGraph) -> Optional[dict]:
     return {"parts": parts, "polarities": polarity, "pair_signs": list(pair_signs)}
 
 
-def _unicyclic_cycle_order(g: SignedGraph) -> list[int]:
-    """Walk order of the unique cycle of a connected graph with m == n."""
-    deg = list(g.degrees())
-    adj = [list(nb) for nb in g.neighbors()]
-    alive = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] == 1]
+def _unicyclic_cycle_order(adj: list[list[int]]) -> list[int]:
+    """Walk order of the unique cycle of a connected graph with m == n;
+    for a cycle (every degree 2) the walk starts at 0 toward adj[0][0]."""
+    deg = [len(nb) for nb in adj]
+    alive = [True] * len(adj)
+    queue = [v for v, d in enumerate(deg) if d == 1]
     while queue:
         leaf = queue.pop()
         alive[leaf] = False
@@ -152,7 +117,7 @@ def _unicyclic_cycle_order(g: SignedGraph) -> list[int]:
                 deg[u] -= 1
                 if deg[u] == 1:
                     queue.append(u)
-    start = next(v for v in range(g.n) if alive[v])
+    start = alive.index(True)
     order = [start]
     prev = -1
     while True:
@@ -163,6 +128,11 @@ def _unicyclic_cycle_order(g: SignedGraph) -> list[int]:
         order.append(nxt)
         prev = cur
     return order
+
+
+def _is_cycle(adj: list[list[int]]) -> bool:
+    """Every degree 2: a connected graph that is one cycle."""
+    return all(len(nb) == 2 for nb in adj)
 
 
 def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
@@ -179,10 +149,10 @@ def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
         raise ValueError("need a connected unicyclic graph")
     if all(d == 2 for d in g.degrees()):
         raise ValueError("plain cycles are classified separately")
-    cycle = _unicyclic_cycle_order(g)
+    nb = g.neighbors()
+    cycle = _unicyclic_cycle_order(nb)
     on_cycle = set(cycle)
     deg = g.degrees()
-    nb = g.neighbors()
     for v in range(g.n):
         if v not in on_cycle and (deg[v] != 1 or nb[v][0] not in on_cycle):
             return None
@@ -210,74 +180,74 @@ def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
     }
 
 
-def _detect_theta(g: SignedGraph):
-    """(order, edge-sign product, vertices) for the three branch paths of a
-    theta graph, or None."""
-    if g.m != g.n + 1:
+def _theta_paths(adj: list[list[int]]) -> Optional[list[list[int]]]:
+    """Vertex lists of the three branch paths of a theta graph (two
+    degree-3 vertices joined by three internally disjoint paths), each
+    from the lower branch vertex to the higher, or None."""
+    if sum(map(len, adj)) != 2 * (len(adj) + 1):
         return None
-    deg = g.degrees()
-    branches = [v for v in range(g.n) if deg[v] == 3]
-    if len(branches) != 2 or any(d not in (2, 3) for d in deg):
+    deg = [len(nb) for nb in adj]
+    if any(d not in (2, 3) for d in deg):
         return None
-    b0, b1 = branches
-    signs = g.sign_map()
-    nb = g.neighbors()
+    # degrees 2 and 3 summing to 2n + 2: exactly two degree-3 vertices
+    b0, b1 = [v for v, d in enumerate(deg) if d == 3]
     paths = []
-    for first in nb[b0]:
+    for first in adj[b0]:
         path = [b0, first]
         while deg[path[-1]] == 2:
             prev, cur = path[-2], path[-1]
-            path.append(nb[cur][0] if nb[cur][0] != prev else nb[cur][1])
+            path.append(adj[cur][0] if adj[cur][0] != prev else adj[cur][1])
         if path[-1] != b1:
             return None  # two-cycles-and-a-bridge shape, not theta
-        prod = 1
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
-            prod *= signs[(min(u, v), max(u, v))]
-        paths.append((len(path), prod, path))
-    if sum(order for order, _, _ in paths) - 4 != g.n:
+        paths.append(path)
+    if sum(map(len, paths)) - 4 != len(adj):
         return None
     return paths
 
 
-def _detect_subdivided_k4(g: SignedGraph):
-    """(branch vertices, midpoint map, four 6-cycle signs) when g is K4 with
-    every edge subdivided once, else None."""
-    if g.n != 10 or g.m != 12:
+def _subdivided_k4_midpoints(adj: list[list[int]]):
+    """(branch vertices, midpoint of each branch pair) when the graph is
+    K4 with every edge subdivided once, else None."""
+    if len(adj) != 10:
         return None
-    deg = g.degrees()
-    branches = [v for v in range(10) if deg[v] == 3]
-    if len(branches) != 4 or sorted(deg) != [2] * 6 + [3] * 4:
+    deg = [len(nb) for nb in adj]
+    if sorted(deg) != [2] * 6 + [3] * 4:
         return None
-    nb = g.neighbors()
     mid = {}
-    for v in range(10):
-        if deg[v] != 2:
-            continue
-        x, y = nb[v]
-        if deg[x] != 3 or deg[y] != 3 or x == y:
-            return None
-        key = (min(x, y), max(x, y))
-        if key in mid:
-            return None
-        mid[key] = v
-    if len(mid) != 6:
-        return None
-    signs = g.sign_map()
+    for v, nb in enumerate(adj):
+        if deg[v] == 2:
+            x, y = sorted(nb)
+            if deg[x] != 3 or deg[y] != 3 or (x, y) in mid:
+                return None
+            mid[(x, y)] = v
+    return [v for v, d in enumerate(deg) if d == 3], mid
 
-    def edge(u: int, v: int) -> int:
-        return signs[(min(u, v), max(u, v))]
 
-    cycle_signs = []
-    a, b, c, d = branches
-    for trip in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
-        prod = 1
-        for i in range(3):
-            x, y = trip[i], trip[(i + 1) % 3]
-            w = mid[(min(x, y), max(x, y))]
-            prod *= edge(x, w) * edge(w, y)
-        cycle_signs.append(prod)
-    return branches, mid, cycle_signs
+def _path_sign(signs: dict, path: list[int]) -> int:
+    """Product of the edge signs along consecutive vertices of `path`."""
+    prod = 1
+    for u, v in zip(path, path[1:]):
+        prod *= signs[(min(u, v), max(u, v))]
+    return prod
+
+
+def admits_extremal_signing(adj: list[list[int]]) -> bool:
+    """True when some signing of the connected cyclic graph with these
+    adjacency lists could be accepted by `classify_gminus2`, or by
+    `classify_equals_g` other than as girth-4 case (f).  Each test is the
+    signing-independent shape of a case family: unicyclic (the cycles of
+    B, C, a, b and the shapes of d, e), complete bipartite (A) or
+    tripartite (c), theta(5,3,5) and theta(5,5,5) (g), subdivided K4 (h).
+    A False answer proves that only case (f) can accept a signing."""
+    if sum(map(len, adj)) == 2 * len(adj):  # m == n
+        return True
+    parts = _complete_multipartite_parts(adj)
+    if parts is not None and len(parts) in (2, 3):
+        return True
+    paths = _theta_paths(adj)
+    if paths is not None:
+        return sorted(map(len, paths)) in ([3, 5, 5], [5, 5, 5])
+    return _subdivided_k4_midpoints(adj) is not None
 
 
 def _detect_cycle_star(g: SignedGraph):
@@ -285,11 +255,11 @@ def _detect_cycle_star(g: SignedGraph):
     one edge to the center of a pendant star, else None."""
     if g.m != g.n:
         return None
-    cycle = _unicyclic_cycle_order(g)
+    nb = g.neighbors()
+    cycle = _unicyclic_cycle_order(nb)
     on_cycle = set(cycle)
     off = [v for v in range(g.n) if v not in on_cycle]
     deg = g.degrees()
-    nb = g.neighbors()
     centers = [v for v in off if deg[v] >= 2]
     if len(centers) != 1:
         return None
@@ -313,18 +283,18 @@ def classify_gminus2(g: SignedGraph) -> Optional[Classification]:
     """
     _require_cyclic_connected(g)
     balanced = is_balanced(g)
+    adj = g.neighbors()
 
-    sides = _complete_bipartite_sides(g)
-    if sides is not None and balanced:
-        return Classification(
-            "rank_girth_minus_two", "A", {"sides": [sides[0], sides[1]]}
-        )
+    sides = _complete_multipartite_parts(adj)
+    if sides is not None and len(sides) == 2 and balanced:
+        return Classification("rank_girth_minus_two", "A", {"sides": sides})
 
-    cyc = _cycle_order_if_cycle(g)
-    if cyc is not None and g.n % 4 == 0 and balanced:
-        return Classification("rank_girth_minus_two", "B", {"cycle": cyc})
-    if cyc is not None and g.n % 4 == 2 and not balanced:
-        return Classification("rank_girth_minus_two", "C", {"cycle": cyc})
+    if _is_cycle(adj):
+        cyc = _unicyclic_cycle_order(adj)
+        if g.n % 4 == 0 and balanced:
+            return Classification("rank_girth_minus_two", "B", {"cycle": cyc})
+        if g.n % 4 == 2 and not balanced:
+            return Classification("rank_girth_minus_two", "C", {"cycle": cyc})
     return None
 
 
@@ -344,9 +314,10 @@ def classify_equals_g(
     """
     _require_cyclic_connected(g)
     target = "rank_girth"
+    adj = g.neighbors()
 
-    cyc = _cycle_order_if_cycle(g)
-    if cyc is not None:
+    if _is_cycle(adj):
+        cyc = _unicyclic_cycle_order(adj)
         if g.n % 2 == 1:
             return Classification(target, "a", {"cycle": cyc})
         balanced = is_balanced(g)
@@ -384,7 +355,7 @@ def classify_equals_g(
                     },
                 )
 
-    girth = girth_of_adjacency(g.neighbors())
+    girth = girth_of_adjacency(adj)
     if girth == 4:
         r = rank if rank is not None else exact_rank(adjacency_matrix(g)).rank
         if r == 4:
@@ -392,12 +363,13 @@ def classify_equals_g(
                 target, "f", {"rank": 4}, figure_deferred=True
             )
 
-    paths = _detect_theta(g)
+    signs = g.sign_map()
+    paths = _theta_paths(adj)
     if paths is not None:
-        orders = sorted(order for order, _, _ in paths)
+        orders = sorted(map(len, paths))
         if orders == [3, 5, 5]:
-            s3 = next(p for o, p, _ in paths if o == 3)
-            fives = [p for o, p, _ in paths if o == 5]
+            s3 = next(_path_sign(signs, p) for p in paths if len(p) == 3)
+            fives = [_path_sign(signs, p) for p in paths if len(p) == 5]
             if s3 * fives[0] == -1 and s3 * fives[1] == -1:
                 return Classification(
                     target,
@@ -405,15 +377,19 @@ def classify_equals_g(
                     {"orders": [5, 3, 5], "six_cycle_signs": [-1, -1]},
                 )
         elif orders == [5, 5, 5]:
-            prods = [p for _, p, _ in paths]
+            prods = [_path_sign(signs, p) for p in paths]
             if prods[0] == prods[1] == prods[2]:
                 return Classification(
                     target, "g", {"orders": [5, 5, 5], "balanced": True}
                 )
 
-    k4 = _detect_subdivided_k4(g)
+    k4 = _subdivided_k4_midpoints(adj)
     if k4 is not None:
-        branches, mid, six_signs = k4
+        branches, mid = k4
+        six_signs = [
+            _path_sign(signs, [x, mid[(x, y)], y, mid[(y, z)], z, mid[(x, z)], x])
+            for x, y, z in combinations(branches, 3)
+        ]
         if all(s == -1 for s in six_signs):
             return Classification(
                 target,

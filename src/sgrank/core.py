@@ -121,19 +121,6 @@ def switch(g: SignedGraph, subset: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.n, new_edges)
 
 
-def neighbor_signs(g: SignedGraph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted (positive neighbors, negative neighbors) of v."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    pos, neg = [], []
-    for a, b, s in g.edges:
-        if a == v:
-            (pos if s > 0 else neg).append(b)
-        elif b == v:
-            (pos if s > 0 else neg).append(a)
-    return tuple(sorted(pos)), tuple(sorted(neg))
-
-
 def find_twins(g: SignedGraph) -> list[TwinPair]:
     """All twin pairs, sorted lexicographically by (x, y)."""
     adj = g.neighbors()

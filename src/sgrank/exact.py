@@ -7,16 +7,17 @@ elimination over fractions.Fraction with largest-pivot selection) used to
 cross-check the primary one in tests.
 
 `batch_ranks` computes exact ranks for large batches of small {-1,0,1}
-matrices at numpy speed.  For order <= 13 it runs the same fraction-free
-elimination in float arrays: every intermediate value is a minor of the
-input (Sylvester), so magnitudes never exceed the Hadamard bound n**(n/2)
-and products stay below 2**24 (float32, n <= 8) resp. 2**53 (float64,
+matrices at numpy speed.  It runs the same fraction-free elimination in
+numpy arrays: every intermediate value is a minor of the input
+(Sylvester), so magnitudes never exceed the Hadamard bound n**(n/2) and
+products stay below 2**24 (float32, n <= 8) resp. 2**53 (float64,
 n <= 13); all products, subtractions and exact divisions are therefore
-performed without rounding.  Orders 14-15 fall back to elimination over
-GF(p) with p = 2**31 - 1 above the Hadamard bound, where a nonzero r x r
-minor cannot vanish mod p, making the modular rank equal to the rational
-rank.  Exact integer arithmetic throughout, just carried by float or
-modular representations.
+performed without rounding.  Orders 14-15 run in int64: every numerator
+is a difference of two products of minors, each minor at most n**(n/2),
+so it is at most 2 * n**n <= 2 * 15**15 < 2**63, and the division by the
+previous pivot is exact, so floor division returns the true quotient.
+Exact integer arithmetic throughout, just carried by float or integer
+representations.
 """
 
 from __future__ import annotations
@@ -149,10 +150,9 @@ def rank_oracle(matrix: IntMatrix) -> int:
 
 
 # float32 keeps n**(n/2) minor products exact up to n=8 (8**8 == 2**24),
-# float64 up to n=13 (13**13 < 2**53); 2**31 - 1 covers minors up to n=15
+# float64 up to n=13 (13**13 < 2**53), int64 up to n=15 (2 * 15**15 < 2**63)
 _FLOAT32_MAX_ORDER = 8
 _FLOAT64_MAX_ORDER = 13
-_PRIME_INT64 = 2147483647
 _MAX_ORDER = 15
 
 
@@ -163,6 +163,8 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
     used = np.zeros((batch, n), dtype=bool)
     ranks = np.zeros(batch, dtype=np.int64)
     prev = np.ones(batch, dtype=dtype)
+    # exact division either way; true division is the fast one on floats
+    divide = np.floor_divide if np.issubdtype(dtype, np.integer) else np.true_divide
     for col in range(n):
         column = work[:, :, col]
         candidates = (column != 0) & ~used
@@ -182,52 +184,9 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
         tail = work[:, :, col:]
         tmp = tail * row_scale[:, :, None]
         tmp -= factor[:, :, None] * pivot_rows[:, None, :]
-        tmp /= prev[:, None, None]
+        divide(tmp, prev[:, None, None], out=tmp)
         work[:, :, col:] = tmp
         prev = np.where(has_pivot, pivot_vals, prev)
-        used[idx[has_pivot], piv[has_pivot]] = True
-        ranks += has_pivot
-    return ranks
-
-
-def _mod_inverse_int64(vals: np.ndarray, p: int) -> np.ndarray:
-    # vectorized binary powmod vals**(p-2); zeros map to zero, harmless here
-    result = np.ones_like(vals)
-    base = vals % p
-    exp = p - 2
-    while exp:
-        if exp & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        exp >>= 1
-    return result
-
-
-def _batch_ranks_gfp(matrices: np.ndarray) -> np.ndarray:
-    batch, n, _ = matrices.shape
-    p = _PRIME_INT64
-    work = matrices.astype(np.int64) % p
-    idx = np.arange(batch)
-    used = np.zeros((batch, n), dtype=bool)
-    ranks = np.zeros(batch, dtype=np.int64)
-    for col in range(n):
-        column = work[:, :, col]
-        candidates = (column != 0) & ~used
-        has_pivot = candidates.any(axis=1)
-        if not has_pivot.any():
-            continue
-        piv = candidates.argmax(axis=1)
-        pivot_rows = work[idx, piv, col:]
-        # row <- row - (row[col]/pivot)*pivot_row for every row but the pivot;
-        # zero coefficients keep no-pivot matrices and settled rows intact
-        coef = (column * _mod_inverse_int64(column[idx, piv], p)[:, None]) % p
-        coef[idx, piv] = 0
-        coef[~has_pivot] = 0
-        tail = work[:, :, col:]
-        tmp = coef[:, :, None] * pivot_rows[:, None, :]
-        np.subtract(tail, tmp, out=tmp)
-        np.remainder(tmp, p, out=tmp)
-        work[:, :, col:] = tmp
         used[idx[has_pivot], piv[has_pivot]] = True
         ranks += has_pivot
     return ranks
@@ -236,9 +195,10 @@ def _batch_ranks_gfp(matrices: np.ndarray) -> np.ndarray:
 def batch_ranks(matrices: np.ndarray) -> np.ndarray:
     """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1}.
 
-    Fraction-free elimination carried in float arrays for order <= 13
-    (exact: all intermediates are Hadamard-bounded minors), GF(2**31 - 1)
-    for orders 14-15.  See the module docstring for the argument.
+    Fraction-free elimination carried in float32 arrays for order <= 8,
+    float64 for orders 9-13 and int64 for orders 14-15 (exact: all
+    intermediates are Hadamard-bounded minors).  See the module docstring
+    for the argument.
     """
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError("expected a (batch, n, n) array")
@@ -253,4 +213,4 @@ def batch_ranks(matrices: np.ndarray) -> np.ndarray:
         return _batch_ranks_bareiss(matrices, np.float32)
     if n <= _FLOAT64_MAX_ORDER:
         return _batch_ranks_bareiss(matrices, np.float64)
-    return _batch_ranks_gfp(matrices)
+    return _batch_ranks_bareiss(matrices, np.int64)

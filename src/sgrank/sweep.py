@@ -15,12 +15,13 @@ Two built-in graph streams plus optional graph6 files:
 
 Per underlying graph, one signing per switching class is enumerated
 (spanning-tree edges positive, all co-tree sign patterns; pattern 0 is
-the balanced representative).  Ranks come from the batched modular
-kernel, which is exact at these orders.  Checks are vectorized across
-instance buffers; the structured families that the extremal classifiers
-can accept are re-classified per signing in Python, and sampled
-instances are re-verified against fraction-free elimination and the full
-classifier stack.
+the balanced representative).  Ranks come from the batched fraction-free
+kernel: float32 up to order 8, float64 up to order 13 and int64 for
+orders 14-15, each exact at its orders.  Checks are vectorized across
+instance buffers; graphs for which `admits_extremal_signing` holds are
+re-classified per signing in Python, and sampled instances are
+re-verified against fraction-free elimination and the full classifier
+stack.
 """
 
 from __future__ import annotations
@@ -45,19 +46,16 @@ from .core import (
     switch,
     write_sgr,
 )
-from .exact import batch_ranks, rank as exact_rank
+from .exact import _MAX_ORDER, batch_ranks, rank as exact_rank
 from .invariants import (
     bipartition,
+    connected_components,
     girth_of_adjacency,
     is_connected,
     shortest_cycle,
+    switching_potentials,
 )
-from .classify import (
-    _detect_subdivided_k4,
-    _detect_theta,
-    classify_equals_g,
-    classify_gminus2,
-)
+from .classify import admits_extremal_signing, classify_equals_g, classify_gminus2
 
 _BUFFER_INSTANCES = 1 << 17
 _SIGNING_BLOCK = 1 << 15
@@ -268,6 +266,17 @@ def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     return [i for i in range(len(edges)) if i not in tree]
 
 
+def _cotree_signing(
+    n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], pattern: int
+) -> SignedGraph:
+    """The signing with exactly the co-tree edges cotree[t] negative
+    whose bit t is set in `pattern`."""
+    negative = {e for t, e in enumerate(cotree) if (pattern >> t) & 1}
+    return SignedGraph(
+        n, [(u, v, -1 if i in negative else 1) for i, (u, v) in enumerate(edges)]
+    )
+
+
 def enumerate_signings(
     n: int, edges: Sequence[tuple[int, int]]
 ) -> Iterator[SignedGraph]:
@@ -275,13 +284,8 @@ def enumerate_signings(
     spanning-tree edges positive, each co-tree sign pattern once.
     Pattern 0 (first yield) is all-positive, the balanced class."""
     cotree = _spanning_cotree(n, edges)
-    pos = {e: t for t, e in enumerate(cotree)}
     for pattern in range(1 << len(cotree)):
-        signed = []
-        for i, (u, v) in enumerate(edges):
-            s = -1 if i in pos and (pattern >> pos[i]) & 1 else 1
-            signed.append((u, v, s))
-        yield SignedGraph(n, signed)
+        yield _cotree_signing(n, edges, cotree, pattern)
 
 
 def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
@@ -290,21 +294,8 @@ def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
     inputs on the same underlying graph."""
     if not is_connected(g):
         raise ValueError("need a connected graph")
-    signs = g.sign_map()
-    theta = [0] * g.n
-    theta[0] = 1
-    adj = g.neighbors()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adj[u]:
-            if theta[v] == 0:
-                theta[v] = theta[u] * signs[(min(u, v), max(u, v))]
-                queue.append(v)
-    edges = [(u, v, s * theta[u] * theta[v]) for u, v, s in g.edges]
-    return SignedGraph(g.n, edges)
+    pot = switching_potentials(g)
+    return switch(g, [v for v in range(g.n) if pot[v] == -1])
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +557,10 @@ def _decode_graph6_record(line: str, record: int) -> tuple[int, list[tuple[int, 
             body = data[8:]
         else:
             raise Graph6Error("truncated vertex count", record)
-    if n > 15:
+    if n > _MAX_ORDER:
         raise Graph6Error(
-            f"order {n} exceeds the exact batch kernel limit of 15", record
+            f"order {n} exceeds the exact batch kernel limit of {_MAX_ORDER}",
+            record,
         )
     pairs = n * (n - 1) // 2
     need = (pairs + 5) // 6
@@ -590,92 +582,6 @@ def _decode_graph6_record(line: str, record: int) -> tuple[int, list[tuple[int, 
                 edges.append((u, v))
             i += 1
     return n, edges
-
-
-@lru_cache(maxsize=None)
-def _graph6_records_cached(path: str) -> list:
-    with open(path) as fh:
-        return parse_graph6(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# structural typing for the sweep
-
-
-def _bipartite_sides(n: int, edges: Sequence[tuple[int, int]]):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return bipartition(adj), adj
-
-
-def _is_complete_tripartite_masks(n: int, nbm: list[int]) -> bool:
-    """Complete multipartite with exactly three parts, via vertex bitmasks."""
-    full = (1 << n) - 1
-    unassigned = full
-    parts = []
-    while unassigned:
-        root = (unassigned & -unassigned).bit_length() - 1
-        # complement component of root, grown over non-neighbors
-        comp = 1 << root
-        frontier = comp
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = (~nbm[v]) & unassigned & ~comp & ~(1 << v) & full
-            comp |= grow
-            frontier |= grow
-        unassigned &= ~comp
-        parts.append(comp)
-        if len(parts) > 3:
-            return False
-    if len(parts) != 3:
-        return False
-    for comp in parts:
-        rest = comp
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            # independent inside the part, complete to the outside
-            if nbm[v] != full & ~comp:
-                return False
-    return True
-
-
-def _needs_per_signing_classify(
-    n: int, degrees, m: int, c: int, sides, nbm: list[int]
-) -> bool:
-    """True when some signing of this underlying graph could be accepted by
-    either classifier (cycles, complete bipartite, complete tripartite,
-    unicyclic, theta(5,3,5)/(5,5,5), subdivided K4).  Everything else is
-    bulk: no classifier case can match, so the expected accepted set is
-    empty."""
-    if c == 1:
-        return True  # cycles and all other unicyclic shapes
-    if sides is not None and m == len(sides[0]) * len(sides[1]):
-        return True
-    if _is_complete_tripartite_masks(n, nbm):
-        return True
-    if c == 2 and sorted(degrees)[-2:] == [3, 3] and n in (9, 11):
-        probe = SignedGraph(n, [(u, v, 1) for u, v in _mask_pairs(nbm, n)])
-        paths = _detect_theta(probe)
-        if paths is not None and sorted(p for p, _, _ in paths) in (
-            [3, 5, 5],
-            [5, 5, 5],
-        ):
-            return True
-    if c == 3 and n == 10 and m == 12:
-        probe = SignedGraph(n, [(u, v, 1) for u, v in _mask_pairs(nbm, n)])
-        if _detect_subdivided_k4(probe) is not None:
-            return True
-    return False
-
-
-def _mask_pairs(nbm: list[int], n: int) -> list[tuple[int, int]]:
-    return [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (nbm[u] >> v) & 1
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +613,10 @@ class _GraphMeta:
         self.bipartite = bipartite
 
 
+def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
+    return _cotree_signing(meta.n, meta.edges, meta.cotree, signing)
+
+
 class _Segment:
     __slots__ = ("meta", "j0", "count")
 
@@ -716,13 +626,11 @@ class _Segment:
         self.count = count
 
 
-def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
-    pos = {e: t for t, e in enumerate(meta.cotree)}
-    signed = []
-    for i, (u, v) in enumerate(meta.edges):
-        s = -1 if i in pos and (signing >> pos[i]) & 1 else 1
-        signed.append((u, v, s))
-    return SignedGraph(meta.n, signed)
+def _locate(segments: list[_Segment], starts, pos: int) -> tuple[_Segment, int]:
+    """The segment holding buffer position `pos`, and its signing index."""
+    i = int(np.searchsorted(starts, pos, side="right")) - 1
+    seg = segments[i]
+    return seg, seg.j0 + (pos - int(starts[i]))
 
 
 def _edges_compact(g: SignedGraph) -> str:
@@ -782,21 +690,16 @@ class _Engine:
     # -- graph intake
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]], girth_hint: int = 0) -> None:
-        m = len(edges)
-        degrees = [0] * n
-        nbm = [0] * n
+        adj = [[] for _ in range(n)]
         for u, v in edges:
-            degrees[u] += 1
-            degrees[v] += 1
-            nbm[u] |= 1 << v
-            nbm[v] |= 1 << u
-        c = m - n + 1
-        sides, adj = _bipartite_sides(n, edges)
+            adj[u].append(v)
+            adj[v].append(u)
+        bipartite = bipartition(adj) is not None
         girth = girth_hint or girth_of_adjacency(adj)
-        special = _needs_per_signing_classify(n, degrees, m, c, sides, nbm)
+        special = admits_extremal_signing(adj)
         cotree = _spanning_cotree(n, edges)
         meta = _GraphMeta(
-            source, key, n, edges, m, girth, cotree, special, sides is not None
+            source, key, n, edges, len(edges), girth, cotree, special, bipartite
         )
         self.result.graphs += 1
         total = 1 << len(cotree)
@@ -851,13 +754,8 @@ class _Engine:
         )
         sel = self.sel
 
-        def seg_at(pos: int) -> tuple[_Segment, int]:
-            i = int(np.searchsorted(starts, pos, side="right")) - 1
-            seg = segments[i]
-            return seg, seg.j0 + (pos - int(starts[i]))
-
         def report(name, pos, detail=""):
-            seg, signing = seg_at(pos)
+            seg, signing = _locate(segments, starts, pos)
             self._fail(
                 name, seg.meta, signing, int(ranks[pos]), seg.meta.girth, detail
             )
@@ -902,7 +800,7 @@ class _Engine:
             hits = np.nonzero((garr == 4) & (ranks == 4))[0]
             self._count("girth_four_consequences", len(hits))
             for pos in hits.tolist():
-                seg, signing = seg_at(pos)
+                seg, signing = _locate(segments, starts, pos)
                 if not seg.meta.bipartite:
                     report(
                         "girth_four_consequences", pos, "underlying graph not bipartite"
@@ -969,7 +867,7 @@ class _Engine:
             first = (-base) % _SPOT_RANK_STRIDE
             for pos in range(first, total, _SPOT_RANK_STRIDE):
                 self._count("spot_check_exact_rank")
-                seg, signing = self._seg_signing(segments, starts, pos)
+                seg, signing = _locate(segments, starts, pos)
                 g = _instance_graph(seg.meta, signing)
                 r = exact_rank(adjacency_matrix(g)).rank
                 if r != int(ranks[pos]):
@@ -985,7 +883,7 @@ class _Engine:
             first = (-base) % _SPOT_CLASSIFY_STRIDE
             for pos in range(first, total, _SPOT_CLASSIFY_STRIDE):
                 self._count("spot_check_classifier")
-                seg, signing = self._seg_signing(segments, starts, pos)
+                seg, signing = _locate(segments, starts, pos)
                 meta = seg.meta
                 g = _instance_graph(meta, signing)
                 rank_value = int(ranks[pos])
@@ -1003,11 +901,6 @@ class _Engine:
                         meta.girth,
                         f"gm2={gm2} eqg={eqg}",
                     )
-
-    def _seg_signing(self, segments, starts, pos):
-        i = int(np.searchsorted(starts, pos, side="right")) - 1
-        seg = segments[i]
-        return seg, seg.j0 + (pos - int(starts[i]))
 
     def _instance_checks(self, segments, starts, ranks, total):
         names = [
@@ -1106,10 +999,11 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
         for lo in range(0, stream_len, _SPARSE_CHUNK_GRAPHS):
             chunks.append(("sparse", lo, min(lo + _SPARSE_CHUNK_GRAPHS, stream_len)))
     for pi, path in enumerate(config.graph6_paths):
-        records = _graph6_records_cached(path)
+        with open(path) as fh:
+            records = parse_graph6(fh.read())
         for lo in range(0, len(records), _GRAPH6_CHUNK_RECORDS):
             chunks.append(
-                ("graph6", pi, lo, min(lo + _GRAPH6_CHUNK_RECORDS, len(records)))
+                ("graph6", pi, lo, records[lo:lo + _GRAPH6_CHUNK_RECORDS])
             )
     return chunks
 
@@ -1128,34 +1022,17 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
             n, edges = stream[key]
             engine.add_graph("sparse", key, n, edges)
     else:
-        _, pi, lo, hi = desc
-        records = _graph6_records_cached(config.graph6_paths[pi])
-        for key in range(lo, hi):
-            n, edges = records[key]
+        _, pi, lo, records = desc
+        for key, (n, edges) in enumerate(records, lo):
             adj = [[] for _ in range(n)]
             for u, v in edges:
                 adj[u].append(v)
                 adj[v].append(u)
-            connected = n > 0 and len(
-                _component(adj, 0)
-            ) == n
-            if not connected or len(edges) < n:
+            if len(connected_components(adj)) != 1 or len(edges) < n:
                 engine.result.skipped_graph6_records += 1
                 continue
             engine.add_graph(f"graph6[{pi}]", key, n, edges)
     return engine.finish()
-
-
-def _component(adj, root):
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 def _run_chunk_star(args):

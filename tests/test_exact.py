@@ -109,15 +109,15 @@ class TestBatchKernel:
         expect = [rank([[int(x) for x in row] for row in m]).rank for m in mats]
         assert got.tolist() == expect
 
-    def test_float32_float64_gfp_agree(self):
-        from sgrank.exact import _batch_ranks_bareiss, _batch_ranks_gfp
+    def test_float32_float64_int64_agree(self):
+        from sgrank.exact import _batch_ranks_bareiss
 
         rng = np.random.default_rng(7)
         for n in (4, 8):
             mats = rng.integers(-1, 2, size=(500, n, n)).astype(np.int8)
             a = _batch_ranks_bareiss(mats, np.float32)
             b = _batch_ranks_bareiss(mats, np.float64)
-            c = _batch_ranks_gfp(mats)
+            c = _batch_ranks_bareiss(mats, np.int64)
             assert (a == b).all() and (b == c).all()
 
     def test_empty_batch(self):
@@ -137,7 +137,7 @@ class TestBatchKernel:
     def test_worst_case_magnitudes(self):
         # all-ones-off-diagonal and alternating-sign matrices drive the
         # largest minors the kernel can meet at each dtype boundary
-        for n in (8, 13):
+        for n in (8, 13, 14, 15):
             mats = []
             ones = np.ones((n, n), dtype=np.int8)
             np.fill_diagonal(ones, 0)

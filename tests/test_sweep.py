@@ -14,9 +14,13 @@ from sgrank import (
     Graph6Error,
     SignedGraph,
     SweepConfig,
+    admits_extremal_signing,
     canonical_switching_representative,
+    classify_equals_g,
+    classify_gminus2,
     dense_graphs,
     enumerate_signings,
+    girth_of_adjacency,
     is_balanced,
     parse_graph6,
     run,
@@ -125,6 +129,46 @@ class TestSparseStream:
             )
 
 
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _prefilter_graphs():
+    """Dense n <= 5, sparse n <= 7, and the near misses of cases g and h:
+    the n=9 graphs with m = n + 1 and the n=10 graphs, all of degrees 2
+    and 3, of the sparse stream."""
+    for n in range(3, 6):
+        for _, edges in dense_graphs(n):
+            yield n, edges
+    yield from sparse_graphs(7, 3)
+    for n, edges in sparse_graphs(10, 3):
+        degrees = {len(nb) for nb in _adjacency(n, edges)}
+        if degrees <= {2, 3} and (n == 10 or (n == 9 and len(edges) == 10)):
+            yield n, edges
+
+
+class TestPrefilter:
+    def test_rejected_graphs_have_no_accepted_signing(self):
+        rejected = 0
+        for n, edges in _prefilter_graphs():
+            adj = _adjacency(n, edges)
+            if admits_extremal_signing(adj):
+                continue
+            rejected += 1
+            girth = girth_of_adjacency(adj)
+            for g in enumerate_signings(n, edges):
+                assert classify_gminus2(g) is None, (n, edges)
+                res = classify_equals_g(g)
+                assert res is None or (res.case == "f" and girth == 4), (
+                    n, edges, res
+                )
+        assert rejected > 1000
+
+
 class TestGraph6:
     def test_reads_networkx_output(self):
         graphs = [nx.path_graph(4), nx.cycle_graph(5), nx.complete_graph(4)]
@@ -215,6 +259,15 @@ class TestSweepRuns:
         assert rep.skipped_graph6_records == 2
         assert rep.instances == 2 + 8  # C5: 2 classes, K4: 8
         assert rep.total_failures() == 0
+
+    def test_graph6_file_is_reread_by_each_run(self, tmp_path):
+        path = tmp_path / "in.g6"
+        cfg = SweepConfig(max_n_dense=0, max_n_sparse=0,
+                          graph6_paths=(str(path),))
+        path.write_text("Bw\n")  # K3: 2 switching classes
+        assert run(cfg).instances == 2
+        path.write_text("C~\n")  # K4: 8 switching classes
+        assert run(cfg).instances == 8
 
     def test_json_report_shape(self):
         rep = run(SweepConfig(max_n_dense=4, max_n_sparse=4))
