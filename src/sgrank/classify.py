@@ -26,6 +26,7 @@ from .invariants import (
     girth_of_adjacency,
     is_balanced,
     is_connected,
+    two_core,
 )
 
 
@@ -106,17 +107,7 @@ def is_rank3_tripartite(g: SignedGraph) -> Optional[dict]:
 def _unicyclic_cycle_order(adj: list[list[int]]) -> list[int]:
     """Walk order of the unique cycle of a connected graph with m == n;
     for a cycle (every degree 2) the walk starts at 0 toward adj[0][0]."""
-    deg = [len(nb) for nb in adj]
-    alive = [True] * len(adj)
-    queue = [v for v, d in enumerate(deg) if d == 1]
-    while queue:
-        leaf = queue.pop()
-        alive[leaf] = False
-        for u in adj[leaf]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    queue.append(u)
+    alive = two_core(adj)
     start = alive.index(True)
     order = [start]
     prev = -1

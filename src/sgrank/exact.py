@@ -7,17 +7,23 @@ elimination over fractions.Fraction with largest-pivot selection) used to
 cross-check the primary one in tests.
 
 `batch_ranks` computes exact ranks for large batches of small {-1,0,1}
-matrices at numpy speed.  It runs the same fraction-free elimination in
-numpy arrays: every intermediate value is a minor of the input
-(Sylvester), so magnitudes never exceed the Hadamard bound n**(n/2) and
-products stay below 2**24 (float32, n <= 8) resp. 2**53 (float64,
-n <= 13); all products, subtractions and exact divisions are therefore
-performed without rounding.  Orders 14-15 run in int64: every numerator
-is a difference of two products of minors, each minor at most n**(n/2),
-so it is at most 2 * n**n <= 2 * 15**15 < 2**63, and the division by the
-previous pivot is exact, so floor division returns the true quotient.
-Exact integer arithmetic throughout, just carried by float or integer
-representations.
+matrices at numpy speed, by fraction-free elimination with full pivoting
+on a shrinking active block.  At block size m each matrix takes the first
+nonzero entry of its m x m block as pivot, moves its last row and column
+into the pivot's row and column, and replaces the leading (m-1) x (m-1)
+block by (pivot * entry - column entry * row entry) / previous pivot.  A
+matrix whose block is all zero leaves the batch; its rank is the number
+of pivots taken.  Exactness: row and column permutations do not break
+Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after k pivots the
+block has size m = n-k, every entry in it is an order-(k+1) minor of a
+row- and column-permuted input, and each division by the previous pivot
+is exact.  An update runs only while m >= 2, so its factors are minors of
+order k+1 <= n-1; by Hadamard each is at most (n-1)**((n-1)/2) in
+magnitude, and every numerator is at most 2 * (n-1)**(n-1).  That is
+below 2**24 for n <= 8 (float32), 2**53 for n <= 14 (float64) and 2**63
+for n <= 16 (int64), so every product, difference and quotient is an
+exact integer carried in that representation; floor division on int64
+returns the true quotient because the division is exact.
 """
 
 from __future__ import annotations
@@ -149,46 +155,51 @@ def rank_oracle(matrix: IntMatrix) -> int:
     return rank_count
 
 
-# float32 keeps n**(n/2) minor products exact up to n=8 (8**8 == 2**24),
-# float64 up to n=13 (13**13 < 2**53), int64 up to n=15 (2 * 15**15 < 2**63)
+# float32 is exact through order 8 (2 * 7**7 < 2**24), float64 through
+# order 14 (2 * 13**13 < 2**53), int64 through order 16 (2 * 15**15 < 2**63)
 _FLOAT32_MAX_ORDER = 8
-_FLOAT64_MAX_ORDER = 13
-_MAX_ORDER = 15
+_FLOAT64_MAX_ORDER = 14
+_MAX_ORDER = 16
 
 
 def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
     batch, n, _ = matrices.shape
     work = matrices.astype(dtype)
-    idx = np.arange(batch)
-    used = np.zeros((batch, n), dtype=bool)
-    ranks = np.zeros(batch, dtype=np.int64)
+    ranks = np.full(batch, n, dtype=np.int64)
+    live = np.arange(batch)
     prev = np.ones(batch, dtype=dtype)
     # exact division either way; true division is the fast one on floats
     divide = np.floor_divide if np.issubdtype(dtype, np.integer) else np.true_divide
-    for col in range(n):
-        column = work[:, :, col]
-        candidates = (column != 0) & ~used
-        has_pivot = candidates.any(axis=1)
-        if not has_pivot.any():
-            continue
-        piv = candidates.argmax(axis=1)
-        pivot_vals = column[idx, piv]
-        pivot_rows = work[idx, piv, col:]
-        # fraction-free step on every row below the front, zero factor or
-        # not: row <- (pv*row - row[col]*pivot_row)/prev; pivot rows,
-        # settled rows and pivotless matrices get prev/prev = 1 instead
-        below = ~used & has_pivot[:, None]
-        below[idx, piv] = False
-        factor = np.where(below, column, 0)
-        row_scale = np.where(below, pivot_vals[:, None], prev[:, None])
-        tail = work[:, :, col:]
-        tmp = tail * row_scale[:, :, None]
-        tmp -= factor[:, :, None] * pivot_rows[:, None, :]
-        divide(tmp, prev[:, None, None], out=tmp)
-        work[:, :, col:] = tmp
-        prev = np.where(has_pivot, pivot_vals, prev)
-        used[idx[has_pivot], piv[has_pivot]] = True
-        ranks += has_pivot
+    for m in range(n, 0, -1):
+        # work holds the live matrices' m x m active blocks; the pivot is
+        # the first nonzero entry in row-major order
+        nonzero = (work != 0).reshape(len(live), m * m)
+        pos = nonzero.argmax(axis=1)
+        found = nonzero[np.arange(len(live)), pos]
+        if not found.all():
+            ranks[live[~found]] = n - m
+            live, work, pos, prev = live[found], work[found], pos[found], prev[found]
+            if not len(live):
+                break
+        if m == 1:
+            break
+        idx = np.arange(len(live))
+        pr, pc = np.divmod(pos, m)
+        pv = work[idx, pr, pc]
+        prow = work[idx, pr, :]
+        pcol = work[idx, :, pc]
+        # the last row and column take the pivot's slots, so the rows and
+        # columns left to eliminate are the leading m-1
+        work[idx, pr, :] = work[:, m - 1, :]
+        work[idx, :, pc] = work[:, :, m - 1]
+        prow[idx, pc] = prow[:, m - 1]
+        pcol[idx, pr] = pcol[:, m - 1]
+        work *= pv[:, None, None]
+        block = pcol[:, : m - 1, None] * prow[:, None, : m - 1]
+        np.subtract(work[:, : m - 1, : m - 1], block, out=block)
+        divide(block, prev[:, None, None], out=block)
+        work = block
+        prev = pv
     return ranks
 
 
@@ -196,7 +207,7 @@ def batch_ranks(matrices: np.ndarray) -> np.ndarray:
     """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1}.
 
     Fraction-free elimination carried in float32 arrays for order <= 8,
-    float64 for orders 9-13 and int64 for orders 14-15 (exact: all
+    float64 for orders 9-14 and int64 for orders 15-16 (exact: all
     intermediates are Hadamard-bounded minors).  See the module docstring
     for the argument.
     """

@@ -4,7 +4,13 @@ Girth is computed by the classical BFS-from-every-root scan: for a root r,
 any non-tree edge (u, v) met during BFS closes a walk of length
 d(u) + d(v) + 1 through r which contains a cycle no longer than that, and
 for a root lying on a shortest cycle the scan attains the girth exactly, so
-the minimum over all roots is the girth.
+the minimum over all roots is the girth.  Two reductions keep that
+argument.  Every cycle lies in the 2-core (what is left after repeatedly
+deleting vertices of degree <= 1), so the scan runs on the 2-core alone.
+And once r has been scanned, every cycle through r is at least as long as
+the best found, so r is deleted before the next root: the shortest cycle
+is then found from its least vertex, in the graph on that vertex and the
+ones after it.
 
 Balance uses spanning-forest potentials: assign each vertex the product of
 edge signs on its tree path from the root; the graph is balanced iff every
@@ -68,33 +74,51 @@ def is_connected(g: SignedGraph) -> bool:
     return len(connected_components(g.neighbors())) == 1
 
 
+def two_core(adj: list[list[int]]) -> list[bool]:
+    """Membership in the 2-core, found by peeling vertices of degree <= 1."""
+    deg = [len(nb) for nb in adj]
+    alive = [True] * len(adj)
+    queue = [v for v, d in enumerate(deg) if d <= 1]
+    while queue:
+        leaf = queue.pop()
+        alive[leaf] = False
+        for u in adj[leaf]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    queue.append(u)
+    return alive
+
+
 def girth_of_adjacency(adj: list[list[int]]) -> int | None:
     """Length of a shortest cycle, or None for a forest."""
     n = len(adj)
-    best: int | None = None
-    dist = [0] * n
+    live = two_core(adj)
+    best = n + 1
     parent = [0] * n
     for root in range(n):
-        for i in range(n):
-            dist[i] = -1
+        if not live[root]:
+            continue
+        dist = [-1] * n
         dist[root] = 0
         parent[root] = -1
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                continue
             du = dist[u]
+            if 2 * du >= best:
+                continue
             for v in adj[u]:
+                if not live[v]:
+                    continue
                 if dist[v] < 0:
                     dist[v] = du + 1
                     parent[v] = u
                     queue.append(v)
-                elif v != parent[u]:
-                    cand = du + dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+                elif v != parent[u] and du + dist[v] + 1 < best:
+                    best = du + dist[v] + 1
+        live[root] = False
+    return best if best <= n else None
 
 
 def bipartition(adj: list[list[int]]) -> tuple[list[int], list[int]] | None:

@@ -16,8 +16,8 @@ Two built-in graph streams plus optional graph6 files:
 Per underlying graph, one signing per switching class is enumerated
 (spanning-tree edges positive, all co-tree sign patterns; pattern 0 is
 the balanced representative).  Ranks come from the batched fraction-free
-kernel: float32 up to order 8, float64 up to order 13 and int64 for
-orders 14-15, each exact at its orders.  Checks are vectorized across
+kernel: float32 up to order 8, float64 up to order 14 and int64 for
+orders 15-16, each exact at its orders.  Checks are vectorized across
 instance buffers; graphs for which `admits_extremal_signing` holds are
 re-classified per signing in Python, and sampled instances are
 re-verified against fraction-free elimination and the full classifier

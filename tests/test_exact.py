@@ -98,7 +98,7 @@ class TestOracle:
 
 
 class TestBatchKernel:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12, 13, 14, 15])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12, 13, 14, 15, 16])
     def test_matches_scalar_bareiss(self, n):
         rng = np.random.default_rng(100 + n)
         batch = 300 if n <= 10 else 80
@@ -132,12 +132,12 @@ class TestBatchKernel:
         with pytest.raises(ValueError):
             batch_ranks(np.full((1, 2, 2), 2, dtype=np.int8))
         with pytest.raises(ValueError):
-            batch_ranks(np.zeros((1, 16, 16), dtype=np.int8))
+            batch_ranks(np.zeros((1, 17, 17), dtype=np.int8))
 
     def test_worst_case_magnitudes(self):
         # all-ones-off-diagonal and alternating-sign matrices drive the
         # largest minors the kernel can meet at each dtype boundary
-        for n in (8, 13, 14, 15):
+        for n in (8, 13, 14, 15, 16):
             mats = []
             ones = np.ones((n, n), dtype=np.int8)
             np.fill_diagonal(ones, 0)
@@ -153,6 +153,94 @@ class TestBatchKernel:
             got = batch_ranks(arr)
             expect = [rank([[int(x) for x in row] for row in m]).rank for m in arr]
             assert got.tolist() == expect
+
+
+def _oracle_ranks(mats):
+    return [rank_oracle([[int(x) for x in row] for row in m]) for m in mats]
+
+
+def _rank_one(rng, n):
+    u = rng.integers(-1, 2, size=n)
+    v = rng.integers(-1, 2, size=n)
+    u[rng.integers(n)] = 1
+    v[rng.integers(n)] = -1
+    return np.outer(u, v).astype(np.int8)
+
+
+def _full_rank(rng, n):
+    while True:
+        m = rng.integers(-1, 2, size=(n, n)).astype(np.int8)
+        if rank_oracle(m.tolist()) == n:
+            return m
+
+
+# every arithmetic path: both sides of each dtype switch (8|9, 14|15), the cap 16
+KERNEL_ORDERS = [5, 8, 9, 14, 15, 16]
+
+
+class TestBatchKernelEdgeCases:
+    """Matrices that leave the shrinking-block elimination at different steps."""
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_rank_alone_equals_rank_in_mixed_batch(self, n):
+        rng = np.random.default_rng(200 + n)
+        mats = [np.zeros((n, n), dtype=np.int8), _rank_one(rng, n), _full_rank(rng, n)]
+        mats += list(rng.integers(-1, 2, size=(9, n, n)).astype(np.int8))
+        low = rng.integers(-1, 2, size=(n, 2))
+        mats.append(np.clip(low @ low.T, -1, 1).astype(np.int8))
+        arr = np.stack(mats)
+        mixed = batch_ranks(arr).tolist()
+        alone = [int(batch_ranks(m[None])[0]) for m in arr]
+        assert mixed == alone == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_zero_rank_one_and_full_rank_mixed(self, n):
+        rng = np.random.default_rng(300 + n)
+        mats = []
+        for i in range(12):
+            kind = i % 3
+            if kind == 0:
+                mats.append(np.zeros((n, n), dtype=np.int8))
+            elif kind == 1:
+                mats.append(_rank_one(rng, n))
+            else:
+                mats.append(_full_rank(rng, n))
+        arr = np.stack(mats)
+        got = batch_ranks(arr).tolist()
+        assert got == _oracle_ranks(arr)
+        assert got == [0, 1, n] * 4
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_nonzeros_only_in_last_row_or_column(self, n):
+        rng = np.random.default_rng(400 + n)
+        mats = []
+        for _ in range(6):
+            row = np.zeros((n, n), dtype=np.int8)
+            row[n - 1] = rng.integers(-1, 2, size=n)
+            row[n - 1, rng.integers(n)] = 1
+            col = row.T.copy()
+            both = row + col
+            corner = np.zeros((n, n), dtype=np.int8)
+            corner[n - 1, n - 1] = -1
+            mats += [row, col, np.clip(both, -1, 1), corner]
+        arr = np.stack(mats)
+        assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_every_matrix_finishes_early(self, n):
+        rng = np.random.default_rng(500 + n)
+        mats = []
+        for r in range(n):
+            # rank <= r < n: every row is 0 or +-1 times one of r base rows
+            for _ in range(4):
+                base = rng.integers(-1, 2, size=(max(r, 1), n))
+                pick = rng.integers(0, max(r, 1), size=n)
+                scale = rng.integers(-1, 2, size=n) if r else np.zeros(n, dtype=int)
+                mats.append((scale[:, None] * base[pick]).astype(np.int8))
+        arr = np.stack(mats)
+        got = batch_ranks(arr)
+        assert got.tolist() == _oracle_ranks(arr)
+        assert (got < n).all()
 
 
 def test_rank_report_consistency():

@@ -2,7 +2,9 @@
 
 import random
 
-from conftest import random_connected_graph
+import networkx as nx
+
+from conftest import random_connected_graph, random_cyclic_graph
 from sgrank import (
     SignedGraph,
     adjacency_matrix,
@@ -18,6 +20,7 @@ from sgrank import (
     switch,
     switching_potentials,
 )
+from sgrank.invariants import two_core
 
 
 def cycle_graph(n, negatives=()):
@@ -94,6 +97,34 @@ class TestGirth:
                 assert not cycles
             else:
                 assert girth == min(c.length for c in cycles)
+
+    def test_trees_hung_on_cyclic_graphs_match_networkx(self):
+        # the scan runs on the 2-core only and deletes scanned roots, so
+        # tree vertices are interleaved with core vertices in the labels
+        rng = random.Random(61)
+        for trial in range(300):
+            g = random_cyclic_graph(rng, rng.randint(3, 9), extra=rng.choice((0.05, 0.2, 0.5)))
+            edges = [(u, v) for u, v, _ in g.edges]
+            n = g.n
+            for _ in range(rng.randint(0, 8)):
+                edges.append((rng.randrange(n), n))
+                n += 1
+            if trial % 5 == 0:
+                # a disjoint path and an isolated vertex
+                edges += [(n, n + 1), (n + 1, n + 2)]
+                n += 4
+            perm = list(range(n))
+            rng.shuffle(perm)
+            adj = [[] for _ in range(n)]
+            nxg = nx.empty_graph(n)
+            for u, v in edges:
+                adj[perm[u]].append(perm[v])
+                adj[perm[v]].append(perm[u])
+                nxg.add_edge(perm[u], perm[v])
+            expect = nx.girth(nxg)
+            assert girth_of_adjacency(adj) == (None if expect == float("inf") else expect)
+            core = two_core(adj)
+            assert {v for v in range(n) if core[v]} == set(nx.k_core(nxg, 2))
 
     def test_shortest_cycle_record(self):
         g = cycle_graph(7, negatives={(2, 3)})

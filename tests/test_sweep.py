@@ -196,8 +196,9 @@ class TestGraph6:
             parse_graph6(text)
 
     def test_order_cap(self):
-        big = nx.to_graph6_bytes(nx.path_graph(20)).decode()
-        with pytest.raises(Graph6Error, match="order 20"):
+        assert parse_graph6(nx.to_graph6_bytes(nx.path_graph(16)).decode())[0][0] == 16
+        big = nx.to_graph6_bytes(nx.path_graph(17)).decode()
+        with pytest.raises(Graph6Error, match="order 17"):
             parse_graph6(big)
 
 
@@ -247,6 +248,7 @@ class TestSweepRuns:
         graphs = [
             nx.cycle_graph(5),
             nx.complete_graph(4),
+            nx.cycle_graph(16),               # the kernel's largest order
             nx.path_graph(4),                 # acyclic: skipped
             nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(3)),  # skipped
         ]
@@ -255,9 +257,9 @@ class TestSweepRuns:
         cfg = SweepConfig(max_n_dense=0, max_n_sparse=0,
                           graph6_paths=(str(path),))
         rep = run(cfg)
-        assert rep.graphs == 2
+        assert rep.graphs == 3
         assert rep.skipped_graph6_records == 2
-        assert rep.instances == 2 + 8  # C5: 2 classes, K4: 8
+        assert rep.instances == 2 + 8 + 2  # C5: 2 classes, K4: 8, C16: 2
         assert rep.total_failures() == 0
 
     def test_graph6_file_is_reread_by_each_run(self, tmp_path):
