@@ -8,16 +8,25 @@ and `classify_equals_g` test the cases in order and return the first
 match, or None when the instance is not extremal.  Certificates carry
 enough structure to rebuild the match by hand.
 
+Each case is a signing-independent shape of the underlying graph (a
+`_`-prefixed function on adjacency lists) plus a condition on cycle
+signs.  `accepted_cotree_patterns` evaluates those conditions once per
+underlying graph: with spanning-tree edges positive, a cycle's sign is
+the parity of the co-tree edges it uses, so each case accepts a small set
+of co-tree sign patterns, one per switching class.  The verification
+sweep checks its ranks against these sets.
+
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
-deliberately out of scope (`figure_deferred` marks this).
+deliberately out of scope (`figure_deferred` marks this).  Case (f) has
+no sign pattern set: it depends on the rank, not on the shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import SignedGraph, adjacency_matrix
 from .exact import rank as exact_rank
@@ -126,33 +135,21 @@ def _is_cycle(adj: list[list[int]]) -> bool:
     return all(len(nb) == 2 for nb in adj)
 
 
-def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
-    """Decide rank == girth for a unicyclic non-cycle graph whose off-cycle
-    part is pendant leaf stars on cycle vertices.  The decision is
-    signing-independent: extremal iff every cyclic gap between consecutive
-    star centers is odd (single center: the wrap-around gap girth-1).
-
-    Returns the certificate when extremal, None when the graph is in the
-    family but not extremal or not of the pendant-star shape.  Raises
-    ValueError for cycles and non-unicyclic input.
-    """
-    if not is_connected(g) or g.m != g.n:
-        raise ValueError("need a connected unicyclic graph")
-    if all(d == 2 for d in g.degrees()):
-        raise ValueError("plain cycles are classified separately")
-    nb = g.neighbors()
-    cycle = _unicyclic_cycle_order(nb)
+def _extremal_pendant_stars(adj: list[list[int]]) -> Optional[dict]:
+    """Shape of case (d) on a connected unicyclic non-cycle graph: the
+    certificate when every off-cycle vertex is a leaf on a cycle vertex
+    and every cyclic gap between consecutive star centers is odd (single
+    center: the wrap-around gap girth-1), else None."""
+    cycle = _unicyclic_cycle_order(adj)
     on_cycle = set(cycle)
-    deg = g.degrees()
-    for v in range(g.n):
-        if v not in on_cycle and (deg[v] != 1 or nb[v][0] not in on_cycle):
-            return None
+    leaf_counts: dict[int, int] = {}
+    for v, nb in enumerate(adj):
+        if v not in on_cycle:
+            if len(nb) != 1 or nb[0] not in on_cycle:
+                return None
+            leaf_counts[nb[0]] = leaf_counts.get(nb[0], 0) + 1
     position = {v: i for i, v in enumerate(cycle)}
     length = len(cycle)
-    leaf_counts: dict[int, int] = {}
-    for v in range(g.n):
-        if v not in on_cycle:
-            leaf_counts[nb[v][0]] = leaf_counts.get(nb[v][0], 0) + 1
     centers = sorted(leaf_counts, key=position.get)
     gaps = []
     for i, c in enumerate(centers):
@@ -169,6 +166,23 @@ def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
         "leaf_counts": leaf_counts,
         "gaps": gaps,
     }
+
+
+def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
+    """Decide rank == girth for a unicyclic non-cycle graph whose off-cycle
+    part is pendant leaf stars on cycle vertices.  The decision is
+    signing-independent: extremal iff every cyclic gap between consecutive
+    star centers is odd (single center: the wrap-around gap girth-1).
+
+    Returns the certificate when extremal, None when the graph is in the
+    family but not extremal or not of the pendant-star shape.  Raises
+    ValueError for cycles and non-unicyclic input.
+    """
+    if not is_connected(g) or g.m != g.n:
+        raise ValueError("need a connected unicyclic graph")
+    if all(d == 2 for d in g.degrees()):
+        raise ValueError("plain cycles are classified separately")
+    return _extremal_pendant_stars(g.neighbors())
 
 
 def _theta_paths(adj: list[list[int]]) -> Optional[list[list[int]]]:
@@ -222,47 +236,25 @@ def _path_sign(signs: dict, path: list[int]) -> int:
     return prod
 
 
-def admits_extremal_signing(adj: list[list[int]]) -> bool:
-    """True when some signing of the connected cyclic graph with these
-    adjacency lists could be accepted by `classify_gminus2`, or by
-    `classify_equals_g` other than as girth-4 case (f).  Each test is the
-    signing-independent shape of a case family: unicyclic (the cycles of
-    B, C, a, b and the shapes of d, e), complete bipartite (A) or
-    tripartite (c), theta(5,3,5) and theta(5,5,5) (g), subdivided K4 (h).
-    A False answer proves that only case (f) can accept a signing."""
-    if sum(map(len, adj)) == 2 * len(adj):  # m == n
-        return True
-    parts = _complete_multipartite_parts(adj)
-    if parts is not None and len(parts) in (2, 3):
-        return True
-    paths = _theta_paths(adj)
-    if paths is not None:
-        return sorted(map(len, paths)) in ([3, 5, 5], [5, 5, 5])
-    return _subdivided_k4_midpoints(adj) is not None
-
-
-def _detect_cycle_star(g: SignedGraph):
-    """(cycle order, center, leaves, cycle sign) when g is a cycle joined by
-    one edge to the center of a pendant star, else None."""
-    if g.m != g.n:
-        return None
-    nb = g.neighbors()
-    cycle = _unicyclic_cycle_order(nb)
+def _cycle_star(adj: list[list[int]]):
+    """Shape of case (e) on a connected unicyclic graph: (cycle order,
+    center, leaves) when the graph is its cycle joined by one edge to the
+    center of a pendant star, else None."""
+    cycle = _unicyclic_cycle_order(adj)
     on_cycle = set(cycle)
-    off = [v for v in range(g.n) if v not in on_cycle]
-    deg = g.degrees()
-    centers = [v for v in off if deg[v] >= 2]
+    off = [v for v in range(len(adj)) if v not in on_cycle]
+    centers = [v for v in off if len(adj[v]) >= 2]
     if len(centers) != 1:
         return None
     center = centers[0]
-    cycle_neighbors = [u for u in nb[center] if u in on_cycle]
-    leaves = [u for u in nb[center] if u not in on_cycle]
+    cycle_neighbors = [u for u in adj[center] if u in on_cycle]
+    leaves = [u for u in adj[center] if u not in on_cycle]
     if len(cycle_neighbors) != 1 or not leaves:
         return None
     for leaf in off:
-        if leaf != center and (deg[leaf] != 1 or nb[leaf][0] != center):
+        if leaf != center and (len(adj[leaf]) != 1 or adj[leaf][0] != center):
             return None
-    return cycle, center, leaves, cycle_sign(g, cycle)
+    return cycle, center, leaves
 
 
 def classify_gminus2(g: SignedGraph) -> Optional[Classification]:
@@ -322,17 +314,15 @@ def classify_equals_g(
     if cert is not None:
         return Classification(target, "c", cert)
 
-    if g.m == g.n:
-        try:
-            ucert = is_extremal_canonical_unicyclic(g)
-        except ValueError:
-            ucert = None
+    if g.m == g.n:  # connected, unicyclic, not a cycle
+        ucert = _extremal_pendant_stars(adj)
         if ucert is not None:
             return Classification(target, "d", ucert)
 
-        star = _detect_cycle_star(g)
+        star = _cycle_star(adj)
         if star is not None:
-            cycle, center, leaves, csign = star
+            cycle, center, leaves = star
+            csign = cycle_sign(g, cycle)
             length = len(cycle)
             if (csign == 1 and length % 4 == 0) or (csign == -1 and length % 4 == 2):
                 return Classification(
@@ -388,3 +378,132 @@ def classify_equals_g(
                 {"branch_vertices": branches, "six_cycle_signs": six_signs},
             )
     return None
+
+
+# ---------------------------------------------------------------------------
+# accepted sign patterns, once per underlying graph
+
+_NO_PATTERNS: frozenset[int] = frozenset()
+_BALANCED = frozenset((0,))
+_UNBALANCED = frozenset((1,))
+_BOTH = frozenset((0, 1))
+
+
+def _patterns_with_sign(
+    cotree: Sequence[tuple[int, int]], walks: list[list[int]], sign: int
+) -> frozenset[int]:
+    """Co-tree patterns under which every closed walk in `walks` (first
+    vertex repeated at the end) has the given sign: tree edges are
+    positive, so a walk's sign is the parity of the pattern on the
+    co-tree edges it uses."""
+    bit = {}
+    for t, (u, v) in enumerate(cotree):
+        bit[(u, v)] = bit[(v, u)] = 1 << t
+    masks = []
+    for walk in walks:
+        mask = 0
+        for u, v in zip(walk, walk[1:]):
+            mask ^= bit.get((u, v), 0)
+        masks.append(mask)
+    odd = sign == -1
+    return frozenset(
+        p
+        for p in range(1 << len(cotree))
+        if all(((p & mask).bit_count() & 1) == odd for mask in masks)
+    )
+
+
+def _all_negative_pattern(
+    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
+) -> int:
+    """Co-tree pattern of the all-negative signing's switching class.  A
+    fundamental cycle is odd, hence negative, exactly when its co-tree
+    edge joins two vertices of one colour of the spanning tree."""
+    off_tree = set(cotree) | {(v, u) for u, v in cotree}
+    colour = [-1] * len(adj)
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if colour[v] < 0 and (u, v) not in off_tree:
+                colour[v] = colour[u] ^ 1
+                stack.append(v)
+    return sum(
+        1 << t for t, (u, v) in enumerate(cotree) if colour[u] == colour[v]
+    )
+
+
+def _unicyclic_patterns(
+    adj: list[list[int]],
+) -> tuple[frozenset[int], frozenset[int]]:
+    """`accepted_cotree_patterns` for m == n: the one co-tree edge lies on
+    the cycle, so pattern 0 is balanced and pattern 1 unbalanced."""
+    if _is_cycle(adj):
+        length = len(adj)
+        if length % 2:
+            return _NO_PATTERNS, _BOTH  # a
+        if length % 4 == 0:
+            return _BALANCED, _UNBALANCED  # B; b
+        return _UNBALANCED, _BALANCED  # C; b
+    if _extremal_pendant_stars(adj) is not None:
+        return _NO_PATTERNS, _BOTH  # d
+    star = _cycle_star(adj)
+    if star is not None:
+        length = len(star[0])
+        if length % 4 == 0:
+            return _NO_PATTERNS, _BALANCED  # e
+        if length % 4 == 2:
+            return _NO_PATTERNS, _UNBALANCED  # e
+    return _NO_PATTERNS, _NO_PATTERNS
+
+
+def accepted_cotree_patterns(
+    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The signings of one underlying graph accepted by `classify_gminus2`,
+    and those accepted by `classify_equals_g` as a case other than (f).
+
+    `adj` holds the adjacency lists of a connected graph with a cycle and
+    `cotree` its edges outside one spanning tree.  Pattern p stands for the
+    signing with every tree edge positive and edge cotree[t] negative
+    exactly when bit t of p is set: one signing per switching class.  Every
+    case's sign condition is a condition on cycle signs, and a cycle's sign
+    under p is the parity of p on the cycle's co-tree edges, so both sets
+    follow from the signing-independent shape of the graph:
+
+    A (balanced complete bipartite), B, g(5,5,5): pattern 0;
+    C, b, e: one parity of the single co-tree bit;
+    a, d: both patterns;
+    c: patterns 0 and that of the all-negative signing, the part-constant
+       signing with triangle sign -1 (the only other rank-3 class);
+    g(5,3,5), h: two or four 6-cycles negative.
+    """
+    if sum(map(len, adj)) == 2 * len(adj):  # m == n
+        return _unicyclic_patterns(adj)
+    gm2 = eqg = _NO_PATTERNS
+    parts = _complete_multipartite_parts(adj)
+    if parts is not None and len(parts) == 2:
+        gm2 = _BALANCED  # A
+    elif parts is not None and len(parts) == 3:
+        eqg = frozenset((0, _all_negative_pattern(adj, cotree)))  # c
+    paths = _theta_paths(adj)
+    if paths is not None:
+        paths.sort(key=len)
+        # g: theta(5,3,5) with both 6-cycles negative, balanced theta(5,5,5)
+        sign = {(3, 5, 5): -1, (5, 5, 5): 1}.get(tuple(map(len, paths)))
+        if sign is not None:
+            cycles = [paths[0] + p[-2::-1] for p in paths[1:]]
+            eqg |= _patterns_with_sign(cotree, cycles, sign)
+    k4 = _subdivided_k4_midpoints(adj)
+    if k4 is not None:
+        branches, mid = k4
+        eqg |= _patterns_with_sign(
+            cotree,
+            [
+                [x, mid[(x, y)], y, mid[(y, z)], z, mid[(x, z)], x]
+                for x, y, z in combinations(branches, 3)
+            ],
+            -1,
+        )
+    return gm2, eqg

@@ -18,10 +18,10 @@ Per underlying graph, one signing per switching class is enumerated
 the balanced representative).  Ranks come from the batched fraction-free
 kernel: float32 up to order 8, float64 up to order 14 and int64 for
 orders 15-16, each exact at its orders.  Checks are vectorized across
-instance buffers; graphs for which `admits_extremal_signing` holds are
-re-classified per signing in Python, and sampled instances are
-re-verified against fraction-free elimination and the full classifier
-stack.
+instance buffers.  The two "iff classified" checks compare the kernel's
+ranks with the co-tree patterns that `accepted_cotree_patterns` finds
+once per underlying graph; sampled instances are re-verified against
+fraction-free elimination and the full classifier stack.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ from .invariants import (
     shortest_cycle,
     switching_potentials,
 )
-from .classify import admits_extremal_signing, classify_equals_g, classify_gminus2
+from .classify import accepted_cotree_patterns, classify_equals_g, classify_gminus2
 
 _BUFFER_INSTANCES = 1 << 17
-_SIGNING_BLOCK = 1 << 15
+_SIGNING_BITS = 15
+_SIGNING_BLOCK = 1 << _SIGNING_BITS
 _DENSE_CHUNK_MASKS = 1 << 18
 _SPARSE_CHUNK_GRAPHS = 4096
 _GRAPH6_CHUNK_RECORDS = 1024
@@ -88,8 +89,9 @@ CHECKS: dict[str, CheckInfo] = {
     "equals_girth_iff_classified": CheckInfo(
         True,
         "vector",
-        "rank == girth exactly on classify_equals_g matches (girth 4 "
-        "handled by girth_four_consequences)",
+        "rank == girth exactly on classify_equals_g matches (at girth 4, "
+        "case (f) accepts the rank-4 instances no other case takes; "
+        "girth_four_consequences checks those)",
     ),
     "girth_four_consequences": CheckInfo(
         True,
@@ -286,6 +288,47 @@ def enumerate_signings(
     cotree = _spanning_cotree(n, edges)
     for pattern in range(1 << len(cotree)):
         yield _cotree_signing(n, edges, cotree, pattern)
+
+
+@lru_cache(maxsize=None)
+def _sign_table() -> np.ndarray:
+    """Row j: the int8 signs that pattern j puts on co-tree edges
+    0 .. _SIGNING_BITS - 1, each written twice, once per triangle of the
+    matrix.  Read-only: every block shares it.  Filled in place, rows
+    2^t .. 2^(t+1) - 1 repeating rows 0 .. 2^t - 1 with edge t negative:
+    large temporaries freed here raised peak memory by 3.5 MB on a sweep
+    of orders 11-15."""
+    table = np.empty((_SIGNING_BLOCK, 2 * _SIGNING_BITS), dtype=np.int8)
+    for t in range(_SIGNING_BITS):
+        half = 1 << t
+        table[:half, 2 * t:2 * t + 2] = 1
+        table[half:2 * half, 2 * t:2 * t + 2] = -1
+        table[half:2 * half, :2 * t] = table[:half, :2 * t]
+    table.setflags(write=False)
+    return table
+
+
+def _signing_block(
+    n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], j0: int
+) -> np.ndarray:
+    """Adjacency matrices (int8) of the co-tree signings j0, j0 + 1, ...:
+    all 2^k of them for a co-tree of k <= _SIGNING_BITS edges, else the
+    _SIGNING_BLOCK starting at j0, a multiple of _SIGNING_BLOCK, whose
+    higher pattern bits are constant and taken from j0."""
+    k = len(cotree)
+    low = min(k, _SIGNING_BITS)
+    m = len(edges)
+    cells = [u * n + v for u, v in edges] + [v * n + u for u, v in edges]
+    base = np.zeros(n * n, dtype=np.int8)
+    base[cells] = 1
+    if k > low:
+        base[[c for e in cotree[low:] for c in (cells[e], cells[m + e])]] = [
+            1 - 2 * ((j0 >> t) & 1) for t in range(low, k) for _ in (0, 1)
+        ]
+    block = np.repeat(base[None], 1 << low, axis=0)
+    free = [c for e in cotree[:low] for c in (cells[e], cells[m + e])]
+    block[:, free] = _sign_table()[: 1 << low, : 2 * low]
+    return block.reshape(-1, n, n)
 
 
 def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
@@ -597,11 +640,11 @@ class _GraphMeta:
         "m",
         "girth",
         "cotree",
-        "special",
+        "accepted",
         "bipartite",
     )
 
-    def __init__(self, source, key, n, edges, m, girth, cotree, special, bipartite):
+    def __init__(self, source, key, n, edges, m, girth, cotree, accepted, bipartite):
         self.source = source
         self.key = key
         self.n = n
@@ -609,7 +652,7 @@ class _GraphMeta:
         self.m = m
         self.girth = girth
         self.cotree = cotree
-        self.special = special
+        self.accepted = accepted  # (classify_gminus2, classify_equals_g) patterns
         self.bipartite = bipartite
 
 
@@ -631,6 +674,18 @@ def _locate(segments: list[_Segment], starts, pos: int) -> tuple[_Segment, int]:
     i = int(np.searchsorted(starts, pos, side="right")) - 1
     seg = segments[i]
     return seg, seg.j0 + (pos - int(starts[i]))
+
+
+def _accepted_instances(segments: list[_Segment], starts, total: int):
+    """Per buffered instance, whether its co-tree pattern is accepted by
+    `classify_gminus2` and by `classify_equals_g` other than as (f)."""
+    accepted = np.zeros((2, total), dtype=bool)
+    for seg, start in zip(segments, starts.tolist()):
+        for row, patterns in enumerate(seg.meta.accepted):
+            for p in patterns:
+                if seg.j0 <= p < seg.j0 + seg.count:
+                    accepted[row, start + p - seg.j0] = True
+    return accepted
 
 
 def _edges_compact(g: SignedGraph) -> str:
@@ -696,31 +751,20 @@ class _Engine:
             adj[v].append(u)
         bipartite = bipartition(adj) is not None
         girth = girth_hint or girth_of_adjacency(adj)
-        special = admits_extremal_signing(adj)
         cotree = _spanning_cotree(n, edges)
+        accepted = accepted_cotree_patterns(adj, [edges[i] for i in cotree])
         meta = _GraphMeta(
-            source, key, n, edges, len(edges), girth, cotree, special, bipartite
+            source, key, n, edges, len(edges), girth, cotree, accepted, bipartite
         )
         self.result.graphs += 1
         total = 1 << len(cotree)
         self.result.instances += total
         for j0 in range(0, total, _SIGNING_BLOCK):
-            count = min(_SIGNING_BLOCK, total - j0)
-            self._append_block(meta, j0, count)
+            self._append_block(meta, j0, _signing_block(n, edges, cotree, j0))
 
-    def _append_block(self, meta: _GraphMeta, j0: int, count: int) -> None:
+    def _append_block(self, meta: _GraphMeta, j0: int, block: np.ndarray) -> None:
         n = meta.n
-        base = np.zeros((n, n), dtype=np.int8)
-        for u, v in meta.edges:
-            base[u, v] = 1
-            base[v, u] = 1
-        block = np.repeat(base[None, :, :], count, axis=0)
-        js = np.arange(j0, j0 + count, dtype=np.int64)
-        for t, e in enumerate(meta.cotree):
-            u, v = meta.edges[e]
-            s = (1 - 2 * ((js >> t) & 1)).astype(np.int8)
-            block[:, u, v] = s
-            block[:, v, u] = s
+        count = len(block)
         self.buffers.setdefault(n, []).append(block)
         self.segments.setdefault(n, []).append(_Segment(meta, j0, count))
         self.buffered[n] = self.buffered.get(n, 0) + count
@@ -749,9 +793,6 @@ class _Engine:
         garr = np.repeat(
             np.array([seg.meta.girth for seg in segments], dtype=np.int64), counts
         )
-        special = np.repeat(
-            np.array([seg.meta.special for seg in segments], dtype=bool), counts
-        )
         sel = self.sel
 
         def report(name, pos, detail=""):
@@ -775,26 +816,27 @@ class _Engine:
 
         check_gm2 = "girth_minus_2_iff_classified" in sel
         check_eqg = "equals_girth_iff_classified" in sel
+        if check_gm2 or check_eqg:
+            in_gm2, in_eqg = _accepted_instances(segments, starts, total)
         if check_gm2:
             self._count("girth_minus_2_iff_classified", total)
-            bulk_bad = (ranks == garr - 2) & ~special
-            for pos in np.nonzero(bulk_bad)[0].tolist():
+            bad = (ranks == garr - 2) != in_gm2
+            for pos in np.nonzero(bad)[0].tolist():
                 report(
                     "girth_minus_2_iff_classified",
                     pos,
-                    "rank girth-2 outside the classified families",
+                    f"classifier={'hit' if in_gm2[pos] else 'miss'}",
                 )
         if check_eqg:
             self._count("equals_girth_iff_classified", total)
-            bulk_bad = (ranks == garr) & ~special & (garr != 4)
-            for pos in np.nonzero(bulk_bad)[0].tolist():
+            # case (f) accepts every girth-4 rank-4 instance on its rank
+            hit = in_eqg | ((garr == 4) & (ranks == 4))
+            for pos in np.nonzero((ranks == garr) != hit)[0].tolist():
                 report(
                     "equals_girth_iff_classified",
                     pos,
-                    "rank == girth outside the classified families",
+                    f"classifier={'hit' if hit[pos] else 'miss'}",
                 )
-        if check_gm2 or check_eqg:
-            self._classify_special(segments, starts, ranks, check_gm2, check_eqg)
 
         if "girth_four_consequences" in sel:
             hits = np.nonzero((garr == 4) & (ranks == 4))[0]
@@ -821,43 +863,6 @@ class _Engine:
 
         self._instance_checks(segments, starts, ranks, total)
         self.ordinal += total
-
-    def _classify_special(self, segments, starts, ranks, check_gm2, check_eqg):
-        for i, seg in enumerate(segments):
-            if not seg.meta.special:
-                continue
-            meta = seg.meta
-            base = int(starts[i])
-            for off in range(seg.count):
-                signing = seg.j0 + off
-                rank_value = int(ranks[base + off])
-                g = _instance_graph(meta, signing)
-                if check_gm2:
-                    got = classify_gminus2(g) is not None
-                    want = rank_value == meta.girth - 2
-                    if got != want:
-                        self._fail(
-                            "girth_minus_2_iff_classified",
-                            meta,
-                            signing,
-                            rank_value,
-                            meta.girth,
-                            f"classifier={'hit' if got else 'miss'}",
-                        )
-                if check_eqg:
-                    got = (
-                        classify_equals_g(g, rank=rank_value) is not None
-                    )
-                    want = rank_value == meta.girth
-                    if got != want:
-                        self._fail(
-                            "equals_girth_iff_classified",
-                            meta,
-                            signing,
-                            rank_value,
-                            meta.girth,
-                            f"classifier={'hit' if got else 'miss'}",
-                        )
 
     def _spot_checks(self, segments, starts, ranks, garr, total):
         do_rank = "spot_check_exact_rank" in self.sel

@@ -3,8 +3,10 @@
 import csv
 import json
 import random
+from functools import lru_cache
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import rank_of, random_connected_graph
@@ -14,7 +16,9 @@ from sgrank import (
     Graph6Error,
     SignedGraph,
     SweepConfig,
-    admits_extremal_signing,
+    accepted_cotree_patterns,
+    adjacency_matrix,
+    batch_ranks,
     canonical_switching_representative,
     classify_equals_g,
     classify_gminus2,
@@ -23,12 +27,21 @@ from sgrank import (
     girth_of_adjacency,
     is_balanced,
     parse_graph6,
+    parse_sgr,
+    profile,
     run,
     sparse_graphs,
     switch,
     write_counterexamples_csv,
 )
-from sgrank.sweep import _dense_chunk, _edge_table
+import sgrank.sweep as sweep_module
+from sgrank.sweep import (
+    _cotree_signing,
+    _dense_chunk,
+    _edge_table,
+    _signing_block,
+    _spanning_cotree,
+)
 
 
 K4_EDGES = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -137,36 +150,170 @@ def _adjacency(n, edges):
     return adj
 
 
-def _prefilter_graphs():
-    """Dense n <= 5, sparse n <= 7, and the near misses of cases g and h:
-    the n=9 graphs with m = n + 1 and the n=10 graphs, all of degrees 2
-    and 3, of the sparse stream."""
-    for n in range(3, 6):
+def _pattern_test_graphs():
+    """Dense n <= 6 and sparse n <= 9, plus the sparse graphs of degrees 2
+    and 3 that reach cases g and h: the n=10 graphs (subdivided K4) and
+    the n=11 graphs with m = n + 1 (theta(5,5,5))."""
+    for n in range(3, 7):
         for _, edges in dense_graphs(n):
             yield n, edges
-    yield from sparse_graphs(7, 3)
+    yield from sparse_graphs(9, 3)
     for n, edges in sparse_graphs(10, 3):
+        if n == 10 and {len(nb) for nb in _adjacency(n, edges)} <= {2, 3}:
+            yield n, edges
+    for n, edges in sparse_graphs(11, 2):
         degrees = {len(nb) for nb in _adjacency(n, edges)}
-        if degrees <= {2, 3} and (n == 10 or (n == 9 and len(edges) == 10)):
+        if n == 11 and len(edges) == 12 and degrees <= {2, 3}:
             yield n, edges
 
 
-class TestPrefilter:
-    def test_rejected_graphs_have_no_accepted_signing(self):
-        rejected = 0
-        for n, edges in _prefilter_graphs():
+def _cotree_edges(n, edges):
+    return [edges[i] for i in _spanning_cotree(n, edges)]
+
+
+class TestAcceptedPatterns:
+    def test_membership_equals_classifier_acceptance(self):
+        """Every signing of every graph: pattern p is in the first set iff
+        classify_gminus2 accepts signing p, and in the second iff
+        classify_equals_g accepts it as a case other than (f)."""
+        graphs = accepted = empty = 0
+        cases = set()
+        for n, edges in _pattern_test_graphs():
             adj = _adjacency(n, edges)
-            if admits_extremal_signing(adj):
-                continue
-            rejected += 1
+            gm2, eqg = accepted_cotree_patterns(adj, _cotree_edges(n, edges))
+            signings = list(enumerate_signings(n, edges))
             girth = girth_of_adjacency(adj)
-            for g in enumerate_signings(n, edges):
-                assert classify_gminus2(g) is None, (n, edges)
-                res = classify_equals_g(g)
-                assert res is None or (res.case == "f" and girth == 4), (
-                    n, edges, res
-                )
-        assert rejected > 1000
+            ranks = [None] * len(signings)  # only case (f) reads the rank
+            if girth == 4:
+                ranks = batch_ranks(np.array(
+                    [adjacency_matrix(g) for g in signings], dtype=np.int8
+                )).tolist()
+            for p, g in enumerate(signings):
+                res = classify_gminus2(g)
+                assert (p in gm2) == (res is not None), (n, edges, p, res)
+                if res is not None:
+                    cases.add(res.case)
+                res = classify_equals_g(g, rank=ranks[p])
+                non_f = res is not None and res.case != "f"
+                assert (p in eqg) == non_f, (n, edges, p, res)
+                if non_f:
+                    cases.add(res.case)
+                if not gm2 and not eqg:
+                    assert res is None or (res.case == "f" and girth == 4), (
+                        n, edges, p, res
+                    )
+            graphs += 1
+            accepted += len(gm2) + len(eqg)
+            empty += not gm2 and not eqg
+        assert cases == set("ABC") | set("abcdegh")
+        assert graphs > 60000 and empty > 50000 and accepted > 1000
+
+
+def _k7_plus_vertex():
+    """K7 plus a vertex joined to two of its vertices: 16 co-tree edges."""
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    return 8, sorted(edges + [(0, 7), (1, 7)])
+
+
+class TestSigningBlocks:
+    def test_blocks_match_cotree_signings(self):
+        rng = random.Random(15)
+        graphs = [g for n in range(3, 6) for g in
+                  ((n, edges) for _, edges in dense_graphs(n))]
+        graphs += list(sparse_graphs(8, 3))[::53]
+        for n, edges in rng.sample(graphs, 400):
+            cotree = _spanning_cotree(n, edges)
+            block = _signing_block(n, edges, cotree, 0)
+            assert block.shape == (1 << len(cotree), n, n)
+            assert block.dtype == np.int8
+            for j in rng.sample(range(len(block)), min(len(block), 5)):
+                want = adjacency_matrix(_cotree_signing(n, edges, cotree, j))
+                assert block[j].tolist() == want
+
+    def test_high_pattern_bits_come_from_the_block_start(self):
+        n, edges = _k7_plus_vertex()
+        cotree = _spanning_cotree(n, edges)
+        assert len(cotree) == 16
+        j0 = 1 << 15
+        block = _signing_block(n, edges, cotree, j0)
+        assert len(block) == 1 << 15
+        for off in (0, 1, 2, 12345, (1 << 15) - 1):
+            want = adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
+            assert block[off].tolist() == want
+
+
+_IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
+
+
+def _iff_sweep():
+    return run(SweepConfig(max_n_dense=5, max_n_sparse=7,
+                           checks=_IFF_CHECKS, max_counterexamples=10**6))
+
+
+@lru_cache(maxsize=None)
+def _sparse_stream(max_n, max_cyclomatic):
+    return list(sparse_graphs(max_n, max_cyclomatic))
+
+
+def _replay(ce):
+    """The counterexample's graph, checked against its .sgr record, its
+    reported rank and girth, and its source and signing index."""
+    g = parse_sgr(ce["sgr"])
+    assert rank_of(g) == ce["rank"]
+    assert profile(g).girth == ce["girth"]
+    source, key = ce["source"].split(":")
+    if source == "dense":
+        table = _edge_table(ce["n"])
+        edges = [e for i, e in enumerate(table) if (int(key) >> i) & 1]
+    else:
+        edges = _sparse_stream(7, 3)[int(key)][1]
+    assert list(enumerate_signings(ce["n"], edges))[ce["signing_index"]] == g
+    return g
+
+
+class TestIffChecksAreLive:
+    def test_dropped_pattern_is_reported(self, monkeypatch):
+        dropped = {"gm2": 0, "eqg": 0}
+
+        def drop_one(adj, cotree):
+            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+            dropped["gm2"] += bool(gm2)
+            # at girth 4 case (f) accepts a rank-4 pattern on its rank alone
+            dropped["eqg"] += bool(eqg) and girth_of_adjacency(adj) != 4
+            return gm2 - {min(gm2, default=0)}, eqg - {min(eqg, default=0)}
+
+        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", drop_one)
+        rep = _iff_sweep()
+        assert dropped["gm2"] > 0 and dropped["eqg"] > 0
+        assert rep.failures[_IFF_CHECKS[0]] == dropped["gm2"]
+        assert rep.failures[_IFF_CHECKS[1]] == dropped["eqg"]
+        assert len(rep.counterexamples) == rep.total_failures()
+        for ce in rep.counterexamples:
+            g = _replay(ce)
+            if ce["check"] == _IFF_CHECKS[0]:
+                assert ce["rank"] == ce["girth"] - 2
+                assert classify_gminus2(g) is not None
+            else:
+                assert ce["rank"] == ce["girth"] != 4
+                assert classify_equals_g(g) is not None
+
+    def test_added_pattern_at_girth_four_is_reported(self, monkeypatch):
+        def add_balanced(adj, cotree):
+            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+            if girth_of_adjacency(adj) == 4:
+                eqg = eqg | {0}
+            return gm2, eqg
+
+        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", add_balanced)
+        rep = _iff_sweep()
+        assert rep.failures.get(_IFF_CHECKS[0], 0) == 0
+        assert rep.failures[_IFF_CHECKS[1]] > 0
+        for ce in rep.counterexamples:
+            assert ce["check"] == _IFF_CHECKS[1]
+            g = _replay(ce)
+            assert (ce["girth"], ce["signing_index"]) == (4, 0)
+            assert ce["rank"] != 4
+            assert classify_equals_g(g, rank=ce["rank"]) is None
 
 
 class TestGraph6:
