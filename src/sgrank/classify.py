@@ -10,11 +10,15 @@ enough structure to rebuild the match by hand.
 
 Each case is a signing-independent shape of the underlying graph (a
 `_`-prefixed function on adjacency lists) plus a condition on cycle
-signs.  `accepted_cotree_patterns` evaluates those conditions once per
-underlying graph: with spanning-tree edges positive, a cycle's sign is
-the parity of the co-tree edges it uses, so each case accepts a small set
-of co-tree sign patterns, one per switching class.  The verification
-sweep checks its ranks against these sets.
+signs, and a switching class is fixed by its cycle signs.  With the edges
+of one spanning tree positive, a cycle's sign is the parity of the co-tree
+edges it uses, so each case's condition is a set of co-tree sign
+patterns, one per accepted switching class.  `_cases` lists every case of
+one underlying graph with its pattern set, and it is the only place that
+states a sign condition.  `accepted_cotree_patterns` takes the union of
+those sets, once per underlying graph, for the verification sweep; the
+classifiers find the pattern of the signing at hand and return the first
+case whose set holds it.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -31,9 +35,9 @@ from typing import Optional, Sequence
 from .core import SignedGraph, adjacency_matrix
 from .exact import rank as exact_rank
 from .invariants import (
-    cycle_sign,
+    _cotree_pattern,
+    _spanning_cotree,
     girth_of_adjacency,
-    is_balanced,
     is_connected,
     two_core,
 )
@@ -45,13 +49,6 @@ class Classification:
     case: str
     certificate: dict = field(default_factory=dict)
     figure_deferred: bool = False
-
-
-def _require_cyclic_connected(g: SignedGraph) -> None:
-    if not is_connected(g):
-        raise ValueError("classification needs a connected graph")
-    if g.m < g.n:
-        raise ValueError("classification needs a graph with a cycle")
 
 
 _BIT = (1).__lshift__  # u -> 1 << u
@@ -78,39 +75,6 @@ def _complete_multipartite_parts(adj: list[list[int]]) -> Optional[list[list[int
         rest &= mask
         parts.append(part)
     return parts
-
-
-def is_rank3_tripartite(g: SignedGraph) -> Optional[dict]:
-    """Certificate when g is complete tripartite signed so that every
-    vertex's signed neighborhood matches its part leader's exactly or
-    exactly swapped.  These signings are precisely the rank-3 ones."""
-    parts = _complete_multipartite_parts(g.neighbors())
-    if parts is None or len(parts) != 3:
-        return None
-    signs = g.sign_map()
-
-    def sig(u: int, others) -> tuple[int, ...]:
-        return tuple(signs[(min(u, z), max(u, z))] for z in others)
-
-    polarity = [0] * g.n
-    for part in parts:
-        outside = [z for z in range(g.n) if z not in part]
-        leader_sig = sig(part[0], outside)
-        flipped = tuple(-s for s in leader_sig)
-        for u in part:
-            s = sig(u, outside)
-            if s == leader_sig:
-                polarity[u] = 1
-            elif s == flipped:
-                polarity[u] = -1
-            else:
-                return None
-    leaders = [part[0] for part in parts]
-    pair_signs = tuple(
-        signs[(min(leaders[i], leaders[j]), max(leaders[i], leaders[j]))]
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    )
-    return {"parts": parts, "polarities": polarity, "pair_signs": list(pair_signs)}
 
 
 def _unicyclic_cycle_order(adj: list[list[int]]) -> list[int]:
@@ -188,9 +152,7 @@ def is_extremal_canonical_unicyclic(g: SignedGraph) -> Optional[dict]:
 def _theta_paths(adj: list[list[int]]) -> Optional[list[list[int]]]:
     """Vertex lists of the three branch paths of a theta graph (two
     degree-3 vertices joined by three internally disjoint paths), each
-    from the lower branch vertex to the higher, or None."""
-    if sum(map(len, adj)) != 2 * (len(adj) + 1):
-        return None
+    from the lower branch vertex to the higher, or None.  Needs m == n + 1."""
     deg = [len(nb) for nb in adj]
     if any(d not in (2, 3) for d in deg):
         return None
@@ -228,14 +190,6 @@ def _subdivided_k4_midpoints(adj: list[list[int]]):
     return [v for v, d in enumerate(deg) if d == 3], mid
 
 
-def _path_sign(signs: dict, path: list[int]) -> int:
-    """Product of the edge signs along consecutive vertices of `path`."""
-    prod = 1
-    for u, v in zip(path, path[1:]):
-        prod *= signs[(min(u, v), max(u, v))]
-    return prod
-
-
 def _cycle_star(adj: list[list[int]]):
     """Shape of case (e) on a connected unicyclic graph: (cycle order,
     center, leaves) when the graph is its cycle joined by one edge to the
@@ -257,6 +211,157 @@ def _cycle_star(adj: list[list[int]]):
     return cycle, center, leaves
 
 
+# ---------------------------------------------------------------------------
+# the case table
+
+_GM2 = "rank_girth_minus_two"
+_EQG = "rank_girth"
+_NO_PATTERNS: frozenset[int] = frozenset()
+_BALANCED = frozenset((0,))
+_UNBALANCED = frozenset((1,))  # the single co-tree bit of a unicyclic graph
+_BOTH = frozenset((0, 1))
+
+
+def _negative_on(
+    cotree: Sequence[tuple[int, int]], walks: list[list[int]]
+) -> frozenset[int]:
+    """Co-tree patterns under which every closed walk in `walks` (first
+    vertex repeated at the end) is negative: tree edges are positive, so a
+    walk's sign is the parity of the pattern on the co-tree edges it uses."""
+    bit = {}
+    for t, (u, v) in enumerate(cotree):
+        bit[(u, v)] = bit[(v, u)] = 1 << t
+    masks = []
+    for walk in walks:
+        mask = 0
+        for u, v in zip(walk, walk[1:]):
+            mask ^= bit.get((u, v), 0)
+        masks.append(mask)
+    return frozenset(
+        p
+        for p in range(1 << len(cotree))
+        if all((p & mask).bit_count() & 1 for mask in masks)
+    )
+
+
+def _cases(adj: list[list[int]], cotree: Sequence[tuple[int, int]]):
+    """The extremal cases of one connected graph with a cycle, in the
+    order the classifiers report them, as (target, case, certificate,
+    patterns): `patterns` holds the co-tree patterns (see
+    `accepted_cotree_patterns`) of the signings the case accepts, which is
+    the case's sign condition.  Certificate values that depend on the
+    signing are those of the co-tree signing; only case (c) has any, its
+    polarities, which `_first_case` switches to the signing at hand."""
+    n = len(adj)
+    m = sum(map(len, adj)) // 2
+    # among unicyclic graphs only C3 and C4 are complete multipartite
+    parts = _complete_multipartite_parts(adj) if m > n or n <= 4 else None
+    if parts is not None and len(parts) == 2:
+        yield _GM2, "A", {"sides": parts}, _BALANCED
+    cycle = m == n and _is_cycle(adj)
+    if cycle:
+        order = _unicyclic_cycle_order(adj)
+        if n % 2:
+            yield _EQG, "a", {"cycle": order}, _BOTH
+        elif n % 4 == 0:
+            yield _GM2, "B", {"cycle": order}, _BALANCED
+            yield _EQG, "b", {"cycle": order, "balanced": False}, _UNBALANCED
+        else:
+            yield _GM2, "C", {"cycle": order}, _UNBALANCED
+            yield _EQG, "b", {"cycle": order, "balanced": True}, _BALANCED
+    if parts is not None and len(parts) == 3:
+        # rank 3: the balanced class, and the part-constant signing with
+        # triangle sign -1, whose class holds the all-negative signing
+        negative, depth_parity = _cotree_pattern(adj, cotree, lambda u, v: -1)
+        yield _EQG, "c", {
+            "parts": parts, "polarities": [1] * n, "pair_signs": [1, 1, 1]
+        }, _BALANCED
+        yield _EQG, "c", {
+            "parts": parts, "polarities": depth_parity, "pair_signs": [-1, -1, -1]
+        }, frozenset((negative,))
+    if m == n and not cycle:
+        stars = _extremal_pendant_stars(adj)
+        star = None if stars else _cycle_star(adj)  # (d) takes every signing
+        if stars is not None:
+            yield _EQG, "d", stars, _BOTH
+        elif star is not None and len(star[0]) % 2 == 0:
+            # the cycle's sign matches its length: + at 0 mod 4, - at 2 mod 4
+            cycle_sign = 1 if len(star[0]) % 4 == 0 else -1
+            yield _EQG, "e", {
+                "cycle": star[0],
+                "center": star[1],
+                "leaves": star[2],
+                "cycle_sign": cycle_sign,
+            }, _BALANCED if cycle_sign == 1 else _UNBALANCED
+    paths = _theta_paths(adj) if m == n + 1 else None
+    if paths is not None:
+        paths.sort(key=len)
+        orders = [len(p) for p in paths]
+        if orders == [3, 5, 5]:  # both 6-cycles negative
+            six_cycles = [paths[0] + p[-2::-1] for p in paths[1:]]
+            yield _EQG, "g", {
+                "orders": [5, 3, 5], "six_cycle_signs": [-1, -1]
+            }, _negative_on(cotree, six_cycles)
+        elif orders == [5, 5, 5]:
+            yield _EQG, "g", {"orders": [5, 5, 5], "balanced": True}, _BALANCED
+    k4 = _subdivided_k4_midpoints(adj)
+    if k4 is not None:  # all four 6-cycles negative
+        branches, mid = k4
+        six_cycles = [
+            [x, mid[(x, y)], y, mid[(y, z)], z, mid[(x, z)], x]
+            for x, y, z in combinations(branches, 3)
+        ]
+        yield _EQG, "h", {
+            "branch_vertices": branches, "six_cycle_signs": [-1] * 4
+        }, _negative_on(cotree, six_cycles)
+
+
+def accepted_cotree_patterns(
+    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The signings of one underlying graph accepted by `classify_gminus2`,
+    and those accepted by `classify_equals_g` as a case other than (f).
+
+    `adj` holds the adjacency lists of a connected graph with a cycle and
+    `cotree` its edges outside one spanning tree.  Pattern p stands for the
+    signing with every tree edge positive and edge cotree[t] negative
+    exactly when bit t of p is set: one signing per switching class.  Both
+    sets are unions of the case table's pattern sets."""
+    gm2 = eqg = _NO_PATTERNS
+    for target, _, _, patterns in _cases(adj, cotree):
+        if target == _GM2:
+            gm2 |= patterns
+        else:
+            eqg |= patterns
+    return gm2, eqg
+
+
+def _first_case(
+    g: SignedGraph, adj: list[list[int]], target: str, case: Optional[str] = None
+) -> Optional[Classification]:
+    """The first case of `target` (or only `case`) in g's case table
+    whose pattern set holds the pattern of g's signing, or None.  `adj`
+    is g.neighbors()."""
+    if g.m < g.n or not g.n:
+        raise ValueError("classification needs a connected graph with a cycle")
+    edges = g.underlying_edges()
+    cotree = [edges[i] for i in _spanning_cotree(g.n, edges)]  # checks connectivity
+    pattern = None
+    for t, name, cert, patterns in _cases(adj, cotree):
+        if t != target or case not in (None, name):
+            continue
+        if pattern is None:
+            signs = g.sign_map()
+            pattern, pot = _cotree_pattern(
+                adj, cotree, lambda u, v: signs[min(u, v), max(u, v)]
+            )
+        if pattern in patterns:
+            if name == "c":  # switch the co-tree signing's polarities to g's
+                cert["polarities"] = [x * y for x, y in zip(cert["polarities"], pot)]
+            return Classification(target, name, cert)
+    return None
+
+
 def classify_gminus2(g: SignedGraph) -> Optional[Classification]:
     """First matching case with rank girth-2, or None.
 
@@ -264,21 +369,7 @@ def classify_gminus2(g: SignedGraph) -> Optional[Classification]:
     B: balanced cycle of length divisible by 4
     C: unbalanced cycle of length 2 mod 4
     """
-    _require_cyclic_connected(g)
-    balanced = is_balanced(g)
-    adj = g.neighbors()
-
-    sides = _complete_multipartite_parts(adj)
-    if sides is not None and len(sides) == 2 and balanced:
-        return Classification("rank_girth_minus_two", "A", {"sides": sides})
-
-    if _is_cycle(adj):
-        cyc = _unicyclic_cycle_order(adj)
-        if g.n % 4 == 0 and balanced:
-            return Classification("rank_girth_minus_two", "B", {"cycle": cyc})
-        if g.n % 4 == 2 and not balanced:
-            return Classification("rank_girth_minus_two", "C", {"cycle": cyc})
-    return None
+    return _first_case(g, g.neighbors(), _GM2)
 
 
 def classify_equals_g(
@@ -294,216 +385,26 @@ def classify_equals_g(
     f: girth 4 with rank 4 (catalog membership deferred; rank is checked)
     g: theta(5,3,5) with both 6-cycles negative, or balanced theta(5,5,5)
     h: subdivided K4 with all four 6-cycles negative
+
+    Case (f) is checked after the case table: g and h have girth 8 and 6,
+    so the order above is kept.
     """
-    _require_cyclic_connected(g)
-    target = "rank_girth"
     adj = g.neighbors()
-
-    if _is_cycle(adj):
-        cyc = _unicyclic_cycle_order(adj)
-        if g.n % 2 == 1:
-            return Classification(target, "a", {"cycle": cyc})
-        balanced = is_balanced(g)
-        if (balanced and g.n % 4 == 2) or (not balanced and g.n % 4 == 0):
-            return Classification(
-                target, "b", {"cycle": cyc, "balanced": balanced}
-            )
-        return None
-
-    cert = is_rank3_tripartite(g)
-    if cert is not None:
-        return Classification(target, "c", cert)
-
-    if g.m == g.n:  # connected, unicyclic, not a cycle
-        ucert = _extremal_pendant_stars(adj)
-        if ucert is not None:
-            return Classification(target, "d", ucert)
-
-        star = _cycle_star(adj)
-        if star is not None:
-            cycle, center, leaves = star
-            csign = cycle_sign(g, cycle)
-            length = len(cycle)
-            if (csign == 1 and length % 4 == 0) or (csign == -1 and length % 4 == 2):
-                return Classification(
-                    target,
-                    "e",
-                    {
-                        "cycle": cycle,
-                        "center": center,
-                        "leaves": leaves,
-                        "cycle_sign": csign,
-                    },
-                )
-
-    girth = girth_of_adjacency(adj)
-    if girth == 4:
+    found = _first_case(g, adj, _EQG)
+    if found is not None:
+        return found
+    if girth_of_adjacency(adj) == 4:
         r = rank if rank is not None else exact_rank(adjacency_matrix(g)).rank
         if r == 4:
-            return Classification(
-                target, "f", {"rank": 4}, figure_deferred=True
-            )
-
-    signs = g.sign_map()
-    paths = _theta_paths(adj)
-    if paths is not None:
-        orders = sorted(map(len, paths))
-        if orders == [3, 5, 5]:
-            s3 = next(_path_sign(signs, p) for p in paths if len(p) == 3)
-            fives = [_path_sign(signs, p) for p in paths if len(p) == 5]
-            if s3 * fives[0] == -1 and s3 * fives[1] == -1:
-                return Classification(
-                    target,
-                    "g",
-                    {"orders": [5, 3, 5], "six_cycle_signs": [-1, -1]},
-                )
-        elif orders == [5, 5, 5]:
-            prods = [_path_sign(signs, p) for p in paths]
-            if prods[0] == prods[1] == prods[2]:
-                return Classification(
-                    target, "g", {"orders": [5, 5, 5], "balanced": True}
-                )
-
-    k4 = _subdivided_k4_midpoints(adj)
-    if k4 is not None:
-        branches, mid = k4
-        six_signs = [
-            _path_sign(signs, [x, mid[(x, y)], y, mid[(y, z)], z, mid[(x, z)], x])
-            for x, y, z in combinations(branches, 3)
-        ]
-        if all(s == -1 for s in six_signs):
-            return Classification(
-                target,
-                "h",
-                {"branch_vertices": branches, "six_cycle_signs": six_signs},
-            )
+            return Classification(_EQG, "f", {"rank": 4}, figure_deferred=True)
     return None
 
 
-# ---------------------------------------------------------------------------
-# accepted sign patterns, once per underlying graph
-
-_NO_PATTERNS: frozenset[int] = frozenset()
-_BALANCED = frozenset((0,))
-_UNBALANCED = frozenset((1,))
-_BOTH = frozenset((0, 1))
-
-
-def _patterns_with_sign(
-    cotree: Sequence[tuple[int, int]], walks: list[list[int]], sign: int
-) -> frozenset[int]:
-    """Co-tree patterns under which every closed walk in `walks` (first
-    vertex repeated at the end) has the given sign: tree edges are
-    positive, so a walk's sign is the parity of the pattern on the
-    co-tree edges it uses."""
-    bit = {}
-    for t, (u, v) in enumerate(cotree):
-        bit[(u, v)] = bit[(v, u)] = 1 << t
-    masks = []
-    for walk in walks:
-        mask = 0
-        for u, v in zip(walk, walk[1:]):
-            mask ^= bit.get((u, v), 0)
-        masks.append(mask)
-    odd = sign == -1
-    return frozenset(
-        p
-        for p in range(1 << len(cotree))
-        if all(((p & mask).bit_count() & 1) == odd for mask in masks)
-    )
-
-
-def _all_negative_pattern(
-    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
-) -> int:
-    """Co-tree pattern of the all-negative signing's switching class.  A
-    fundamental cycle is odd, hence negative, exactly when its co-tree
-    edge joins two vertices of one colour of the spanning tree."""
-    off_tree = set(cotree) | {(v, u) for u, v in cotree}
-    colour = [-1] * len(adj)
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if colour[v] < 0 and (u, v) not in off_tree:
-                colour[v] = colour[u] ^ 1
-                stack.append(v)
-    return sum(
-        1 << t for t, (u, v) in enumerate(cotree) if colour[u] == colour[v]
-    )
-
-
-def _unicyclic_patterns(
-    adj: list[list[int]],
-) -> tuple[frozenset[int], frozenset[int]]:
-    """`accepted_cotree_patterns` for m == n: the one co-tree edge lies on
-    the cycle, so pattern 0 is balanced and pattern 1 unbalanced."""
-    if _is_cycle(adj):
-        length = len(adj)
-        if length % 2:
-            return _NO_PATTERNS, _BOTH  # a
-        if length % 4 == 0:
-            return _BALANCED, _UNBALANCED  # B; b
-        return _UNBALANCED, _BALANCED  # C; b
-    if _extremal_pendant_stars(adj) is not None:
-        return _NO_PATTERNS, _BOTH  # d
-    star = _cycle_star(adj)
-    if star is not None:
-        length = len(star[0])
-        if length % 4 == 0:
-            return _NO_PATTERNS, _BALANCED  # e
-        if length % 4 == 2:
-            return _NO_PATTERNS, _UNBALANCED  # e
-    return _NO_PATTERNS, _NO_PATTERNS
-
-
-def accepted_cotree_patterns(
-    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The signings of one underlying graph accepted by `classify_gminus2`,
-    and those accepted by `classify_equals_g` as a case other than (f).
-
-    `adj` holds the adjacency lists of a connected graph with a cycle and
-    `cotree` its edges outside one spanning tree.  Pattern p stands for the
-    signing with every tree edge positive and edge cotree[t] negative
-    exactly when bit t of p is set: one signing per switching class.  Every
-    case's sign condition is a condition on cycle signs, and a cycle's sign
-    under p is the parity of p on the cycle's co-tree edges, so both sets
-    follow from the signing-independent shape of the graph:
-
-    A (balanced complete bipartite), B, g(5,5,5): pattern 0;
-    C, b, e: one parity of the single co-tree bit;
-    a, d: both patterns;
-    c: patterns 0 and that of the all-negative signing, the part-constant
-       signing with triangle sign -1 (the only other rank-3 class);
-    g(5,3,5), h: two or four 6-cycles negative.
-    """
-    if sum(map(len, adj)) == 2 * len(adj):  # m == n
-        return _unicyclic_patterns(adj)
-    gm2 = eqg = _NO_PATTERNS
-    parts = _complete_multipartite_parts(adj)
-    if parts is not None and len(parts) == 2:
-        gm2 = _BALANCED  # A
-    elif parts is not None and len(parts) == 3:
-        eqg = frozenset((0, _all_negative_pattern(adj, cotree)))  # c
-    paths = _theta_paths(adj)
-    if paths is not None:
-        paths.sort(key=len)
-        # g: theta(5,3,5) with both 6-cycles negative, balanced theta(5,5,5)
-        sign = {(3, 5, 5): -1, (5, 5, 5): 1}.get(tuple(map(len, paths)))
-        if sign is not None:
-            cycles = [paths[0] + p[-2::-1] for p in paths[1:]]
-            eqg |= _patterns_with_sign(cotree, cycles, sign)
-    k4 = _subdivided_k4_midpoints(adj)
-    if k4 is not None:
-        branches, mid = k4
-        eqg |= _patterns_with_sign(
-            cotree,
-            [
-                [x, mid[(x, y)], y, mid[(y, z)], z, mid[(x, z)], x]
-                for x, y, z in combinations(branches, 3)
-            ],
-            -1,
-        )
-    return gm2, eqg
+def is_rank3_tripartite(g: SignedGraph) -> Optional[dict]:
+    """Certificate when g is complete tripartite with one of its two rank-3
+    switching classes of signings, else None: the parts, and polarities and
+    pair signs with sign(u, v) = polarities[u] * polarities[v] * pair sign
+    of the two parts, pairs ordered (0, 1), (0, 2), (1, 2).  Raises
+    ValueError unless g is connected with a cycle, like the classifiers."""
+    found = _first_case(g, g.neighbors(), _EQG, "c")
+    return None if found is None else found.certificate

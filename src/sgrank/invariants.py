@@ -16,12 +16,19 @@ Balance uses spanning-forest potentials: assign each vertex the product of
 edge signs on its tree path from the root; the graph is balanced iff every
 non-tree edge sign equals the product of its endpoint potentials
 (equivalently, iff every cycle is positive).
+
+Signings are named by co-tree patterns.  `_spanning_cotree` fixes one
+spanning tree per underlying graph, and with its edges positive each
+pattern (a bit per non-tree edge) names one signing per switching class.
+`_cotree_pattern` finds the pattern of any signing from its tree
+potentials: a co-tree edge's bit is the sign of its fundamental cycle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import SignedGraph
 
@@ -164,6 +171,60 @@ def switching_potentials(g: SignedGraph) -> list[int]:
                     pot[v] = pot[u] * signs[(min(u, v), max(u, v))]
                     queue.append(v)
     return pot
+
+
+def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Indexes of non-tree edges (ascending) for the BFS tree from vertex 0.
+    The tree depends on the order of `edges` only through the order in
+    which each vertex's neighbours appear; sorted edge lists and graph6
+    column order both list them ascending, and so give the same tree."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    seen = [False] * n
+    seen[0] = True
+    tree: set[int] = set()
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v, i in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                tree.add(i)
+                queue.append(v)
+    if not all(seen):
+        raise ValueError("graph is not connected")
+    return [i for i in range(len(edges)) if i not in tree]
+
+
+def _cotree_pattern(
+    adj: list[list[int]],
+    cotree: Sequence[tuple[int, int]],
+    sign: Callable[[int, int], int],
+) -> tuple[int, list[int]]:
+    """(pattern, potentials) of the signing giving edge uv the sign
+    sign(u, v), on the spanning tree whose non-tree edges are `cotree`.
+    potentials[v] is the product of the signs on the tree path from
+    vertex 0 to v.  Bit t of the pattern is set when the fundamental
+    cycle of cotree[t] is negative: when its sign differs from the product
+    of its endpoints' potentials."""
+    off_tree = set(cotree) | {(v, u) for u, v in cotree}
+    pot = [0] * len(adj)
+    pot[0] = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not pot[v] and (u, v) not in off_tree:
+                pot[v] = pot[u] * sign(u, v)
+                stack.append(v)
+    pattern = sum(
+        1 << t for t, (u, v) in enumerate(cotree) if sign(u, v) != pot[u] * pot[v]
+    )
+    return pattern, pot
 
 
 def is_balanced(g: SignedGraph) -> bool:

@@ -14,14 +14,17 @@ Two built-in graph streams plus optional graph6 files:
   harmless for universal assertions.
 
 Per underlying graph, one signing per switching class is enumerated
-(spanning-tree edges positive, all co-tree sign patterns; pattern 0 is
-the balanced representative).  Ranks come from the batched fraction-free
-kernel: float32 up to order 8, float64 up to order 14 and int64 for
-orders 15-16, each exact at its orders.  Checks are vectorized across
-instance buffers.  The two "iff classified" checks compare the kernel's
-ranks with the co-tree patterns that `accepted_cotree_patterns` finds
-once per underlying graph; sampled instances are re-verified against
-fraction-free elimination and the full classifier stack.
+(edges of the spanning tree from `invariants._spanning_cotree` positive,
+all co-tree sign patterns; pattern 0 is the balanced representative).
+Ranks come from the batched fraction-free kernel: float32 up to order 8,
+float64 up to order 14 and int64 for orders 15-16, each exact at its
+orders.  Checks are vectorized across instance buffers.  The two "iff
+classified" checks compare the kernel's ranks with the co-tree patterns
+that `accepted_cotree_patterns` takes from the case table of
+`classify.py`, once per underlying graph.  Sampled instances are
+re-verified against fraction-free elimination and through the
+classifiers, which rebuild the case table from the signed graph and look
+up the pattern they find from its tree potentials.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from .core import (
 )
 from .exact import _MAX_ORDER, batch_ranks, rank as exact_rank
 from .invariants import (
+    _cotree_pattern,
+    _spanning_cotree,
     bipartition,
     connected_components,
     girth_of_adjacency,
-    is_connected,
     shortest_cycle,
-    switching_potentials,
 )
 from .classify import accepted_cotree_patterns, classify_equals_g, classify_gminus2
 
@@ -63,6 +66,7 @@ _SIGNING_BLOCK = 1 << _SIGNING_BITS
 _DENSE_CHUNK_MASKS = 1 << 18
 _SPARSE_CHUNK_GRAPHS = 4096
 _GRAPH6_CHUNK_RECORDS = 1024
+_MAX_COTREE_BITS = 24  # a graph6 record gives at most 2^24 signings
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +107,10 @@ CHECKS: dict[str, CheckInfo] = {
         True, "spot", "sampled instances rerun through fraction-free elimination"
     ),
     "spot_check_classifier": CheckInfo(
-        True, "spot", "sampled instances rerun through the full classifiers"
+        True,
+        "spot",
+        "sampled instances rerun through the classifiers, which rebuild the "
+        "case table from the signed graph and look up its own co-tree pattern",
     ),
     "rank_ge_girth_minus_1": CheckInfo(
         False,
@@ -244,30 +251,6 @@ def write_counterexamples_csv(report: SweepReport, path: str) -> None:
 # signing enumeration
 
 
-def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Indexes of non-tree edges (ascending) for the BFS tree from vertex 0."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    seen = [False] * n
-    seen[0] = True
-    tree: set[int] = set()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, i in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree.add(i)
-                queue.append(v)
-    if not all(seen):
-        raise ValueError("graph is not connected")
-    return [i for i in range(len(edges)) if i not in tree]
-
-
 def _cotree_signing(
     n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], pattern: int
 ) -> SignedGraph:
@@ -332,13 +315,19 @@ def _signing_block(
 
 
 def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
-    """The member of g's switching class whose BFS spanning-tree edges
-    (from vertex 0) are all positive.  Equal for switching-equivalent
-    inputs on the same underlying graph."""
-    if not is_connected(g):
-        raise ValueError("need a connected graph")
-    pot = switching_potentials(g)
-    return switch(g, [v for v in range(g.n) if pot[v] == -1])
+    """The member of g's switching class whose spanning-tree edges are all
+    positive: the co-tree signing of g's pattern, on the tree that
+    `enumerate_signings` uses.  Equal for switching-equivalent inputs on
+    the same underlying graph."""
+    edges = g.underlying_edges()
+    cotree = _spanning_cotree(g.n, edges)
+    signs = g.sign_map()
+    pattern, _ = _cotree_pattern(
+        g.neighbors(),
+        [edges[i] for i in cotree],
+        lambda u, v: signs[min(u, v), max(u, v)],
+    )
+    return _cotree_signing(g.n, edges, cotree, pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +630,9 @@ class _GraphMeta:
         "girth",
         "cotree",
         "accepted",
-        "bipartite",
     )
 
-    def __init__(self, source, key, n, edges, m, girth, cotree, accepted, bipartite):
+    def __init__(self, source, key, n, edges, m, girth, cotree, accepted):
         self.source = source
         self.key = key
         self.n = n
@@ -653,7 +641,18 @@ class _GraphMeta:
         self.girth = girth
         self.cotree = cotree
         self.accepted = accepted  # (classify_gminus2, classify_equals_g) patterns
-        self.bipartite = bipartite
+
+
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    return len(connected_components(_adjacency(n, edges))) == 1
 
 
 def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
@@ -745,17 +744,11 @@ class _Engine:
     # -- graph intake
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]], girth_hint: int = 0) -> None:
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        bipartite = bipartition(adj) is not None
+        adj = _adjacency(n, edges)
         girth = girth_hint or girth_of_adjacency(adj)
         cotree = _spanning_cotree(n, edges)
         accepted = accepted_cotree_patterns(adj, [edges[i] for i in cotree])
-        meta = _GraphMeta(
-            source, key, n, edges, len(edges), girth, cotree, accepted, bipartite
-        )
+        meta = _GraphMeta(source, key, n, edges, len(edges), girth, cotree, accepted)
         self.result.graphs += 1
         total = 1 << len(cotree)
         self.result.instances += total
@@ -843,12 +836,12 @@ class _Engine:
             self._count("girth_four_consequences", len(hits))
             for pos in hits.tolist():
                 seg, signing = _locate(segments, starts, pos)
-                if not seg.meta.bipartite:
+                g = _instance_graph(seg.meta, signing)
+                if bipartition(g.neighbors()) is None:
                     report(
                         "girth_four_consequences", pos, "underlying graph not bipartite"
                     )
                     continue
-                g = _instance_graph(seg.meta, signing)
                 reduced = reduced_graph(g)
                 r_red = exact_rank(adjacency_matrix(reduced)).rank
                 if r_red != 4:
@@ -1006,6 +999,16 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
     for pi, path in enumerate(config.graph6_paths):
         with open(path) as fh:
             records = parse_graph6(fh.read())
+        # checked here, in the main process: a Graph6Error raised in a pool
+        # worker cannot be unpickled.  Disconnected records are skipped later.
+        for key, (n, edges) in enumerate(records):
+            bits = len(edges) - n + 1
+            if bits > _MAX_COTREE_BITS and _connected(n, edges):
+                raise Graph6Error(
+                    f"{path}: {bits} co-tree edges ({len(edges)} edges on {n} "
+                    f"vertices) exceed the limit of {_MAX_COTREE_BITS}",
+                    key,
+                )
         for lo in range(0, len(records), _GRAPH6_CHUNK_RECORDS):
             chunks.append(
                 ("graph6", pi, lo, records[lo:lo + _GRAPH6_CHUNK_RECORDS])
@@ -1029,11 +1032,7 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
     else:
         _, pi, lo, records = desc
         for key, (n, edges) in enumerate(records, lo):
-            adj = [[] for _ in range(n)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            if len(connected_components(adj)) != 1 or len(edges) < n:
+            if not _connected(n, edges) or len(edges) < n:
                 engine.result.skipped_graph6_records += 1
                 continue
             engine.add_graph(f"graph6[{pi}]", key, n, edges)

@@ -251,12 +251,14 @@ class TestClassifierRankAgreement:
         rng = random.Random(314)
         from conftest import random_cyclic_graph
 
+        girth_four = 0
         for _ in range(150):
             g = random_cyclic_graph(rng, rng.randint(3, 8), extra=0.4)
             p = profile(g)
             r = rank_of(g)
             got2 = classify_gminus2(g)
             assert (got2 is not None) == (r == p.girth - 2)
-            if p.girth != 4:
-                gotg = classify_equals_g(g)
-                assert (gotg is not None) == (r == p.girth)
+            gotg = classify_equals_g(g, rank=r)
+            assert (gotg is not None) == (r == p.girth)
+            girth_four += p.girth == 4
+        assert girth_four >= 5

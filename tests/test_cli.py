@@ -169,6 +169,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["totals"]["graphs"] == 1
 
+    def test_graph6_record_with_too_many_signings(self, tmp_path):
+        path = tmp_path / "k10.g6"
+        path.write_text("I~~~~~~~w\n")  # K10: 36 co-tree edges, 2^36 signings
+        code, _, err = cli("verify", "--max-n", "0", "--sparse-max-n", "0",
+                           "--graph6", str(path))
+        assert code == 2
+        assert "graph6 record 0" in err and str(path) in err
+        assert "36 co-tree edges" in err
+
     def test_unknown_check_is_usage_error(self):
         code, _, err = cli("verify", "--checks", "bogus")
         assert code == 2

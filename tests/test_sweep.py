@@ -35,12 +35,12 @@ from sgrank import (
     write_counterexamples_csv,
 )
 import sgrank.sweep as sweep_module
+from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     _cotree_signing,
     _dense_chunk,
     _edge_table,
     _signing_block,
-    _spanning_cotree,
 )
 
 
@@ -80,6 +80,44 @@ class TestSigningEnumeration:
         reps = list(enumerate_signings(5, [(i, (i + 1) % 5) for i in range(5)]))
         assert len(reps) == 2
         assert is_balanced(reps[0]) and not is_balanced(reps[1])
+
+
+def _column_order(edges):
+    """The edges in graph6 order: by higher end, then by lower end."""
+    return sorted(edges, key=lambda e: (max(e), min(e)))
+
+
+def _sampled_graphs():
+    """Sampled dense and sparse graphs, each also in graph6 edge order."""
+    rng = random.Random(16)
+    dense = [(n, edges) for n in range(3, 7) for _, edges in dense_graphs(n)]
+    graphs = rng.sample(dense, 150) + rng.sample(list(sparse_graphs(9, 3)), 150)
+    return graphs + [(n, _column_order(edges)) for n, edges in graphs]
+
+
+class TestOneSpanningTree:
+    """Signing enumeration, the switching representative and the
+    classifiers' pattern lookup all use the tree of `_spanning_cotree`."""
+
+    def test_cotree_signing_has_its_pattern(self):
+        for n, edges in _sampled_graphs():
+            cotree = _spanning_cotree(n, edges)
+            adj = _adjacency(n, edges)
+            for p in range(1 << len(cotree)):
+                signs = _cotree_signing(n, edges, cotree, p).sign_map()
+                got, _ = _cotree_pattern(
+                    adj,
+                    [edges[i] for i in cotree],
+                    lambda u, v: signs[min(u, v), max(u, v)],
+                )
+                assert got == p, (n, edges, p)
+
+    def test_representative_of_a_switching_is_the_cotree_signing(self):
+        rng = random.Random(17)
+        for n, edges in _sampled_graphs():
+            for g in enumerate_signings(n, edges):
+                subset = [v for v in range(n) if rng.random() < 0.5]
+                assert canonical_switching_representative(switch(g, subset)) == g
 
 
 class TestDenseStream:
@@ -167,46 +205,31 @@ def _pattern_test_graphs():
             yield n, edges
 
 
-def _cotree_edges(n, edges):
-    return [edges[i] for i in _spanning_cotree(n, edges)]
-
-
 class TestAcceptedPatterns:
-    def test_membership_equals_classifier_acceptance(self):
-        """Every signing of every graph: pattern p is in the first set iff
-        classify_gminus2 accepts signing p, and in the second iff
-        classify_equals_g accepts it as a case other than (f)."""
-        graphs = accepted = empty = 0
+    def test_classifiers_accept_exactly_the_extremal_ranks(self):
+        """Every signing of every graph: classify_gminus2 accepts iff the
+        rank is girth-2, and classify_equals_g iff it is the girth, case
+        (f) included; the ranks come from the batch kernel."""
+        graphs = 0
         cases = set()
         for n, edges in _pattern_test_graphs():
-            adj = _adjacency(n, edges)
-            gm2, eqg = accepted_cotree_patterns(adj, _cotree_edges(n, edges))
+            girth = girth_of_adjacency(_adjacency(n, edges))
             signings = list(enumerate_signings(n, edges))
-            girth = girth_of_adjacency(adj)
-            ranks = [None] * len(signings)  # only case (f) reads the rank
-            if girth == 4:
-                ranks = batch_ranks(np.array(
-                    [adjacency_matrix(g) for g in signings], dtype=np.int8
-                )).tolist()
-            for p, g in enumerate(signings):
+            ranks = batch_ranks(np.array(
+                [adjacency_matrix(g) for g in signings], dtype=np.int8
+            )).tolist()
+            for g, rank in zip(signings, ranks):
                 res = classify_gminus2(g)
-                assert (p in gm2) == (res is not None), (n, edges, p, res)
+                assert (res is not None) == (rank == girth - 2), (n, edges, g)
                 if res is not None:
                     cases.add(res.case)
-                res = classify_equals_g(g, rank=ranks[p])
-                non_f = res is not None and res.case != "f"
-                assert (p in eqg) == non_f, (n, edges, p, res)
-                if non_f:
+                res = classify_equals_g(g, rank=rank)
+                assert (res is not None) == (rank == girth), (n, edges, g)
+                if res is not None:
                     cases.add(res.case)
-                if not gm2 and not eqg:
-                    assert res is None or (res.case == "f" and girth == 4), (
-                        n, edges, p, res
-                    )
             graphs += 1
-            accepted += len(gm2) + len(eqg)
-            empty += not gm2 and not eqg
-        assert cases == set("ABC") | set("abcdegh")
-        assert graphs > 60000 and empty > 50000 and accepted > 1000
+        assert cases == set("ABC") | set("abcdefgh")
+        assert graphs > 60000
 
 
 def _k7_plus_vertex():
@@ -408,6 +431,26 @@ class TestSweepRuns:
         assert rep.skipped_graph6_records == 2
         assert rep.instances == 2 + 8 + 2  # C5: 2 classes, K4: 8, C16: 2
         assert rep.total_failures() == 0
+
+    def test_graph6_record_with_too_many_signings_is_refused(self, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(  # K10 has 36 co-tree edges: 2^36 signings
+            nx.to_graph6_bytes(nx.cycle_graph(5), header=False)
+            + nx.to_graph6_bytes(nx.complete_graph(10), header=False)
+        )
+        for jobs in (1, 2):
+            cfg = SweepConfig(max_n_dense=0, max_n_sparse=0,
+                              graph6_paths=(str(path),), jobs=jobs)
+            with pytest.raises(Graph6Error, match="record 1: .*36 co-tree edges"):
+                run(cfg)
+
+    def test_disconnected_graph6_record_is_skipped_whatever_its_size(self, tmp_path):
+        path = tmp_path / "in.g6"
+        big = nx.disjoint_union(nx.complete_graph(9), nx.complete_graph(1))
+        path.write_bytes(nx.to_graph6_bytes(big, header=False))
+        rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0,
+                              graph6_paths=(str(path),)))
+        assert (rep.graphs, rep.skipped_graph6_records) == (0, 1)
 
     def test_graph6_file_is_reread_by_each_run(self, tmp_path):
         path = tmp_path / "in.g6"
