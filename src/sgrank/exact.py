@@ -14,16 +14,36 @@ into the pivot's row and column, and replaces the leading (m-1) x (m-1)
 block by (pivot * entry - column entry * row entry) / previous pivot.  A
 matrix whose block is all zero leaves the batch; its rank is the number
 of pivots taken.  Exactness: row and column permutations do not break
-Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after k pivots the
-block has size m = n-k, every entry in it is an order-(k+1) minor of a
+Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after p pivots the
+block has size m = n-p, every entry in it is an order-(p+1) minor of a
 row- and column-permuted input, and each division by the previous pivot
 is exact.  An update runs only while m >= 2, so its factors are minors of
-order k+1 <= n-1; by Hadamard each is at most (n-1)**((n-1)/2) in
+order p+1 <= n-1; by Hadamard each is at most (n-1)**((n-1)/2) in
 magnitude, and every numerator is at most 2 * (n-1)**(n-1).  That is
 below 2**24 for n <= 8 (float32), 2**53 for n <= 14 (float64) and 2**63
 for n <= 16 (int64), so every product, difference and quotient is an
 exact integer carried in that representation; floor division on int64
 returns the true quotient because the division is exact.
+
+Before that elimination, `batch_ranks` removes a leading induced matching
+in one exact Schur-complement step: the pendant lemma, r(G) = r(G-x-y) + 2
+for an edge xy, applied to several edges at once.  k is the number of
+leading vertex pairs (0,1), (2,3), ... that, in every matrix of the
+batch, have zero diagonal entries, nonzero entries between the two
+vertices and zero entries to every earlier pair.  The leading 2k x 2k
+block B is then a signed permutation matrix, so B^-1 = B^T and
+det B = +-1.  With M the matched vertices and R the others, Haynsworth's
+rank additivity gives rank A = 2k + rank A', where
+A' = A_RR - A_RM B^T A_MR is the Schur complement of B.  A' is 2k
+rank-one updates of A_RR whose terms are all in {-1,0,1}, so its entries
+are integers of magnitude at most 2k+1 and it is formed in int8 without
+any division.  The elimination above then runs on A', in the dtype chosen
+from the original order n, and the same bound holds: by Schur's
+determinant identity det A[M+I, M+J] = det B * det A'[I, J], so every
+order-r minor of A' is +- a minor of A of order 2k+r.  After p pivots on
+A' an update's factors are order-(p+1) minors of A', that is minors of A
+of order 2k+p+1, and it runs only while n-2k-p >= 2, so that order is at
+most n-1.  With k = 0 the step does nothing.
 """
 
 from __future__ import annotations
@@ -162,17 +182,55 @@ _FLOAT64_MAX_ORDER = 14
 _MAX_ORDER = 16
 
 
+def _leading_pairs(matrices: np.ndarray) -> int:
+    """The number k of leading vertex pairs (0,1), (2,3), ... that form an
+    induced matching in every matrix of the batch: zero diagonal, nonzero
+    entries within each pair, zero entries between pairs."""
+    n = matrices.shape[1]
+    k = 0
+    while 2 * k + 2 <= n:
+        a = 2 * k
+        pair = matrices[:, a:a + 2, a:a + 2]
+        if (
+            pair[:, 0, 0].any()
+            or pair[:, 1, 1].any()
+            or not pair[:, 0, 1].all()
+            or not pair[:, 1, 0].all()
+            or matrices[:, a:a + 2, :a].any()
+            or matrices[:, :a, a:a + 2].any()
+        ):
+            break
+        k += 1
+    return k
+
+
+def _matching_complement(matrices: np.ndarray, k: int) -> np.ndarray:
+    """A_RR - A_RM B^T A_MR in int8 for the k leading pairs: per pair
+    (a, a+1) with B = [[0, s], [t, 0]], B^T = [[0, t], [s, 0]]."""
+    h = 2 * k
+    mats = matrices.astype(np.int8, copy=False)
+    rest = mats[:, h:, h:].copy()
+    for a in range(0, h, 2):
+        s = mats[:, a, a + 1, None, None]
+        t = mats[:, a + 1, a, None, None]
+        rest -= mats[:, h:, a, None] * t * mats[:, a + 1, None, h:]
+        rest -= mats[:, h:, a + 1, None] * s * mats[:, a, None, h:]
+    return rest
+
+
 def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
     batch, n, _ = matrices.shape
-    work = matrices.astype(dtype)
+    k = _leading_pairs(matrices)
+    work = _matching_complement(matrices, k).astype(dtype)
     ranks = np.full(batch, n, dtype=np.int64)
     live = np.arange(batch)
     prev = np.ones(batch, dtype=dtype)
     # exact division either way; true division is the fast one on floats
     divide = np.floor_divide if np.issubdtype(dtype, np.integer) else np.true_divide
-    for m in range(n, 0, -1):
-        # work holds the live matrices' m x m active blocks; the pivot is
-        # the first nonzero entry in row-major order
+    for m in range(n - 2 * k, 0, -1):
+        # work holds the live matrices' m x m active blocks; a matrix's
+        # rank is n - m plus its block's rank, and the pivot is the first
+        # nonzero entry in row-major order
         nonzero = (work != 0).reshape(len(live), m * m)
         pos = nonzero.argmax(axis=1)
         found = nonzero[np.arange(len(live)), pos]
@@ -206,10 +264,13 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
 def batch_ranks(matrices: np.ndarray) -> np.ndarray:
     """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1}.
 
-    Fraction-free elimination carried in float32 arrays for order <= 8,
-    float64 for orders 9-14 and int64 for orders 15-16 (exact: all
-    intermediates are Hadamard-bounded minors).  See the module docstring
-    for the argument.
+    The leading vertex pairs that form an induced matching in every matrix
+    are removed first by one int8 Schur-complement step (each adds 2 to
+    the rank); fraction-free elimination then runs on the rest, carried in
+    float32 arrays for order n <= 8, float64 for orders 9-14 and int64 for
+    orders 15-16, chosen by the original order n (exact: all
+    intermediates are Hadamard-bounded minors of the input).  See the
+    module docstring for the argument.
     """
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError("expected a (batch, n, n) array")

@@ -174,30 +174,28 @@ def switching_potentials(g: SignedGraph) -> list[int]:
 
 
 def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Indexes of non-tree edges (ascending) for the BFS tree from vertex 0.
-    The tree depends on the order of `edges` only through the order in
-    which each vertex's neighbours appear; sorted edge lists and graph6
-    column order both list them ascending, and so give the same tree."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    seen = [False] * n
-    seen[0] = True
-    tree: set[int] = set()
+    """Indexes of non-tree edges (ascending) for the BFS tree from vertex 0
+    that visits each vertex's neighbours in ascending order, so the tree
+    does not depend on the order of `edges`."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    parent[0] = 0
     queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, i in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree.add(i)
+    for u in queue:
+        for v in sorted(adj[u]):
+            if parent[v] < 0:
+                parent[v] = u
                 queue.append(v)
-    if not all(seen):
+    if len(queue) < n:
         raise ValueError("graph is not connected")
-    return [i for i in range(len(edges)) if i not in tree]
+    # the graph is simple, so an edge is a tree edge iff it joins a vertex
+    # to its parent
+    return [
+        i for i, (u, v) in enumerate(edges) if parent[v] != u and parent[u] != v
+    ]
 
 
 def _cotree_pattern(

@@ -18,11 +18,16 @@ Per underlying graph, one signing per switching class is enumerated
 all co-tree sign patterns; pattern 0 is the balanced representative).
 Ranks come from the batched fraction-free kernel: float32 up to order 8,
 float64 up to order 14 and int64 for orders 15-16, each exact at its
-orders.  Checks are vectorized across instance buffers.  The two "iff
-classified" checks compare the kernel's ranks with the co-tree patterns
-that `accepted_cotree_patterns` takes from the case table of
-`classify.py`, once per underlying graph.  Sampled instances are
-re-verified against fraction-free elimination and through the
+orders.  Each graph's signing blocks are built on labels that put a
+greedy maximal induced matching first (`_matching_labels`), so that the
+kernel removes it in one Schur-complement step; instance buffers are
+keyed by order and matching size.  Only the blocks are relabeled: the
+recorded edges, co-tree, signing indices and counterexamples keep the
+graph's own labels.  Checks are vectorized across instance buffers.
+The two "iff classified" checks compare the kernel's ranks with the
+co-tree patterns that `accepted_cotree_patterns` takes from the case
+table of `classify.py`, once per underlying graph.  Sampled instances
+are re-verified against fraction-free elimination and through the
 classifiers, which rebuild the case table from the signed graph and look
 up the pattern they find from its tree potentials.
 """
@@ -655,6 +660,31 @@ def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     return len(connected_components(_adjacency(n, edges))) == 1
 
 
+def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int]:
+    """A greedy maximal induced matching of k edges, as new vertex labels
+    that make its pairs (0,1), (2,3), ... and keep the other vertices in
+    ascending order after them: (labels, k).  The batch kernel removes
+    those leading pairs in one Schur-complement step."""
+    n = len(adj)
+    free = [True] * n  # neither matched nor adjacent to a matched vertex
+    order = []
+    for u in range(n):
+        if free[u]:
+            for v in adj[u]:
+                if free[v]:
+                    order += (u, v)
+                    for w in adj[u] + adj[v]:
+                        free[w] = False
+                    break
+    k = len(order) // 2
+    matched = set(order)
+    order += [v for v in range(n) if v not in matched]
+    labels = [0] * n
+    for i, v in enumerate(order):
+        labels[v] = i
+    return labels, k
+
+
 def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
     return _cotree_signing(meta.n, meta.edges, meta.cotree, signing)
 
@@ -708,9 +738,10 @@ class _Engine:
         self.config = config
         self.sel = set(config.checks)
         self.result = _ChunkResult()
-        self.buffers: dict[int, list] = {}
-        self.segments: dict[int, list[_Segment]] = {}
-        self.buffered: dict[int, int] = {}
+        # keyed by (order, leading matched pairs)
+        self.buffers: dict[tuple[int, int], list] = {}
+        self.segments: dict[tuple[int, int], list[_Segment]] = {}
+        self.buffered: dict[tuple[int, int], int] = {}
         self.ordinal = 0  # chunk-local instance counter for spot strides
 
     # -- accounting helpers
@@ -752,30 +783,37 @@ class _Engine:
         self.result.graphs += 1
         total = 1 << len(cotree)
         self.result.instances += total
+        # ranks do not change under relabeling, so the blocks may put the
+        # matching first while meta keeps the graph's own labels
+        labels, k = _matching_labels(adj)
+        relabeled = [(labels[u], labels[v]) for u, v in edges]
         for j0 in range(0, total, _SIGNING_BLOCK):
-            self._append_block(meta, j0, _signing_block(n, edges, cotree, j0))
+            self._append_block(
+                (n, k), meta, j0, _signing_block(n, relabeled, cotree, j0)
+            )
 
-    def _append_block(self, meta: _GraphMeta, j0: int, block: np.ndarray) -> None:
-        n = meta.n
+    def _append_block(
+        self, key: tuple[int, int], meta: _GraphMeta, j0: int, block: np.ndarray
+    ) -> None:
         count = len(block)
-        self.buffers.setdefault(n, []).append(block)
-        self.segments.setdefault(n, []).append(_Segment(meta, j0, count))
-        self.buffered[n] = self.buffered.get(n, 0) + count
-        if self.buffered[n] >= _BUFFER_INSTANCES:
-            self._flush(n)
+        self.buffers.setdefault(key, []).append(block)
+        self.segments.setdefault(key, []).append(_Segment(meta, j0, count))
+        self.buffered[key] = self.buffered.get(key, 0) + count
+        if self.buffered[key] >= _BUFFER_INSTANCES:
+            self._flush(key)
 
     def finish(self) -> _ChunkResult:
-        for n in sorted(self.buffers):
-            if self.buffered.get(n, 0):
-                self._flush(n)
+        for key in sorted(self.buffers):
+            if self.buffered.get(key, 0):
+                self._flush(key)
         return self.result
 
     # -- the checks
 
-    def _flush(self, n: int) -> None:
-        blocks = self.buffers.pop(n, [])
-        segments = self.segments.pop(n, [])
-        self.buffered[n] = 0
+    def _flush(self, key: tuple[int, int]) -> None:
+        blocks = self.buffers.pop(key, [])
+        segments = self.segments.pop(key, [])
+        self.buffered[key] = 0
         if not blocks:
             return
         stack = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]

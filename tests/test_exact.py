@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_matrix
-from sgrank import batch_ranks, determinant, rank, rank_oracle
+from sgrank import (
+    batch_ranks,
+    dense_graphs,
+    determinant,
+    rank,
+    rank_oracle,
+    sparse_graphs,
+)
+from sgrank.exact import _leading_pairs, _matching_complement
+from sgrank.invariants import _spanning_cotree
+from sgrank.sweep import _adjacency, _matching_labels, _signing_block
 
 
 def cofactor_det(mat):
@@ -241,6 +251,104 @@ class TestBatchKernelEdgeCases:
         got = batch_ranks(arr)
         assert got.tolist() == _oracle_ranks(arr)
         assert (got < n).all()
+
+
+def _with_leading_matching(rng, n, k, count, symmetric):
+    """Random {-1,0,1} matrices whose vertex pairs (0,1), ..., (2k-2, 2k-1)
+    form an induced matching; the pair signs s, t are drawn independently
+    unless `symmetric`."""
+    mats = rng.integers(-1, 2, size=(count, n, n))
+    if symmetric:
+        mats = np.tril(mats) + np.tril(mats, -1).transpose(0, 2, 1)
+    h = 2 * k
+    mats[:, :h, :h] = 0
+    for a in range(0, h, 2):
+        mats[:, a, a + 1] = rng.choice([-1, 1], size=count)
+        mats[:, a + 1, a] = (
+            mats[:, a, a + 1] if symmetric else rng.choice([-1, 1], size=count)
+        )
+    return mats.astype(np.int8)
+
+
+class TestMatchingSchurStep:
+    """The kernel's Schur-complement step over a leading induced matching."""
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_every_matching_size(self, n):
+        rng = np.random.default_rng(600 + n)
+        for k in range((n - 1) // 2 + 1):
+            for symmetric in (True, False):
+                arr = _with_leading_matching(rng, n, k, 10, symmetric)
+                if 2 * k + 2 <= n:
+                    arr[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
+                assert _leading_pairs(arr) == k
+                if not symmetric and k:
+                    assert (arr[:, 0, 1] != arr[:, 1, 0]).any()
+                assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 14, 16])
+    def test_perfect_matching_leaves_no_block(self, n):
+        rng = np.random.default_rng(650 + n)
+        arr = _with_leading_matching(rng, n, n // 2, 6, symmetric=False)
+        assert _leading_pairs(arr) == n // 2
+        assert batch_ranks(arr).tolist() == [n] * 6 == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_one_matrix_breaking_the_matching_lowers_k(self, n):
+        rng = np.random.default_rng(700 + n)
+        k = (n - 1) // 2
+        for j in range(k):
+            arr = _with_leading_matching(rng, n, k, 8, symmetric=j % 2 == 0)
+            odd = arr[3]
+            if j == 0:
+                odd[0, 1] = 0  # a pair without its edge
+            elif j % 2:
+                odd[2 * j, 0] = odd[0, 2 * j] = 1  # an edge to an earlier pair
+            else:
+                odd[2 * j, 2 * j] = 1  # a loop on the pair
+            assert _leading_pairs(arr) == j
+            mixed = batch_ranks(arr).tolist()
+            alone = [int(batch_ranks(m[None])[0]) for m in arr]
+            assert mixed == alone == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", [8, 9, 14, 15, 16])
+    def test_worst_case_magnitudes_with_a_matching(self, n):
+        for k in range(1, (n - 1) // 2 + 1):
+            h = 2 * k
+            mats = []
+            for alternating in (False, True):
+                mat = np.fromfunction(
+                    lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i,
+                    (n, n),
+                ).astype(np.int8)
+                np.fill_diagonal(mat, 0)
+                mat[:h, :h] = 0
+                for a in range(0, h, 2):
+                    # negative pairs make every update term add to A_RR
+                    mat[a, a + 1] = mat[a + 1, a] = -1
+                mats.append(mat)
+            arr = np.stack(mats)
+            assert _leading_pairs(arr) == k
+            rest = _matching_complement(arr, k)
+            # the bound 2k+1 is met off the diagonal; a 1 x 1 rest has
+            # only its diagonal, which reaches 2k
+            assert np.abs(rest).max() == (h + 1 if n - h >= 2 else h)
+            assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
+
+
+class TestKernelSeesTheSweepsMatching:
+    def test_detected_pairs_equal_the_sweeps_matching(self):
+        rng = random.Random(18)
+        graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
+        graphs = rng.sample(graphs, 300) + rng.sample(list(sparse_graphs(10, 3)), 300)
+        seen = set()
+        for n, edges in graphs:
+            labels, k = _matching_labels(_adjacency(n, edges))
+            relabeled = [(labels[u], labels[v]) for u, v in edges]
+            block = _signing_block(n, relabeled, _spanning_cotree(n, edges), 0)
+            assert _leading_pairs(block) == k
+            seen.add(k)
+        assert seen == {1, 2, 3}
 
 
 def test_rank_report_consistency():

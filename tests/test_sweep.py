@@ -40,6 +40,7 @@ from sgrank.sweep import (
     _cotree_signing,
     _dense_chunk,
     _edge_table,
+    _matching_labels,
     _signing_block,
 )
 
@@ -118,6 +119,25 @@ class TestOneSpanningTree:
             for g in enumerate_signings(n, edges):
                 subset = [v for v in range(n) if rng.random() < 0.5]
                 assert canonical_switching_representative(switch(g, subset)) == g
+
+    def test_tree_does_not_depend_on_the_edge_order(self):
+        rng = random.Random(20)
+        for n, edges in _sampled_graphs():
+            tree = set(edges) - {edges[i] for i in _spanning_cotree(n, edges)}
+            shuffled = [
+                (v, u) if rng.random() < 0.5 else (u, v)
+                for u, v in rng.sample(edges, len(edges))
+            ]
+            got = set(shuffled) - {shuffled[i] for i in _spanning_cotree(n, shuffled)}
+            assert {frozenset(e) for e in got} == {frozenset(e) for e in tree}
+
+    def test_signings_of_an_unsorted_edge_list_are_representatives(self):
+        # neighbours of vertex 0 listed as 3, 1: the tree once depended on it
+        edges = [(0, 3), (0, 1), (1, 2), (2, 3)]
+        signings = list(enumerate_signings(4, edges))
+        assert len(signings) == 2
+        for g in signings:
+            assert canonical_switching_representative(g) == g
 
 
 class TestDenseStream:
@@ -263,6 +283,51 @@ class TestSigningBlocks:
         for off in (0, 1, 2, 12345, (1 << 15) - 1):
             want = adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
             assert block[off].tolist() == want
+
+    def test_relabeled_block_is_the_permuted_adjacency_matrix(self):
+        # the sweep builds its blocks on the labels of `_matching_labels`
+        rng = random.Random(19)
+        graphs = rng.sample(_sampled_graphs(), 200) + [_k7_plus_vertex()]
+        for n, edges in graphs:
+            cotree = _spanning_cotree(n, edges)
+            labels, _ = _matching_labels(_adjacency(n, edges))
+            relabeled = [(labels[u], labels[v]) for u, v in edges]
+            perm = np.zeros((n, n), dtype=np.int64)
+            perm[labels, range(n)] = 1
+            j0 = 1 << 15 if len(cotree) > 15 else 0
+            block = _signing_block(n, relabeled, cotree, j0)
+            for off in rng.sample(range(len(block)), min(len(block), 5)):
+                want = np.array(
+                    adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
+                )
+                assert block[off].tolist() == (perm @ want @ perm.T).tolist()
+
+
+class TestInducedMatching:
+    def test_greedy_matching_is_induced_and_maximal(self):
+        graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
+        graphs += list(sparse_graphs(9, 3))
+        sizes = set()
+        for n, edges in graphs:
+            adj = _adjacency(n, edges)
+            labels, k = _matching_labels(adj)
+            assert sorted(labels) == list(range(n))
+            order = sorted(range(n), key=labels.__getitem__)
+            matched, rest = order[: 2 * k], order[2 * k:]
+            present = {frozenset(e) for e in edges}
+            pair = {v: i // 2 for i, v in enumerate(matched)}
+            for i in range(k):
+                assert frozenset(matched[2 * i: 2 * i + 2]) in present
+            for u, v in edges:
+                if u in pair and v in pair:
+                    assert pair[u] == pair[v], (n, edges, labels)
+            # maximal: no edge could join the matching and keep it induced
+            near = set(matched).union(*(adj[v] for v in matched))
+            for u, v in edges:
+                assert u in near or v in near, (n, edges, labels)
+            assert rest == sorted(rest)
+            sizes.add(k)
+        assert sizes == {1, 2, 3, 4}
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
