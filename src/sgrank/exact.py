@@ -14,36 +14,50 @@ into the pivot's row and column, and replaces the leading (m-1) x (m-1)
 block by (pivot * entry - column entry * row entry) / previous pivot.  A
 matrix whose block is all zero leaves the batch; its rank is the number
 of pivots taken.  Exactness: row and column permutations do not break
-Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after p pivots the
-block has size m = n-p, every entry in it is an order-(p+1) minor of a
+Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after q pivots the
+block has size m = n-q, every entry in it is an order-(q+1) minor of a
 row- and column-permuted input, and each division by the previous pivot
 is exact.  An update runs only while m >= 2, so its factors are minors of
-order p+1 <= n-1; by Hadamard each is at most (n-1)**((n-1)/2) in
+order q+1 <= n-1; by Hadamard each is at most (n-1)**((n-1)/2) in
 magnitude, and every numerator is at most 2 * (n-1)**(n-1).  That is
 below 2**24 for n <= 8 (float32), 2**53 for n <= 14 (float64) and 2**63
 for n <= 16 (int64), so every product, difference and quotient is an
 exact integer carried in that representation; floor division on int64
 returns the true quotient because the division is exact.
 
-Before that elimination, `batch_ranks` removes a leading induced matching
-in one exact Schur-complement step: the pendant lemma, r(G) = r(G-x-y) + 2
-for an edge xy, applied to several edges at once.  k is the number of
-leading vertex pairs (0,1), (2,3), ... that, in every matrix of the
-batch, have zero diagonal entries, nonzero entries between the two
-vertices and zero entries to every earlier pair.  The leading 2k x 2k
-block B is then a signed permutation matrix, so B^-1 = B^T and
-det B = +-1.  With M the matched vertices and R the others, Haynsworth's
-rank additivity gives rank A = 2k + rank A', where
-A' = A_RR - A_RM B^T A_MR is the Schur complement of B.  A' is 2k
-rank-one updates of A_RR whose terms are all in {-1,0,1}, so its entries
-are integers of magnitude at most 2k+1 and it is formed in int8 without
-any division.  The elimination above then runs on A', in the dtype chosen
-from the original order n, and the same bound holds: by Schur's
-determinant identity det A[M+I, M+J] = det B * det A'[I, J], so every
-order-r minor of A' is +- a minor of A of order 2k+r.  After p pivots on
-A' an update's factors are order-(p+1) minors of A', that is minors of A
-of order 2k+p+1, and it runs only while n-2k-p >= 2, so that order is at
-most n-1.  With k = 0 the step does nothing.
+Before that elimination, `batch_ranks` deletes leading pendant pairs
+without any arithmetic, by the pendant lemma r(G) = r(G-x-y) + 2 for a
+pendant vertex x with neighbour y.  p is the number of leading vertex
+pairs (0,1), (2,3), ... that are pendant in every matrix of the batch
+once the earlier pairs are deleted: row 2i and column 2i are zero except
+for nonzero entries at 2i+1.  Column operations with column 2i then clear
+row 2i+1, row operations with row 2i clear column 2i+1, and neither
+touches any other entry, so deleting the pair lowers the rank by exactly
+2, whatever the diagonal entry at 2i+1.  The column condition is needed
+because the input need not be symmetric: with row 2i pendant but a
+second nonzero entry in column 2i, deleting the pair can change the rank
+by 1 or 3.  The rest is the view A[2p:, 2p:], a {-1,0,1} matrix of order
+n-2p.  All that follows runs on it, and n, A and the dtype below refer to
+that matrix, so the bound above holds for it unchanged.
+
+Then a leading induced matching is removed in one exact Schur-complement
+step: the pendant lemma applied to several edges at once.  k is the
+number of leading vertex pairs that, in every matrix of the batch, have
+zero diagonal entries, nonzero entries between the two vertices and zero
+entries to every earlier pair.  The leading 2k x 2k block B is then a
+signed permutation matrix, so B^-1 = B^T and det B = +-1.  With M the
+matched vertices and R the others, Haynsworth's rank additivity gives
+rank A = 2k + rank A', where A' = A_RR - A_RM B^T A_MR is the Schur
+complement of B.  A' is 2k rank-one updates of A_RR whose terms are all
+in {-1,0,1}, so its entries are integers of magnitude at most 2k+1 and
+it is formed in int8 without any division.  The elimination above then
+runs on A', in the dtype chosen from the order n, and the same bound
+holds: by Schur's determinant identity det A[M+I, M+J] = det B *
+det A'[I, J], so every order-r minor of A' is +- a minor of A of order
+2k+r.  After q pivots on A' an update's factors are order-(q+1) minors of
+A', that is minors of A of order 2k+q+1, and it runs only while
+n-2k-q >= 2, so that order is at most n-1.  With p = 0 and k = 0 both
+steps do nothing.
 """
 
 from __future__ import annotations
@@ -182,6 +196,28 @@ _FLOAT64_MAX_ORDER = 14
 _MAX_ORDER = 16
 
 
+def _pendant_pairs(matrices: np.ndarray) -> int:
+    """The number p of leading vertex pairs (0,1), (2,3), ... that are
+    pendant in every matrix of the batch once the earlier pairs are
+    deleted: row and column 2i zero except for nonzero entries at 2i+1."""
+    n = matrices.shape[1]
+    p = 0
+    while 2 * p + 2 <= n:
+        x = 2 * p
+        row = matrices[:, x, x:]
+        col = matrices[:, x:, x]
+        if (
+            row[:, 0].any()
+            or not row[:, 1].all()
+            or not col[:, 1].all()
+            or row[:, 2:].any()
+            or col[:, 2:].any()
+        ):
+            break
+        p += 1
+    return p
+
+
 def _leading_pairs(matrices: np.ndarray) -> int:
     """The number k of leading vertex pairs (0,1), (2,3), ... that form an
     induced matching in every matrix of the batch: zero diagonal, nonzero
@@ -264,13 +300,15 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
 def batch_ranks(matrices: np.ndarray) -> np.ndarray:
     """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1}.
 
-    The leading vertex pairs that form an induced matching in every matrix
-    are removed first by one int8 Schur-complement step (each adds 2 to
-    the rank); fraction-free elimination then runs on the rest, carried in
-    float32 arrays for order n <= 8, float64 for orders 9-14 and int64 for
-    orders 15-16, chosen by the original order n (exact: all
-    intermediates are Hadamard-bounded minors of the input).  See the
-    module docstring for the argument.
+    The leading vertex pairs that are pendant in every matrix are deleted
+    first, with no arithmetic; the leading pairs of the rest that form an
+    induced matching in every matrix are then removed by one int8
+    Schur-complement step.  Each pair adds 2 to the rank.  Fraction-free
+    elimination runs on what is left, carried in float32 arrays when the
+    order left after the pendant pairs is <= 8, float64 for 9-14 and
+    int64 for 15-16 (exact: all intermediates are Hadamard-bounded minors
+    of that matrix).  See the module docstring for the argument.
+    Non-integer entries raise ValueError.
     """
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ValueError("expected a (batch, n, n) array")
@@ -279,10 +317,19 @@ def batch_ranks(matrices: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if n > _MAX_ORDER:
         raise ValueError(f"batch kernel supports order <= {_MAX_ORDER}, got {n}")
-    if abs(int(matrices.max(initial=0))) > 1 or abs(int(matrices.min(initial=0))) > 1:
-        raise ValueError("batch kernel requires entries in {-1,0,1}")
-    if n <= _FLOAT32_MAX_ORDER:
-        return _batch_ranks_bareiss(matrices, np.float32)
-    if n <= _FLOAT64_MAX_ORDER:
-        return _batch_ranks_bareiss(matrices, np.float64)
-    return _batch_ranks_bareiss(matrices, np.int64)
+    if matrices.dtype.kind in "biu":
+        valid = matrices.min(initial=0) >= -1 and matrices.max(initial=0) <= 1
+    else:
+        valid = np.isin(matrices, (-1, 0, 1)).all()
+    if not valid:
+        raise ValueError("batch kernel requires integer entries in {-1,0,1}")
+    p = _pendant_pairs(matrices)
+    rest = matrices[:, 2 * p:, 2 * p:]
+    order = n - 2 * p
+    if order <= _FLOAT32_MAX_ORDER:
+        dtype = np.float32
+    elif order <= _FLOAT64_MAX_ORDER:
+        dtype = np.float64
+    else:
+        dtype = np.int64
+    return 2 * p + _batch_ranks_bareiss(rest, dtype)

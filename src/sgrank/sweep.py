@@ -18,12 +18,17 @@ Per underlying graph, one signing per switching class is enumerated
 all co-tree sign patterns; pattern 0 is the balanced representative).
 Ranks come from the batched fraction-free kernel: float32 up to order 8,
 float64 up to order 14 and int64 for orders 15-16, each exact at its
-orders.  Each graph's signing blocks are built on labels that put a
-greedy maximal induced matching first (`_matching_labels`), so that the
-kernel removes it in one Schur-complement step; instance buffers are
-keyed by order and matching size.  Only the blocks are relabeled: the
-recorded edges, co-tree, signing indices and counterexamples keep the
-graph's own labels.  Checks are vectorized across instance buffers.
+orders.  Each graph's signing blocks are built on labels that put its
+iterated pendant pairs first and then a greedy maximal induced matching
+of the rest, lowest degree first (`_matching_labels`), so that the
+kernel deletes the pairs without arithmetic and removes the matching in
+one Schur-complement step.  Instance buffers are keyed by order, pendant
+pairs and matching size, and the fullest is flushed whenever all of them
+together reach one cap.  Only the blocks are relabeled: the recorded
+edges, co-tree, signing indices and counterexamples keep the graph's own
+labels.  The sparse stream computes each subdivided core's girth once and
+passes it on, since hung trees add no cycle.  Checks are vectorized
+across instance buffers.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
 table of `classify.py`, once per underlying graph.  Sampled instances
@@ -520,28 +525,39 @@ def _tree_assignments(k: int, budget: int) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, budget, [])
 
 
+def _sparse_records(
+    max_n: int, max_cyclomatic: int
+) -> Iterator[tuple[int, list[tuple[int, int]], int]]:
+    """The graphs of `sparse_graphs`, in the same order, as (n, sorted
+    edge list, girth).  Hung trees add no cycle, so the girth is computed
+    once per subdivided core."""
+    for c in range(1, max_cyclomatic + 1):
+        for _, k, links in _BASES[c]:
+            for subdiv in _subdivision_tuples(links, max_n - k):
+                core_edges = _subdivide(k, links, subdiv)
+                core_n = k + sum(subdiv)
+                girth = girth_of_adjacency(_adjacency(core_n, core_edges))
+                for shapes in _tree_assignments(core_n, max_n - core_n):
+                    edges = list(core_edges)
+                    nxt = core_n
+                    for root, shape in enumerate(shapes):
+                        nxt = _attach_tree(edges, root, shape, nxt)
+                    yield nxt, sorted(edges), girth
+
+
 def sparse_graphs(
     max_n: int, max_cyclomatic: int
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Connected graphs with a cycle, cyclomatic number <= max_cyclomatic
     and at most max_n vertices: every isomorphism class at least once
     (labeled duplicates possible).  Yields (n, sorted edge list)."""
-    for c in range(1, max_cyclomatic + 1):
-        for _, k, links in _BASES[c]:
-            for subdiv in _subdivision_tuples(links, max_n - k):
-                core_edges = _subdivide(k, links, subdiv)
-                core_n = k + sum(subdiv)
-                for shapes in _tree_assignments(core_n, max_n - core_n):
-                    edges = list(core_edges)
-                    nxt = core_n
-                    for root, shape in enumerate(shapes):
-                        nxt = _attach_tree(edges, root, shape, nxt)
-                    yield nxt, sorted(edges)
+    for n, edges, _ in _sparse_records(max_n, max_cyclomatic):
+        yield n, edges
 
 
 @lru_cache(maxsize=4)
 def _sparse_stream_cached(max_n: int, max_cyclomatic: int) -> list:
-    return list(sparse_graphs(max_n, max_cyclomatic))
+    return list(_sparse_records(max_n, max_cyclomatic))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +569,11 @@ class Graph6Error(ValueError):
 
     def __init__(self, message: str, record: int):
         super().__init__(f"graph6 record {record}: {message}")
+        self.message = message
         self.record = record
+
+    def __reduce__(self):
+        return type(self), (self.message, self.record)
 
 
 def parse_graph6(text: str) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -660,29 +680,47 @@ def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     return len(connected_components(_adjacency(n, edges))) == 1
 
 
-def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int]:
-    """A greedy maximal induced matching of k edges, as new vertex labels
-    that make its pairs (0,1), (2,3), ... and keep the other vertices in
-    ascending order after them: (labels, k).  The batch kernel removes
-    those leading pairs in one Schur-complement step."""
+def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int, int]:
+    """New vertex labels in three groups, as (labels, p, k).  First p
+    iterated pendant pairs: a vertex x of degree 1 in what is left, then
+    its neighbour.  Then a greedy maximal induced matching of k edges on
+    the remainder, visiting vertices and their neighbours lowest remaining
+    degree first.  Then the other vertices, in ascending order.  The batch
+    kernel deletes the pendant pairs and removes the matching in one
+    Schur-complement step."""
     n = len(adj)
-    free = [True] * n  # neither matched nor adjacent to a matched vertex
+    degree = [len(nb) for nb in adj]  # once the pendant pairs are deleted
+    free = [True] * n  # neither placed nor adjacent to a matched vertex
     order = []
-    for u in range(n):
+    leaves = [v for v in range(n) if degree[v] == 1]
+    while leaves:
+        x = leaves.pop()
+        if not free[x] or degree[x] != 1:
+            continue
+        y = next(w for w in adj[x] if free[w])
+        order += (x, y)
+        free[x] = free[y] = False
+        for w in adj[y]:
+            if free[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    p = len(order) // 2
+    for u in sorted(range(n), key=degree.__getitem__):
         if free[u]:
-            for v in adj[u]:
+            for v in sorted(adj[u], key=degree.__getitem__):
                 if free[v]:
                     order += (u, v)
                     for w in adj[u] + adj[v]:
                         free[w] = False
                     break
-    k = len(order) // 2
-    matched = set(order)
-    order += [v for v in range(n) if v not in matched]
+    k = len(order) // 2 - p
+    placed = set(order)
+    order += [v for v in range(n) if v not in placed]
     labels = [0] * n
     for i, v in enumerate(order):
         labels[v] = i
-    return labels, k
+    return labels, p, k
 
 
 def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
@@ -738,10 +776,11 @@ class _Engine:
         self.config = config
         self.sel = set(config.checks)
         self.result = _ChunkResult()
-        # keyed by (order, leading matched pairs)
-        self.buffers: dict[tuple[int, int], list] = {}
-        self.segments: dict[tuple[int, int], list[_Segment]] = {}
-        self.buffered: dict[tuple[int, int], int] = {}
+        # keyed by (order, pendant pairs, matched pairs)
+        self.buffers: dict[tuple[int, int, int], list] = {}
+        self.segments: dict[tuple[int, int, int], list[_Segment]] = {}
+        self.buffered: dict[tuple[int, int, int], int] = {}
+        self.total_buffered = 0
         self.ordinal = 0  # chunk-local instance counter for spot strides
 
     # -- accounting helpers
@@ -784,38 +823,38 @@ class _Engine:
         total = 1 << len(cotree)
         self.result.instances += total
         # ranks do not change under relabeling, so the blocks may put the
-        # matching first while meta keeps the graph's own labels
-        labels, k = _matching_labels(adj)
+        # pendant pairs and the matching first while meta keeps the
+        # graph's own labels
+        labels, p, k = _matching_labels(adj)
         relabeled = [(labels[u], labels[v]) for u, v in edges]
         for j0 in range(0, total, _SIGNING_BLOCK):
             self._append_block(
-                (n, k), meta, j0, _signing_block(n, relabeled, cotree, j0)
+                (n, p, k), meta, j0, _signing_block(n, relabeled, cotree, j0)
             )
 
     def _append_block(
-        self, key: tuple[int, int], meta: _GraphMeta, j0: int, block: np.ndarray
+        self, key: tuple[int, int, int], meta: _GraphMeta, j0: int, block: np.ndarray
     ) -> None:
         count = len(block)
         self.buffers.setdefault(key, []).append(block)
         self.segments.setdefault(key, []).append(_Segment(meta, j0, count))
         self.buffered[key] = self.buffered.get(key, 0) + count
-        if self.buffered[key] >= _BUFFER_INSTANCES:
-            self._flush(key)
+        self.total_buffered += count
+        # one cap on all keys together bounds the memory the buffers hold
+        if self.total_buffered >= _BUFFER_INSTANCES:
+            self._flush(max(self.buffered, key=self.buffered.__getitem__))
 
     def finish(self) -> _ChunkResult:
         for key in sorted(self.buffers):
-            if self.buffered.get(key, 0):
-                self._flush(key)
+            self._flush(key)
         return self.result
 
     # -- the checks
 
-    def _flush(self, key: tuple[int, int]) -> None:
-        blocks = self.buffers.pop(key, [])
-        segments = self.segments.pop(key, [])
-        self.buffered[key] = 0
-        if not blocks:
-            return
+    def _flush(self, key: tuple[int, int, int]) -> None:
+        blocks = self.buffers.pop(key)
+        segments = self.segments.pop(key)
+        self.total_buffered -= self.buffered.pop(key)
         stack = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
         ranks = batch_ranks(stack)
         counts = np.array([seg.count for seg in segments], dtype=np.int64)
@@ -1037,8 +1076,8 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
     for pi, path in enumerate(config.graph6_paths):
         with open(path) as fh:
             records = parse_graph6(fh.read())
-        # checked here, in the main process: a Graph6Error raised in a pool
-        # worker cannot be unpickled.  Disconnected records are skipped later.
+        # checked here, in the main process, before any chunk runs.
+        # Disconnected records are skipped later.
         for key, (n, edges) in enumerate(records):
             bits = len(edges) - n + 1
             if bits > _MAX_COTREE_BITS and _connected(n, edges):
@@ -1065,8 +1104,8 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
         _, lo, hi = desc
         stream = _sparse_stream_cached(config.max_n_sparse, config.max_cyclomatic)
         for key in range(lo, hi):
-            n, edges = stream[key]
-            engine.add_graph("sparse", key, n, edges)
+            n, edges, girth = stream[key]
+            engine.add_graph("sparse", key, n, edges, girth)
     else:
         _, pi, lo, records = desc
         for key, (n, edges) in enumerate(records, lo):

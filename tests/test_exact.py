@@ -16,7 +16,8 @@ from sgrank import (
     rank_oracle,
     sparse_graphs,
 )
-from sgrank.exact import _leading_pairs, _matching_complement
+import sgrank.exact as exact
+from sgrank.exact import _leading_pairs, _matching_complement, _pendant_pairs
 from sgrank.invariants import _spanning_cotree
 from sgrank.sweep import _adjacency, _matching_labels, _signing_block
 
@@ -143,6 +144,18 @@ class TestBatchKernel:
             batch_ranks(np.full((1, 2, 2), 2, dtype=np.int8))
         with pytest.raises(ValueError):
             batch_ranks(np.zeros((1, 17, 17), dtype=np.int8))
+
+    def test_non_integer_entries_are_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            batch_ranks(np.array([[[0.5, 0.5], [0.5, 0.5]]]))
+        with pytest.raises(ValueError, match="integer"):
+            batch_ranks(np.array([[[0.0, np.nan], [1.0, 0.0]]]))
+        rng = np.random.default_rng(8)
+        mats = rng.integers(-1, 2, size=(40, 6, 6)).astype(np.int8)
+        want = batch_ranks(mats).tolist()
+        assert batch_ranks(mats.astype(np.float64)).tolist() == want
+        assert batch_ranks(mats.astype(np.int64)).tolist() == want
+        assert want == _oracle_ranks(mats)
 
     def test_worst_case_magnitudes(self):
         # all-ones-off-diagonal and alternating-sign matrices drive the
@@ -336,6 +349,131 @@ class TestMatchingSchurStep:
             assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
 
 
+def _with_pendant_pairs(rng, n, p, count, symmetric):
+    """Random {-1,0,1} matrices whose vertex pairs (0,1), ..., (2p-2, 2p-1)
+    are pendant once the earlier pairs are deleted: row and column 2i
+    vanish from 2i on except at 2i+1.  Entries of row and column 2i
+    towards earlier pairs' second vertices stay random."""
+    mats = rng.integers(-1, 2, size=(count, n, n))
+    if symmetric:
+        mats = np.tril(mats) + np.tril(mats, -1).transpose(0, 2, 1)
+    for x in range(0, 2 * p, 2):
+        mats[:, x, x:] = 0
+        mats[:, x:, x] = 0
+        mats[:, x, x + 1] = rng.choice([-1, 1], size=count)
+        mats[:, x + 1, x] = (
+            mats[:, x, x + 1] if symmetric else rng.choice([-1, 1], size=count)
+        )
+    return mats.astype(np.int8)
+
+
+class TestPendantPairs:
+    """The kernel's deletion of leading pendant pairs."""
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_every_pendant_count(self, n):
+        rng = np.random.default_rng(800 + n)
+        for p in range(n // 2 + 1):
+            for symmetric in (True, False):
+                arr = _with_pendant_pairs(rng, n, p, 10, symmetric)
+                if 2 * p + 2 <= n:
+                    arr[0, 2 * p, 2 * p] = 1  # pair p is not pendant
+                assert _pendant_pairs(arr) == p
+                assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_pendant_row_over_a_longer_column_is_kept(self, n):
+        # row 2i is pendant, column 2i is not: deleting the pair would
+        # change the rank by 1 or 3 in some of these matrices
+        rng = np.random.default_rng(850 + n)
+        for i in range((n - 1) // 2):
+            x = 2 * i
+            arr = _with_pendant_pairs(rng, n, i + 1, 40, symmetric=False)
+            # a sparse rest is rank deficient, where a wrong deletion shows
+            arr[:, x + 2:, x + 2:] *= rng.random((40, n - x - 2, n - x - 2)) < 0.15
+            arr[np.arange(40), x + 2 + rng.integers(n - x - 2, size=40), x] = 1
+            assert _pendant_pairs(arr) == i
+            got = batch_ranks(arr).tolist()
+            assert got == _oracle_ranks(arr)
+            rows_only = 2 * (i + 1) + batch_ranks(arr[:, x + 2:, x + 2:])
+            assert (rows_only != np.array(got)).any()
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_one_matrix_breaking_the_pairs_lowers_p(self, n):
+        rng = np.random.default_rng(900 + n)
+        p = n // 2
+        for j in range(p):
+            x = 2 * j
+            arr = _with_pendant_pairs(rng, n, p, 8, symmetric=j % 2 == 0)
+            odd = arr[3]
+            kind = j % 4
+            if kind == 0:
+                odd[x, x + 1] = 0  # a pair without its edge
+            elif kind == 1:
+                odd[x, x] = -1  # a loop on the pendant vertex
+            elif kind == 2 and x + 2 < n:
+                odd[x + 2, x] = 1  # a second neighbour, in the column only
+            elif x + 2 < n:
+                odd[x, n - 1] = 1  # a second neighbour, in the row only
+            else:
+                odd[x + 1, x] = 0
+            assert _pendant_pairs(arr) == j
+            mixed = batch_ranks(arr).tolist()
+            alone = [int(batch_ranks(m[None])[0]) for m in arr]
+            assert mixed == alone == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_pendant_pairs_followed_by_a_matching(self, n):
+        rng = np.random.default_rng(950 + n)
+        for p in range(1, n // 2):
+            h = 2 * p
+            # an unmatched vertex is left, so the first matched vertex
+            # can have a second neighbour and is not pendant
+            for k in range(1, (n - h - 1) // 2 + 1):
+                for symmetric in (True, False):
+                    arr = _with_pendant_pairs(rng, n, p, 8, symmetric)
+                    rest = _with_leading_matching(rng, n - h, k, 8, symmetric)
+                    rest[:, 0, -1] = 1
+                    if 2 * k + 2 <= n - h:
+                        rest[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
+                    arr[:, h:, h:] = rest
+                    assert _pendant_pairs(arr) == p
+                    assert _leading_pairs(arr[:, h:, h:]) == k
+                    assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
+
+    @pytest.mark.parametrize("n, p, order, dtype", [
+        (9, 1, 7, np.float32),
+        (10, 1, 8, np.float32),
+        (15, 1, 13, np.float64),
+        (16, 1, 14, np.float64),
+        (16, 4, 8, np.float32),
+        (15, 0, 15, np.int64),
+    ])
+    def test_worst_case_magnitudes_at_the_reduced_order(self, monkeypatch, n, p, order, dtype):
+        mats = []
+        for alternating in (False, True):
+            mat = np.fromfunction(
+                lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i, (n, n)
+            ).astype(np.int8)
+            np.fill_diagonal(mat, 0)
+            for x in range(0, 2 * p, 2):
+                mat[x, :] = mat[:, x] = 0
+                mat[x, x + 1] = mat[x + 1, x] = -1
+            mats.append(mat)
+        arr = np.stack(mats)
+        seen = []
+        inner = exact._batch_ranks_bareiss
+
+        def spy(matrices, dtype):
+            seen.append((matrices.shape[1], dtype))
+            return inner(matrices, dtype)
+
+        monkeypatch.setattr(exact, "_batch_ranks_bareiss", spy)
+        got = batch_ranks(arr).tolist()
+        assert seen == [(order, dtype)]
+        assert got == [rank(m.tolist()).rank for m in arr] == _oracle_ranks(arr)
+
+
 class TestKernelSeesTheSweepsMatching:
     def test_detected_pairs_equal_the_sweeps_matching(self):
         rng = random.Random(18)
@@ -343,12 +481,14 @@ class TestKernelSeesTheSweepsMatching:
         graphs = rng.sample(graphs, 300) + rng.sample(list(sparse_graphs(10, 3)), 300)
         seen = set()
         for n, edges in graphs:
-            labels, k = _matching_labels(_adjacency(n, edges))
+            labels, p, k = _matching_labels(_adjacency(n, edges))
             relabeled = [(labels[u], labels[v]) for u, v in edges]
             block = _signing_block(n, relabeled, _spanning_cotree(n, edges), 0)
-            assert _leading_pairs(block) == k
-            seen.add(k)
-        assert seen == {1, 2, 3}
+            detected = _pendant_pairs(block)
+            assert (detected, _leading_pairs(block[:, 2 * detected:, 2 * detected:])) == (p, k)
+            seen.add((p, k))
+        assert {p for p, _ in seen} == {0, 1, 2, 3, 4, 5}
+        assert {k for _, k in seen} == {0, 1, 2, 3}
 
 
 def test_rank_report_consistency():

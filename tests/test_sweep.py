@@ -42,6 +42,7 @@ from sgrank.sweep import (
     _edge_table,
     _matching_labels,
     _signing_block,
+    _sparse_records,
 )
 
 
@@ -290,7 +291,7 @@ class TestSigningBlocks:
         graphs = rng.sample(_sampled_graphs(), 200) + [_k7_plus_vertex()]
         for n, edges in graphs:
             cotree = _spanning_cotree(n, edges)
-            labels, _ = _matching_labels(_adjacency(n, edges))
+            labels, _, _ = _matching_labels(_adjacency(n, edges))
             relabeled = [(labels[u], labels[v]) for u, v in edges]
             perm = np.zeros((n, n), dtype=np.int64)
             perm[labels, range(n)] = 1
@@ -307,13 +308,25 @@ class TestInducedMatching:
     def test_greedy_matching_is_induced_and_maximal(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
         graphs += list(sparse_graphs(9, 3))
-        sizes = set()
+        p_seen, k_seen = set(), set()
         for n, edges in graphs:
             adj = _adjacency(n, edges)
-            labels, k = _matching_labels(adj)
+            labels, p, k = _matching_labels(adj)
             assert sorted(labels) == list(range(n))
             order = sorted(range(n), key=labels.__getitem__)
-            matched, rest = order[: 2 * k], order[2 * k:]
+            pendant, matched = order[: 2 * p], order[2 * p: 2 * (p + k)]
+            rest = order[2 * (p + k):]
+            # a pendant sequence: x has the single neighbour y once the
+            # earlier pairs are deleted
+            gone = set()
+            for i in range(p):
+                x, y = pendant[2 * i: 2 * i + 2]
+                assert [w for w in adj[x] if w not in gone] == [y], (n, edges)
+                gone |= {x, y}
+            # the deletion ran to the end: no pendant vertex is left
+            for v in matched + rest:
+                assert sum(1 for w in adj[v] if w not in gone) != 1, (n, edges)
+            # then an induced matching of G minus those pairs
             present = {frozenset(e) for e in edges}
             pair = {v: i // 2 for i, v in enumerate(matched)}
             for i in range(k):
@@ -321,13 +334,16 @@ class TestInducedMatching:
             for u, v in edges:
                 if u in pair and v in pair:
                     assert pair[u] == pair[v], (n, edges, labels)
-            # maximal: no edge could join the matching and keep it induced
+            # maximal there: no edge of G minus the pairs could join it
             near = set(matched).union(*(adj[v] for v in matched))
             for u, v in edges:
-                assert u in near or v in near, (n, edges, labels)
+                if u not in gone and v not in gone:
+                    assert u in near or v in near, (n, edges, labels)
             assert rest == sorted(rest)
-            sizes.add(k)
-        assert sizes == {1, 2, 3, 4}
+            p_seen.add(p)
+            k_seen.add(k)
+        assert p_seen == {0, 1, 2, 3, 4}
+        assert k_seen == {0, 1, 2, 3}
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
@@ -430,11 +446,26 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match=fragment):
             parse_graph6(text)
 
+    def test_error_survives_pickling(self):
+        import pickle
+
+        err = pickle.loads(pickle.dumps(Graph6Error("bad", 3)))
+        assert type(err) is Graph6Error
+        assert (str(err), err.record) == ("graph6 record 3: bad", 3)
+
     def test_order_cap(self):
         assert parse_graph6(nx.to_graph6_bytes(nx.path_graph(16)).decode())[0][0] == 16
         big = nx.to_graph6_bytes(nx.path_graph(17)).decode()
         with pytest.raises(Graph6Error, match="order 17"):
             parse_graph6(big)
+
+
+class TestSparseGirthHint:
+    def test_hint_is_the_girth(self):
+        records = list(_sparse_records(10, 3))
+        assert [(n, e) for n, e, _ in records] == list(sparse_graphs(10, 3))
+        for n, edges, girth in records:
+            assert girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
 
 
 class TestSweepRuns:
@@ -455,6 +486,29 @@ class TestSweepRuns:
             d["config"]["jobs"] = 0
             d["elapsed_seconds"] = 0
         assert d1 == d2
+
+    def test_buffers_stay_under_one_cap_across_keys(self, monkeypatch):
+        cfg = SweepConfig(max_n_dense=5, max_n_sparse=7)
+        want = run(cfg)
+        cap = 256
+        monkeypatch.setattr(sweep_module, "_BUFFER_INSTANCES", cap)
+        append = sweep_module._Engine._append_block
+        keys = set()
+
+        def spy(self, key, *args):
+            append(self, key, *args)
+            assert self.total_buffered == sum(self.buffered.values()) < cap
+            keys.add(key)
+
+        monkeypatch.setattr(sweep_module._Engine, "_append_block", spy)
+        got = run(cfg)
+        assert len(keys) >= 20
+        assert (got.graphs, got.instances) == (want.graphs, want.instances)
+        assert got.total_failures() == want.total_failures() == 0
+        for name in DEFAULT_CHECKS:
+            if CHECKS[name].kind == "vector":
+                assert got.checked[name] == want.checked[name], name
+        assert got.checked["rank_ge_girth_minus_2"] == got.instances
 
     def test_self_test_check_reports_counterexamples(self, tmp_path):
         cfg = SweepConfig(
