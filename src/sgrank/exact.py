@@ -58,6 +58,22 @@ det A'[I, J], so every order-r minor of A' is +- a minor of A of order
 A', that is minors of A of order 2k+q+1, and it runs only while
 n-2k-q >= 2, so that order is at most n-1.  With p = 0 and k = 0 both
 steps do nothing.
+
+`capped_ranks(matrices, c)` returns min(rank, c) from the same loop, and
+`batch_ranks` is it with c = n.  A rank above c is never needed there:
+the verification sweep only tells ranks apart up to girth + 1.  Each
+pendant pair and each matched pair adds 2 to the rank, so after the
+pendant pairs the loop runs on the rest of order n-2p with cap c-2p
+(below, n and c name these two), and a batch with 2k >= c returns c at
+once.  Pivot number 2k+q+1 is taken on A' after q pivots on it; a matrix
+that reaches pivot number c leaves the batch with rank c, and one that
+runs out of pivots first leaves with its exact rank, below c.  So an
+update runs only while 2k+q+1 < c as well as n-2k-q >= 2: its factors
+are minors of A of order 2k+q+1 <= min(n, c) - 1.  The bound above then
+holds with the order n replaced by min(n, c), the elimination order, and
+the dtype is chosen from it.  Back in the terms of the input, that is
+min(n, c) - 2p: every graph of girth g <= 7 is ranked in float32 at any
+order, since its cap g + 1 is at most 8.
 """
 
 from __future__ import annotations
@@ -254,11 +270,17 @@ def _matching_complement(matrices: np.ndarray, k: int) -> np.ndarray:
     return rest
 
 
-def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
+def _batch_ranks_bareiss(matrices: np.ndarray, dtype, cap: int | None = None) -> np.ndarray:
+    """min(rank, cap) per matrix, cap defaulting to the order n: the
+    matching step, then elimination until each matrix has no pivot left
+    or has its cap-th one."""
     batch, n, _ = matrices.shape
+    cap = n if cap is None else min(cap, n)
     k = _leading_pairs(matrices)
+    if 2 * k >= cap:
+        return np.full(batch, cap, dtype=np.int64)
     work = _matching_complement(matrices, k).astype(dtype)
-    ranks = np.full(batch, n, dtype=np.int64)
+    ranks = np.full(batch, cap, dtype=np.int64)
     live = np.arange(batch)
     prev = np.ones(batch, dtype=dtype)
     # exact division either way; true division is the fast one on floats
@@ -275,8 +297,8 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
             live, work, pos, prev = live[found], work[found], pos[found], prev[found]
             if not len(live):
                 break
-        if m == 1:
-            break
+        if n - m + 1 >= cap:
+            break  # every live matrix has reached the cap (m == 1 included)
         idx = np.arange(len(live))
         pr, pc = np.divmod(pos, m)
         pv = work[idx, pr, pc]
@@ -297,8 +319,57 @@ def _batch_ranks_bareiss(matrices: np.ndarray, dtype) -> np.ndarray:
     return ranks
 
 
+def _check_batch(matrices: np.ndarray) -> None:
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError("expected a (batch, n, n) array")
+    n = matrices.shape[1]
+    if n > _MAX_ORDER:
+        raise ValueError(f"batch kernel supports order <= {_MAX_ORDER}, got {n}")
+    if matrices.dtype.kind in "biu":
+        valid = matrices.min(initial=0) >= -1 and matrices.max(initial=0) <= 1
+    else:
+        valid = np.isin(matrices, (-1, 0, 1)).all()
+    if not valid:
+        raise ValueError("batch kernel requires integer entries in {-1,0,1}")
+
+
+def capped_ranks(matrices: np.ndarray, cap: int) -> np.ndarray:
+    """min(rank, cap) of each matrix of a (batch, n, n) integer array with
+    entries in {-1,0,1}, n <= 16, for a cap >= 0.
+
+    The kernel of `batch_ranks`, which is this with cap = n.  The leading
+    pendant pairs are deleted and the matching step taken as there;
+    elimination then stops once a matrix has cap pivots.  The dtype
+    follows the elimination order min(n, cap) - 2p, where p is the number
+    of pendant pairs: float32 up to 8, float64 up to 14 and int64 for 15
+    and 16 (see the module docstring).  Non-integer entries raise
+    ValueError.
+    """
+    _check_batch(matrices)
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    return _capped_ranks(matrices, cap)
+
+
+def _capped_ranks(matrices: np.ndarray, cap: int) -> np.ndarray:
+    batch, n, _ = matrices.shape
+    cap = min(cap, n)
+    p = _pendant_pairs(matrices)
+    if 2 * p >= cap:
+        return np.full(batch, cap, dtype=np.int64)
+    order = cap - 2 * p
+    if order <= _FLOAT32_MAX_ORDER:
+        dtype = np.float32
+    elif order <= _FLOAT64_MAX_ORDER:
+        dtype = np.float64
+    else:
+        dtype = np.int64
+    return 2 * p + _batch_ranks_bareiss(matrices[:, 2 * p:, 2 * p:], dtype, order)
+
+
 def batch_ranks(matrices: np.ndarray) -> np.ndarray:
-    """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1}.
+    """Exact ranks of a (batch, n, n) integer array with entries in {-1,0,1},
+    n <= 16: `capped_ranks` with cap = n.
 
     The leading vertex pairs that are pendant in every matrix are deleted
     first, with no arithmetic; the leading pairs of the rest that form an
@@ -310,26 +381,5 @@ def batch_ranks(matrices: np.ndarray) -> np.ndarray:
     of that matrix).  See the module docstring for the argument.
     Non-integer entries raise ValueError.
     """
-    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-        raise ValueError("expected a (batch, n, n) array")
-    batch, n, _ = matrices.shape
-    if batch == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n > _MAX_ORDER:
-        raise ValueError(f"batch kernel supports order <= {_MAX_ORDER}, got {n}")
-    if matrices.dtype.kind in "biu":
-        valid = matrices.min(initial=0) >= -1 and matrices.max(initial=0) <= 1
-    else:
-        valid = np.isin(matrices, (-1, 0, 1)).all()
-    if not valid:
-        raise ValueError("batch kernel requires integer entries in {-1,0,1}")
-    p = _pendant_pairs(matrices)
-    rest = matrices[:, 2 * p:, 2 * p:]
-    order = n - 2 * p
-    if order <= _FLOAT32_MAX_ORDER:
-        dtype = np.float32
-    elif order <= _FLOAT64_MAX_ORDER:
-        dtype = np.float64
-    else:
-        dtype = np.int64
-    return 2 * p + _batch_ranks_bareiss(rest, dtype)
+    _check_batch(matrices)
+    return _capped_ranks(matrices, matrices.shape[1])

@@ -16,25 +16,40 @@ Two built-in graph streams plus optional graph6 files:
 Per underlying graph, one signing per switching class is enumerated
 (edges of the spanning tree from `invariants._spanning_cotree` positive,
 all co-tree sign patterns; pattern 0 is the balanced representative).
-Ranks come from the batched fraction-free kernel: float32 up to order 8,
-float64 up to order 14 and int64 for orders 15-16, each exact at its
-orders.  Each graph's signing blocks are built on labels that put its
-iterated pendant pairs first and then a greedy maximal induced matching
-of the rest, lowest degree first (`_matching_labels`), so that the
-kernel deletes the pairs without arithmetic and removes the matching in
-one Schur-complement step.  Instance buffers are keyed by order, pendant
-pairs and matching size, and the fullest is flushed whenever all of them
-together reach one cap.  Only the blocks are relabeled: the recorded
-edges, co-tree, signing indices and counterexamples keep the graph's own
-labels.  The sparse stream computes each subdivided core's girth once and
-passes it on, since hung trees add no cycle.  Checks are vectorized
-across instance buffers.
+
+The default checks tell ranks apart only at or below the girth g, so the
+sweep asks for min(rank, g + 1).  Each graph is labeled with its iterated
+pendant pairs first and then a greedy maximal induced matching of the
+rest, lowest degree first (`_matching_labels`): p pendant pairs and k
+matched pairs.  By the pendant lemma and Haynsworth's rank additivity
+(see `exact`), every signing then has rank >= 2(p + k).  A graph with
+2(p + k) >= g + 1 is decided at intake: no signing block is built, its
+instances count as checked at rank g + 1, and each co-tree pattern that
+the case table accepts for it is a failure of an "iff classified" check.
+The other graphs' signing blocks are built on the new labels and
+buffered by (order, p, k, g).  Before a block would bring all buffers
+together to one cap, the fullest is flushed, so no batch exceeds it.
+`capped_ranks` ranks a batch with cap g + 1: it deletes the pendant pairs
+without arithmetic, removes the matching in one Schur-complement step and
+stops elimination at the cap, in float32, float64 or int64 by the
+elimination order min(n, g + 1) - 2p.  The opt-in instance checks need
+full ranks: when one is selected, nothing is decided at intake and
+batches go through `batch_ranks`, the same kernel with cap n.  A
+counterexample whose rank the sweep knew only as g + 1 is re-ranked
+exactly and marked `rank_capped`.  The report counts instances by
+(order, girth, min(rank, girth + 1)).
+Only the blocks are relabeled: the recorded edges, co-tree, signing
+indices and counterexamples keep the graph's own labels.  The sparse
+stream computes each subdivided core's girth once and passes it on,
+since hung trees add no cycle.  Checks are vectorized across instance
+buffers.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
-table of `classify.py`, once per underlying graph.  Sampled instances
-are re-verified against fraction-free elimination and through the
-classifiers, which rebuild the case table from the signed graph and look
-up the pattern they find from its tree potentials.
+table of `classify.py`, once per underlying graph.  Sampled instances,
+decided ones included, are re-verified against fraction-free elimination
+(compared up to the cap) and through the classifiers, which rebuild the
+case table from the signed graph and look up the pattern they find from
+its tree potentials.
 """
 
 from __future__ import annotations
@@ -59,7 +74,7 @@ from .core import (
     switch,
     write_sgr,
 )
-from .exact import _MAX_ORDER, batch_ranks, rank as exact_rank
+from .exact import _MAX_ORDER, batch_ranks, capped_ranks, rank as exact_rank
 from .invariants import (
     _cotree_pattern,
     _spanning_cotree,
@@ -155,6 +170,8 @@ DEFAULT_CHECKS: tuple[str, ...] = tuple(
     name for name, info in CHECKS.items() if info.default
 )
 
+_IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
+
 _SPOT_RANK_STRIDE = 2048
 _SPOT_CLASSIFY_STRIDE = 4096
 
@@ -194,6 +211,8 @@ class SweepReport:
     failures: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
     skipped_graph6_records: int = 0
+    decided_instances: int = 0
+    histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
     elapsed_seconds: float = 0.0
 
     def total_failures(self) -> int:
@@ -208,7 +227,7 @@ class SweepReport:
             for name in sorted(self.config.checks)
         }
         return {
-            "schema": 1,
+            "schema": 2,
             "config": {
                 "max_n_dense": self.config.max_n_dense,
                 "max_n_sparse": self.config.max_n_sparse,
@@ -223,8 +242,13 @@ class SweepReport:
                 "instances": self.instances,
                 "failures": self.total_failures(),
                 "skipped_graph6_records": self.skipped_graph6_records,
+                "decided_instances": self.decided_instances,
             },
             "checks": checks,
+            # rows [order, girth, min(rank, girth + 1), instances]
+            "rank_histogram": [
+                [*key, count] for key, count in sorted(self.histogram.items())
+            ],
             "counterexamples": self.counterexamples,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
@@ -239,7 +263,10 @@ def write_counterexamples_csv(report: SweepReport, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["check", "source", "n", "m", "girth", "rank", "signing_index", "edges", "sgr"]
+            [
+                "check", "source", "n", "m", "girth", "rank", "rank_capped",
+                "signing_index", "edges", "sgr",
+            ]
         )
         for ce in report.counterexamples:
             writer.writerow(
@@ -250,6 +277,7 @@ def write_counterexamples_csv(report: SweepReport, path: str) -> None:
                     ce["m"],
                     ce["girth"],
                     ce["rank"],
+                    ce["rank_capped"],
                     ce["signing_index"],
                     ce["edges"],
                     ce["sgr"],
@@ -769,17 +797,28 @@ class _ChunkResult:
         self.failures: dict[str, int] = {}
         self.counterexamples: list[dict] = []
         self.skipped_graph6_records = 0
+        self.decided_instances = 0
+        self.histogram: dict[tuple[int, int, int], int] = {}
 
 
 class _Engine:
     def __init__(self, config: SweepConfig):
         self.config = config
         self.sel = set(config.checks)
+        # the instance checks read full ranks; every other check only
+        # needs min(rank, girth + 1)
+        self.capped = not any(CHECKS[name].kind == "instance" for name in self.sel)
+        # the checks that count every instance, decided at intake or not
+        self.per_instance = [
+            name
+            for name in self.sel
+            if CHECKS[name].kind == "vector" and name != "girth_four_consequences"
+        ]
         self.result = _ChunkResult()
-        # keyed by (order, pendant pairs, matched pairs)
-        self.buffers: dict[tuple[int, int, int], list] = {}
-        self.segments: dict[tuple[int, int, int], list[_Segment]] = {}
-        self.buffered: dict[tuple[int, int, int], int] = {}
+        # keyed by (order, pendant pairs, matched pairs, girth)
+        self.buffers: dict[tuple[int, int, int, int], list] = {}
+        self.segments: dict[tuple[int, int, int, int], list[_Segment]] = {}
+        self.buffered: dict[tuple[int, int, int, int], int] = {}
         self.total_buffered = 0
         self.ordinal = 0  # chunk-local instance counter for spot strides
 
@@ -788,13 +827,22 @@ class _Engine:
     def _count(self, name: str, amount: int = 1) -> None:
         self.result.checked[name] = self.result.checked.get(name, 0) + amount
 
-    def _fail(self, name: str, meta: _GraphMeta, signing: int, rank_value, girth, detail="") -> None:
+    def _tally(self, n: int, girth: int, capped_rank: int, amount: int) -> None:
+        hist = self.result.histogram
+        key = (n, girth, capped_rank)
+        hist[key] = hist.get(key, 0) + amount
+
+    def _fail(self, name: str, meta: _GraphMeta, signing: int, rank_value, detail="") -> None:
         res = self.result
         res.failures[name] = res.failures.get(name, 0) + 1
         if len(res.counterexamples) >= self.config.max_counterexamples:
             return
         g = _instance_graph(meta, signing)
-        comment = f"{name} n={meta.n} girth={girth} rank={rank_value}"
+        # a capped sweep only knows that this rank is at least girth + 1
+        rank_capped = self.capped and rank_value > meta.girth
+        if rank_capped:
+            rank_value = exact_rank(adjacency_matrix(g)).rank
+        comment = f"{name} n={meta.n} girth={meta.girth} rank={rank_value}"
         if detail:
             comment += f" ({detail})"
         res.counterexamples.append(
@@ -803,8 +851,9 @@ class _Engine:
                 "source": f"{meta.source}:{meta.key}",
                 "n": meta.n,
                 "m": meta.m,
-                "girth": girth,
+                "girth": meta.girth,
                 "rank": int(rank_value),
+                "rank_capped": rank_capped,
                 "signing_index": signing,
                 "edges": _edges_compact(g),
                 "sgr": write_sgr(g, comments=(comment,)),
@@ -822,27 +871,48 @@ class _Engine:
         self.result.graphs += 1
         total = 1 << len(cotree)
         self.result.instances += total
+        labels, p, k = _matching_labels(adj)
+        if self.capped and 2 * (p + k) > girth:
+            self._decide(meta, total)
+            return
         # ranks do not change under relabeling, so the blocks may put the
         # pendant pairs and the matching first while meta keeps the
         # graph's own labels
-        labels, p, k = _matching_labels(adj)
         relabeled = [(labels[u], labels[v]) for u, v in edges]
         for j0 in range(0, total, _SIGNING_BLOCK):
             self._append_block(
-                (n, p, k), meta, j0, _signing_block(n, relabeled, cotree, j0)
+                (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0)
             )
 
+    def _decide(self, meta: _GraphMeta, total: int) -> None:
+        """Check all signings of a graph with 2(p + k) >= girth + 1 without
+        ranking any: the pendant lemma and the matching step give each of
+        them rank >= 2(p + k), so min(rank, girth + 1) is girth + 1."""
+        capped = meta.girth + 1
+        self.result.decided_instances += total
+        self._tally(meta.n, meta.girth, capped, total)
+        for name in self.per_instance:
+            self._count(name, total)
+        # no pattern may be accepted at rank girth + 1
+        for name, patterns in zip(_IFF_CHECKS, meta.accepted):
+            if name in self.sel:
+                for signing in sorted(patterns):
+                    self._fail(name, meta, signing, capped, "classifier=hit")
+        self._spot_checks([_Segment(meta, 0, total)], (0, total), None, total)
+        self.ordinal += total
+
     def _append_block(
-        self, key: tuple[int, int, int], meta: _GraphMeta, j0: int, block: np.ndarray
+        self, key: tuple[int, int, int, int], meta: _GraphMeta, j0: int, block: np.ndarray
     ) -> None:
         count = len(block)
+        # one cap on all keys together bounds the memory the buffers hold:
+        # flush before this block would fill it, so no batch exceeds it
+        while self.buffered and self.total_buffered + count >= _BUFFER_INSTANCES:
+            self._flush(max(self.buffered, key=self.buffered.__getitem__))
         self.buffers.setdefault(key, []).append(block)
         self.segments.setdefault(key, []).append(_Segment(meta, j0, count))
         self.buffered[key] = self.buffered.get(key, 0) + count
         self.total_buffered += count
-        # one cap on all keys together bounds the memory the buffers hold
-        if self.total_buffered >= _BUFFER_INSTANCES:
-            self._flush(max(self.buffered, key=self.buffered.__getitem__))
 
     def finish(self) -> _ChunkResult:
         for key in sorted(self.buffers):
@@ -851,46 +921,44 @@ class _Engine:
 
     # -- the checks
 
-    def _flush(self, key: tuple[int, int, int]) -> None:
+    def _flush(self, key: tuple[int, int, int, int]) -> None:
+        n, _, _, girth = key
         blocks = self.buffers.pop(key)
         segments = self.segments.pop(key)
         self.total_buffered -= self.buffered.pop(key)
         stack = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
-        ranks = batch_ranks(stack)
+        ranks = capped_ranks(stack, girth + 1) if self.capped else batch_ranks(stack)
         counts = np.array([seg.count for seg in segments], dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)))
         total = int(starts[-1])
-        garr = np.repeat(
-            np.array([seg.meta.girth for seg in segments], dtype=np.int64), counts
-        )
+        bins = np.bincount(np.minimum(ranks, girth + 1))
+        for r in np.nonzero(bins)[0].tolist():
+            self._tally(n, girth, r, int(bins[r]))
         sel = self.sel
 
         def report(name, pos, detail=""):
             seg, signing = _locate(segments, starts, pos)
-            self._fail(
-                name, seg.meta, signing, int(ranks[pos]), seg.meta.girth, detail
-            )
+            self._fail(name, seg.meta, signing, int(ranks[pos]), detail)
 
         if "rank_ge_girth_minus_2" in sel:
             self._count("rank_ge_girth_minus_2", total)
-            for pos in np.nonzero(ranks < garr - 2)[0].tolist():
+            for pos in np.nonzero(ranks < girth - 2)[0].tolist():
                 report("rank_ge_girth_minus_2", pos)
         if "rank_ne_girth_minus_1" in sel:
             self._count("rank_ne_girth_minus_1", total)
-            for pos in np.nonzero(ranks == garr - 1)[0].tolist():
+            for pos in np.nonzero(ranks == girth - 1)[0].tolist():
                 report("rank_ne_girth_minus_1", pos)
         if "rank_ge_girth_minus_1" in sel:
             self._count("rank_ge_girth_minus_1", total)
-            for pos in np.nonzero(ranks < garr - 1)[0].tolist():
+            for pos in np.nonzero(ranks < girth - 1)[0].tolist():
                 report("rank_ge_girth_minus_1", pos, "expected self-test failure")
 
-        check_gm2 = "girth_minus_2_iff_classified" in sel
-        check_eqg = "equals_girth_iff_classified" in sel
+        check_gm2, check_eqg = (name in sel for name in _IFF_CHECKS)
         if check_gm2 or check_eqg:
             in_gm2, in_eqg = _accepted_instances(segments, starts, total)
         if check_gm2:
             self._count("girth_minus_2_iff_classified", total)
-            bad = (ranks == garr - 2) != in_gm2
+            bad = (ranks == girth - 2) != in_gm2
             for pos in np.nonzero(bad)[0].tolist():
                 report(
                     "girth_minus_2_iff_classified",
@@ -900,8 +968,8 @@ class _Engine:
         if check_eqg:
             self._count("equals_girth_iff_classified", total)
             # case (f) accepts every girth-4 rank-4 instance on its rank
-            hit = in_eqg | ((garr == 4) & (ranks == 4))
-            for pos in np.nonzero((ranks == garr) != hit)[0].tolist():
+            hit = in_eqg | ((ranks == 4) & (girth == 4))
+            for pos in np.nonzero((ranks == girth) != hit)[0].tolist():
                 report(
                     "equals_girth_iff_classified",
                     pos,
@@ -909,7 +977,7 @@ class _Engine:
                 )
 
         if "girth_four_consequences" in sel:
-            hits = np.nonzero((garr == 4) & (ranks == 4))[0]
+            hits = np.nonzero((ranks == 4) & (girth == 4))[0]
             self._count("girth_four_consequences", len(hits))
             for pos in hits.tolist():
                 seg, signing = _locate(segments, starts, pos)
@@ -928,13 +996,18 @@ class _Engine:
                         f"twin-reduced rank {r_red} != 4",
                     )
 
-        if "spot_check_exact_rank" in sel or "spot_check_classifier" in sel:
-            self._spot_checks(segments, starts, ranks, garr, total)
+        self._spot_checks(segments, starts, ranks, total)
 
         self._instance_checks(segments, starts, ranks, total)
         self.ordinal += total
 
-    def _spot_checks(self, segments, starts, ranks, garr, total):
+    def _spot_checks(self, segments, starts, ranks, total):
+        """Sampled instances through the slow paths; ranks None means
+        every instance is at the cap girth + 1 (a graph decided at intake)."""
+
+        def rank_at(pos, meta):
+            return meta.girth + 1 if ranks is None else int(ranks[pos])
+
         do_rank = "spot_check_exact_rank" in self.sel
         do_cls = "spot_check_classifier" in self.sel
         base = self.ordinal
@@ -945,13 +1018,15 @@ class _Engine:
                 seg, signing = _locate(segments, starts, pos)
                 g = _instance_graph(seg.meta, signing)
                 r = exact_rank(adjacency_matrix(g)).rank
-                if r != int(ranks[pos]):
+                if self.capped:
+                    r = min(r, seg.meta.girth + 1)
+                rank_value = rank_at(pos, seg.meta)
+                if r != rank_value:
                     self._fail(
                         "spot_check_exact_rank",
                         seg.meta,
                         signing,
-                        int(ranks[pos]),
-                        seg.meta.girth,
+                        rank_value,
                         f"fraction-free rank {r}",
                     )
         if do_cls:
@@ -961,7 +1036,7 @@ class _Engine:
                 seg, signing = _locate(segments, starts, pos)
                 meta = seg.meta
                 g = _instance_graph(meta, signing)
-                rank_value = int(ranks[pos])
+                rank_value = rank_at(pos, meta)
                 gm2 = classify_gminus2(g) is not None
                 eqg = classify_equals_g(g, rank=rank_value) is not None
                 ok = (gm2 == (rank_value == meta.girth - 2)) and (
@@ -973,7 +1048,6 @@ class _Engine:
                         meta,
                         signing,
                         rank_value,
-                        meta.girth,
                         f"gm2={gm2} eqg={eqg}",
                     )
 
@@ -1000,9 +1074,7 @@ class _Engine:
                     if applicable:
                         self._count(name)
                         if not ok:
-                            self._fail(
-                                name, meta, signing, rank_value, meta.girth, detail
-                            )
+                            self._fail(name, meta, signing, rank_value, detail)
 
 
 def _run_instance_check(name, g, meta, rank_value, rng):
@@ -1148,6 +1220,9 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
     report.graphs += res.graphs
     report.instances += res.instances
     report.skipped_graph6_records += res.skipped_graph6_records
+    report.decided_instances += res.decided_instances
+    for key, count in res.histogram.items():
+        report.histogram[key] = report.histogram.get(key, 0) + count
     for name, count in res.checked.items():
         report.checked[name] = report.checked.get(name, 0) + count
     for name, count in res.failures.items():

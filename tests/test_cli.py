@@ -159,7 +159,7 @@ class TestVerify:
                            "--json", "-")
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == 1
+        assert data["schema"] == 2
 
     def test_graph6_input(self, tmp_path):
         path = tmp_path / "in.g6"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_symmetric_matrix
 from sgrank import (
     batch_ranks,
+    capped_ranks,
     dense_graphs,
     determinant,
     rank,
@@ -464,14 +465,121 @@ class TestPendantPairs:
         seen = []
         inner = exact._batch_ranks_bareiss
 
-        def spy(matrices, dtype):
+        def spy(matrices, dtype, cap=None):
             seen.append((matrices.shape[1], dtype))
-            return inner(matrices, dtype)
+            return inner(matrices, dtype, cap)
 
         monkeypatch.setattr(exact, "_batch_ranks_bareiss", spy)
         got = batch_ranks(arr).tolist()
         assert seen == [(order, dtype)]
         assert got == [rank(m.tolist()).rank for m in arr] == _oracle_ranks(arr)
+
+
+def _sylvester_hadamard(n):
+    """The Sylvester Hadamard matrix of order n, a power of 2: +-1 entries
+    and |det| = n**(n/2), Hadamard's bound, as have its leading blocks of
+    every power-of-2 order."""
+    h = np.ones((1, 1), dtype=np.int8)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+class TestCappedKernel:
+    """capped_ranks(matrices, cap) = min(rank, cap), the sweep's kernel."""
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_equals_the_capped_oracle(self, n):
+        rng = np.random.default_rng(1000 + n)
+        batches = []
+        for symmetric in (True, False):
+            dense = rng.integers(-1, 2, size=(6, n, n))
+            if symmetric:
+                dense = np.tril(dense) + np.tril(dense, -1).transpose(0, 2, 1)
+            # sparse matrices have ranks well below the order
+            dense[:3] *= rng.random((3, n, n)) < 0.15
+            batches.append(dense.astype(np.int8))
+            p = int(rng.integers(1, n // 2 + 1))
+            pendant = _with_pendant_pairs(rng, n, p, 6, symmetric)
+            assert _pendant_pairs(pendant) >= p
+            batches.append(pendant)
+            k = int(rng.integers(1, (n - 1) // 2 + 1))
+            matched = _with_leading_matching(rng, n, k, 6, symmetric)
+            assert _leading_pairs(matched) >= k
+            batches.append(matched)
+            if n >= 5:
+                # one pendant pair, then a matching of the rest
+                both = _with_pendant_pairs(rng, n, 1, 6, symmetric)
+                rest = _with_leading_matching(rng, n - 2, (n - 3) // 2, 6, symmetric)
+                rest[:, 0, -1] = 1
+                both[:, 2:, 2:] = rest
+                assert _pendant_pairs(both) == 1
+                assert _leading_pairs(both[:, 2:, 2:]) >= 1
+                batches.append(both)
+        for arr in batches:
+            want = _oracle_ranks(arr)
+            for cap in range(1, n + 2):
+                got = capped_ranks(arr, cap).tolist()
+                assert got == [min(r, cap) for r in want], (cap, got, want)
+
+    @pytest.mark.parametrize("n, p, cap, order, dtype", [
+        (16, 0, 8, 8, np.float32),
+        (16, 0, 9, 9, np.float64),
+        (16, 1, 10, 8, np.float32),
+        (16, 0, 14, 14, np.float64),
+        (16, 0, 15, 15, np.int64),
+        (16, 1, 17, 14, np.float64),
+        (12, 2, 13, 8, np.float32),
+        (15, 0, 8, 8, np.float32),
+    ])
+    def test_worst_case_magnitudes_at_the_elimination_order(
+        self, monkeypatch, n, p, cap, order, dtype
+    ):
+        # the dtype follows min(n, cap) - 2p: the cap makes an order-16
+        # matrix run in float32
+        rng = np.random.default_rng(1100 + n + cap)
+        mats = []
+        hadamard = _sylvester_hadamard(16)[:n, :n]
+        for alternating in (False, True, None):
+            if alternating is None:
+                mat = hadamard.copy()
+            else:
+                mat = np.fromfunction(
+                    lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i, (n, n)
+                ).astype(np.int8)
+                np.fill_diagonal(mat, 0)
+            mats.append(mat)
+        mats.append(hadamard[rng.permutation(n)][:, rng.permutation(n)])
+        sym = rng.integers(-1, 2, size=(8, n, n))
+        mats.extend((np.tril(sym) + np.tril(sym, -1).transpose(0, 2, 1)).astype(np.int8))
+        arr = np.stack(mats)
+        for x in range(0, 2 * p, 2):
+            arr[:, x, :] = arr[:, :, x] = 0
+            arr[:, x, x + 1] = arr[:, x + 1, x] = -1
+        seen = []
+        inner = exact._batch_ranks_bareiss
+
+        def spy(matrices, dtype, cap=None):
+            seen.append((matrices.shape[1], dtype, cap))
+            return inner(matrices, dtype, cap)
+
+        monkeypatch.setattr(exact, "_batch_ranks_bareiss", spy)
+        got = capped_ranks(arr, cap).tolist()
+        assert seen == [(n - 2 * p, dtype, order)]
+        assert got == [min(r, cap) for r in _oracle_ranks(arr)]
+        # int64 carries every minor of order <= 16 exactly
+        rest = arr[:, 2 * p:, 2 * p:]
+        assert (inner(rest, dtype, order) == inner(rest, np.int64, order)).all()
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="order <= 16, got 17"):
+            capped_ranks(np.zeros((2, 17, 17), dtype=np.int8), 8)
+        with pytest.raises(ValueError, match="non-negative"):
+            capped_ranks(np.zeros((2, 4, 4), dtype=np.int8), -1)
+        with pytest.raises(ValueError, match="integer"):
+            capped_ranks(np.full((1, 3, 3), 2, dtype=np.int8), 2)
+        assert capped_ranks(np.ones((2, 4, 4), dtype=np.int8), 0).tolist() == [0, 0]
+        assert capped_ranks(np.zeros((0, 5, 5), dtype=np.int8), 3).shape == (0,)
 
 
 class TestKernelSeesTheSweepsMatching:

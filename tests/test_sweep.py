@@ -1,6 +1,7 @@
 """Sweep machinery: signing enumeration, graph streams, checks, reports."""
 
 import csv
+import dataclasses
 import json
 import random
 from functools import lru_cache
@@ -37,10 +38,12 @@ from sgrank import (
 import sgrank.sweep as sweep_module
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
+    _SIGNING_BLOCK,
     _cotree_signing,
     _dense_chunk,
     _edge_table,
     _matching_labels,
+    _run_chunk,
     _signing_block,
     _sparse_records,
 )
@@ -420,6 +423,118 @@ class TestIffChecksAreLive:
             assert classify_equals_g(g, rank=ce["rank"]) is None
 
 
+class TestDecidedAtIntake:
+    """Graphs whose pendant pairs and matching already give 2(p + k) >=
+    girth + 1 are checked without building or ranking any signing."""
+
+    def test_forced_decisions_fail_once_per_accepted_pattern(self, monkeypatch):
+        accepted = [0, 0]
+
+        def count(adj, cotree):
+            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+            accepted[0] += len(gm2)
+            accepted[1] += len(eqg)
+            return gm2, eqg
+
+        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", count)
+        def all_pendant(adj):
+            # n pendant pairs: 2(p + k) >= girth + 1 decides every graph
+            return list(range(len(adj))), len(adj), 0
+
+        monkeypatch.setattr(sweep_module, "_matching_labels", all_pendant)
+        rep = _iff_sweep()
+        assert rep.decided_instances == rep.instances
+        assert accepted[0] > 0 and accepted[1] > 0
+        assert [rep.failures.get(name, 0) for name in _IFF_CHECKS] == accepted
+        assert len(rep.counterexamples) == sum(accepted)
+        for ce in rep.counterexamples:
+            # the sweep saw rank girth + 1; the record holds the exact rank
+            g = _replay(ce)
+            assert ce["rank_capped"] and ce["rank"] <= ce["girth"]
+            if ce["check"] == _IFF_CHECKS[0]:
+                assert classify_gminus2(g) is not None
+            else:
+                assert classify_equals_g(g) is not None
+
+    def test_decided_graphs_have_rank_above_girth(self):
+        rep, decided = _quick_sweep()
+        assert sum(1 << len(meta.cotree) for meta in decided) == rep.decided_instances > 0
+        by_order = {}
+        for meta in decided:
+            for j0 in range(0, 1 << len(meta.cotree), _SIGNING_BLOCK):
+                block = _signing_block(meta.n, meta.edges, meta.cotree, j0)
+                by_order.setdefault(meta.n, []).append((block, meta.girth))
+        assert set(by_order) == set(range(4, 10))
+        for items in by_order.values():
+            stack = np.concatenate([block for block, _ in items])
+            girths = np.repeat([g for _, g in items], [len(block) for block, _ in items])
+            assert (batch_ranks(stack) > girths).all()
+
+    def test_quick_histogram_is_pinned(self):
+        rep, _ = _quick_sweep()
+        data = rep.to_json_dict()
+        assert data["rank_histogram"] == QUICK_HISTOGRAM
+        assert sum(row[3] for row in QUICK_HISTOGRAM) == rep.instances == 675_550
+        assert rep.total_failures() == 0
+
+    def test_capped_and_uncapped_runs_agree(self, monkeypatch):
+        cfg = SweepConfig(max_n_dense=5, max_n_sparse=7)
+        capped = run(cfg).to_json_dict()
+        kernel_calls = []
+
+        def uncapped_kernel(stack):
+            kernel_calls.append(len(stack))
+            return batch_ranks(stack)
+
+        def no_capped_kernel(stack, cap):
+            raise AssertionError("capped kernel called on the uncapped path")
+
+        monkeypatch.setattr(sweep_module, "batch_ranks", uncapped_kernel)
+        monkeypatch.setattr(sweep_module, "capped_ranks", no_capped_kernel)
+        # an instance check needs full ranks, so the engine runs uncapped
+        checks = DEFAULT_CHECKS + ("twin_deletion_rank",)
+        full = run(dataclasses.replace(cfg, checks=checks)).to_json_dict()
+        totals = full["totals"]
+        assert totals["decided_instances"] == 0 < capped["totals"]["decided_instances"]
+        assert sum(kernel_calls) == totals["instances"] == capped["totals"]["instances"]
+        assert full["rank_histogram"] == capped["rank_histogram"]
+        for name in DEFAULT_CHECKS:
+            assert full["checks"][name] == capped["checks"][name], name
+        assert full["totals"]["failures"] == capped["totals"]["failures"] == 0
+
+
+# (order, girth, min(rank, girth + 1), instances) over the quick config,
+# dense n <= 6 and sparse n <= 9, computed with the full rank of every
+# instance before the sweep capped any rank
+QUICK_HISTOGRAM = [
+    [3, 3, 3, 4], [4, 3, 3, 18], [4, 3, 4, 64], [4, 4, 2, 4], [4, 4, 4, 4],
+    [5, 3, 3, 58], [5, 3, 4, 3324], [5, 4, 2, 11], [5, 4, 4, 161], [5, 5, 5, 26],
+    [6, 3, 3, 180], [6, 3, 4, 430334], [6, 4, 2, 26], [6, 4, 4, 2431],
+    [6, 4, 5, 3447], [6, 5, 6, 730], [6, 6, 4, 61], [6, 6, 6, 61], [7, 3, 4, 7846],
+    [7, 4, 4, 83], [7, 4, 5, 709], [7, 5, 6, 52], [7, 6, 6, 12], [7, 7, 7, 2],
+    [8, 3, 4, 36212], [8, 4, 4, 109], [8, 4, 5, 4965], [8, 5, 6, 284],
+    [8, 6, 6, 30], [8, 6, 7, 28], [8, 7, 8, 14], [8, 8, 6, 1], [8, 8, 8, 1],
+    [9, 3, 4, 154174], [9, 4, 4, 117], [9, 4, 5, 27803], [9, 5, 6, 1812],
+    [9, 6, 6, 49], [9, 6, 7, 215], [9, 7, 8, 70], [9, 8, 8, 16], [9, 9, 9, 2],
+]
+
+
+@lru_cache(maxsize=None)
+def _quick_sweep():
+    """The quick config's report, and the graphs it decided at intake."""
+    decided = []
+    decide = sweep_module._Engine._decide
+
+    def spy(self, meta, total):
+        decided.append(meta)
+        decide(self, meta, total)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_module._Engine, "_decide", spy)
+        rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
+    return rep, decided
+
+
 class TestGraph6:
     def test_reads_networkx_output(self):
         graphs = [nx.path_graph(4), nx.cycle_graph(5), nx.complete_graph(4)]
@@ -510,6 +625,30 @@ class TestSweepRuns:
                 assert got.checked[name] == want.checked[name], name
         assert got.checked["rank_ge_girth_minus_2"] == got.instances
 
+    def test_no_kernel_batch_exceeds_the_buffer_cap(self, monkeypatch):
+        # blocks of up to 1024 signings against a small cap: the buffers
+        # cross it often, and a batch may only pass it as one large block
+        cap = 384
+        monkeypatch.setattr(sweep_module, "_BUFFER_INSTANCES", cap)
+        flushed = []
+        flush = sweep_module._Engine._flush
+
+        def spy(self, key):
+            flushed.append((self.buffered[key], [len(b) for b in self.buffers[key]]))
+            flush(self, key)
+
+        monkeypatch.setattr(sweep_module._Engine, "_flush", spy)
+        cfg = SweepConfig(max_n_dense=6, max_n_sparse=0)
+        rep = run(cfg)
+        chunk = _run_chunk(cfg, ("dense", 7, 0, 1 << 16))
+        ranked = (rep.instances - rep.decided_instances) + (
+            chunk.instances - chunk.decided_instances
+        )
+        assert sum(size for size, _ in flushed) == ranked
+        assert sum(size > cap // 2 for size, _ in flushed) > 100
+        for size, blocks in flushed:
+            assert size < cap or blocks == [size], (size, blocks)
+
     def test_self_test_check_reports_counterexamples(self, tmp_path):
         cfg = SweepConfig(
             max_n_dense=4,
@@ -583,7 +722,7 @@ class TestSweepRuns:
     def test_json_report_shape(self):
         rep = run(SweepConfig(max_n_dense=4, max_n_sparse=4))
         data = json.loads(rep.to_json())
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["totals"]["graphs"] == rep.graphs
         assert set(data["checks"]) == set(DEFAULT_CHECKS)
 
