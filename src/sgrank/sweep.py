@@ -18,14 +18,21 @@ Per underlying graph, one signing per switching class is enumerated
 all co-tree sign patterns; pattern 0 is the balanced representative).
 
 The default checks tell ranks apart only at or below the girth g, so the
-sweep asks for min(rank, g + 1).  Each graph is labeled with its iterated
-pendant pairs first and then a greedy maximal induced matching of the
-rest, lowest degree first (`_matching_labels`): p pendant pairs and k
-matched pairs.  By the pendant lemma and Haynsworth's rank additivity
-(see `exact`), every signing then has rank >= 2(p + k).  A graph with
-2(p + k) >= g + 1 is decided at intake: no signing block is built, its
-instances count as checked at rank g + 1, and each co-tree pattern that
-the case table accepts for it is a failure of an "iff classified" check.
+sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
+with no signing block built: its instances count as checked at rank
+g + 1, and each co-tree pattern that the case table accepts for it is a
+failure of an "iff classified" check.  The first rule takes a graph of
+girth 3 in which some 4 vertices induce P4 or 2K2
+(`_induced_p4_or_2k2`, tested on the graph's neighbour bitmasks, which
+also find a triangle when no girth is given).  Every signing of a forest
+F has rank 2 nu(F), nu the matching number, and a principal submatrix
+never has larger rank, so every signing of the graph has rank
+>= 4 = g + 1.  Otherwise each graph is labeled with its iterated pendant
+pairs first and then a greedy maximal induced matching of the rest,
+lowest degree first (`_matching_labels`): p pendant pairs and k matched
+pairs.  By the pendant lemma and Haynsworth's rank additivity (see
+`exact`), every signing then has rank >= 2(p + k), and the second rule
+decides a graph with 2(p + k) >= g + 1.
 The other graphs' signing blocks are built on the new labels and
 buffered by (order, p, k, g).  Before a block would bring all buffers
 together to one cap, the fullest is flushed, so no batch exceeds it.
@@ -212,6 +219,7 @@ class SweepReport:
     counterexamples: list = field(default_factory=list)
     skipped_graph6_records: int = 0
     decided_instances: int = 0
+    decided_by_forest: int = 0
     histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
     elapsed_seconds: float = 0.0
 
@@ -243,6 +251,7 @@ class SweepReport:
                 "failures": self.total_failures(),
                 "skipped_graph6_records": self.skipped_graph6_records,
                 "decided_instances": self.decided_instances,
+                "decided_by_forest": self.decided_by_forest,
             },
             "checks": checks,
             # rows [order, girth, min(rank, girth + 1), instances]
@@ -708,6 +717,37 @@ def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     return len(connected_components(_adjacency(n, edges))) == 1
 
 
+def _neighbour_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Bit w of entry v is set when w is a neighbour of v."""
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
+
+
+def _has_triangle(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
+    return any(nb[u] & nb[v] for u, v in edges)
+
+
+def _induced_p4_or_2k2(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether some two disjoint edges ab and cd have at most one edge
+    between {a, b} and {c, d}: exactly when some 4 vertices induce P4 or
+    2K2, the forests on 4 vertices with matching number 2.  Then one of c,
+    d has no neighbour in {a, b}, and the other at most one."""
+    full = (1 << len(nb)) - 1
+    for a, b in edges:
+        pair = (1 << a) | (1 << b)
+        far = full & ~(nb[a] | nb[b] | pair)  # no neighbour in {a, b}
+        reach = far | ((nb[a] ^ nb[b]) & ~pair)  # at most one
+        while far:
+            c = far & -far
+            if nb[c.bit_length() - 1] & reach:
+                return True
+            far ^= c
+    return False
+
+
 def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int, int]:
     """New vertex labels in three groups, as (labels, p, k).  First p
     iterated pendant pairs: a vertex x of degree 1 in what is left, then
@@ -798,6 +838,7 @@ class _ChunkResult:
         self.counterexamples: list[dict] = []
         self.skipped_graph6_records = 0
         self.decided_instances = 0
+        self.decided_by_forest = 0
         self.histogram: dict[tuple[int, int, int], int] = {}
 
 
@@ -864,16 +905,22 @@ class _Engine:
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]], girth_hint: int = 0) -> None:
         adj = _adjacency(n, edges)
-        girth = girth_hint or girth_of_adjacency(adj)
+        nb = _neighbour_masks(n, edges)
+        girth = girth_hint or (
+            3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
+        )
         cotree = _spanning_cotree(n, edges)
         accepted = accepted_cotree_patterns(adj, [edges[i] for i in cotree])
         meta = _GraphMeta(source, key, n, edges, len(edges), girth, cotree, accepted)
         self.result.graphs += 1
         total = 1 << len(cotree)
         self.result.instances += total
+        if self.capped and girth == 3 and _induced_p4_or_2k2(nb, edges):
+            self._decide(meta, total, by_forest=True)
+            return
         labels, p, k = _matching_labels(adj)
         if self.capped and 2 * (p + k) > girth:
-            self._decide(meta, total)
+            self._decide(meta, total, by_forest=False)
             return
         # ranks do not change under relabeling, so the blocks may put the
         # pendant pairs and the matching first while meta keeps the
@@ -884,12 +931,18 @@ class _Engine:
                 (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0)
             )
 
-    def _decide(self, meta: _GraphMeta, total: int) -> None:
-        """Check all signings of a graph with 2(p + k) >= girth + 1 without
-        ranking any: the pendant lemma and the matching step give each of
-        them rank >= 2(p + k), so min(rank, girth + 1) is girth + 1."""
+    def _decide(self, meta: _GraphMeta, total: int, by_forest: bool) -> None:
+        """Check all signings of a graph without ranking any, when each of
+        them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
+        Either 2(p + k) >= girth + 1, and the pendant lemma and the
+        matching step give every signing rank >= 2(p + k); or (`by_forest`)
+        the girth is 3 and some 4 vertices induce P4 or 2K2, a forest whose
+        every signing has rank 4, twice its matching number, and a
+        principal submatrix never has larger rank than the matrix."""
         capped = meta.girth + 1
         self.result.decided_instances += total
+        if by_forest:
+            self.result.decided_by_forest += total
         self._tally(meta.n, meta.girth, capped, total)
         for name in self.per_instance:
             self._count(name, total)
@@ -1221,6 +1274,7 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
     report.instances += res.instances
     report.skipped_graph6_records += res.skipped_graph6_records
     report.decided_instances += res.decided_instances
+    report.decided_by_forest += res.decided_by_forest
     for key, count in res.histogram.items():
         report.histogram[key] = report.histogram.get(key, 0) + count
     for name, count in res.checked.items():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -42,7 +43,10 @@ from sgrank.sweep import (
     _cotree_signing,
     _dense_chunk,
     _edge_table,
+    _has_triangle,
+    _induced_p4_or_2k2,
     _matching_labels,
+    _neighbour_masks,
     _run_chunk,
     _signing_block,
     _sparse_records,
@@ -349,6 +353,84 @@ class TestInducedMatching:
         assert k_seen == {0, 1, 2, 3}
 
 
+@lru_cache(maxsize=None)
+def _forest_of_matching_number_two(quad_edges):
+    """Brute force on one 4-vertex induced subgraph, given by its edges:
+    a forest with two disjoint edges."""
+    h = nx.Graph()
+    h.add_nodes_from(range(4))
+    h.add_edges_from(quad_edges)
+    return nx.is_forest(h) and any(
+        not set(e) & set(f) for e, f in combinations(quad_edges, 2)
+    )
+
+
+def _brute_force_witness(n, edges):
+    present = {frozenset(e) for e in edges}
+    for quad in combinations(range(n), 4):
+        quad_edges = tuple(
+            (i, j)
+            for (i, u), (j, v) in combinations(enumerate(quad), 2)
+            if frozenset((u, v)) in present
+        )
+        if _forest_of_matching_number_two(quad_edges):
+            return True
+    return False
+
+
+def _witness(n, edges):
+    return _induced_p4_or_2k2(_neighbour_masks(n, edges), edges)
+
+
+class TestInducedForestWitness:
+    """The intake test for an induced P4 or 2K2, against a brute-force
+    search over 4-vertex subsets with networkx."""
+
+    def test_atlas_graphs(self):
+        seen = set()
+        for g in nx.graph_atlas_g()[1:]:
+            if not nx.is_connected(g):
+                continue
+            n, edges = g.number_of_nodes(), sorted(g.edges())
+            got = _witness(n, edges)
+            assert got == _brute_force_witness(n, edges), edges
+            nb = _neighbour_masks(n, edges)
+            girth = girth_of_adjacency(_adjacency(n, edges))
+            assert _has_triangle(nb, edges) == (girth == 3), edges
+            seen.add((girth, got))
+        assert {(3, True), (3, False), (4, True), (4, False), (None, True)} <= seen
+
+    def test_labeled_dense_graphs(self):
+        found = 0
+        for n in range(3, 7):
+            for _, edges in dense_graphs(n):
+                got = _witness(n, edges)
+                assert got == _brute_force_witness(n, edges), (n, edges)
+                found += got
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "n, edges, want",
+        [
+            (4, [(0, 1), (1, 2), (2, 3)], True),  # P4
+            (4, [(0, 1), (2, 3)], True),  # 2K2
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3)], False),  # C4
+            (4, K4_EDGES, False),
+            (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], False),  # K_{2,3}
+        ],
+    )
+    def test_hand_cases(self, n, edges, want):
+        assert _witness(n, edges) == want
+
+    def test_paw_is_decided_by_its_pendant_pairs(self):
+        # a triangle with a pendant vertex: no induced P4 or 2K2, but two
+        # pendant pairs give 2(p + k) = 4 = girth + 1
+        edges = [(0, 1), (0, 2), (1, 2), (0, 3)]
+        assert not _witness(4, edges)
+        _, p, k = _matching_labels(_adjacency(4, edges))
+        assert 2 * (p + k) == 4
+
+
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
 
 
@@ -425,7 +507,8 @@ class TestIffChecksAreLive:
 
 class TestDecidedAtIntake:
     """Graphs whose pendant pairs and matching already give 2(p + k) >=
-    girth + 1 are checked without building or ranking any signing."""
+    girth + 1, and graphs of girth 3 with an induced P4 or 2K2, are checked
+    without building or ranking any signing."""
 
     def test_forced_decisions_fail_once_per_accepted_pattern(self, monkeypatch):
         accepted = [0, 0]
@@ -469,6 +552,19 @@ class TestDecidedAtIntake:
             stack = np.concatenate([block for block, _ in items])
             girths = np.repeat([g for _, g in items], [len(block) for block, _ in items])
             assert (batch_ranks(stack) > girths).all()
+
+    def test_forest_witness_decides_beyond_the_matching_bound(self):
+        rep, decided = _quick_sweep()
+        by_forest = [meta for meta, forest in decided.items() if forest]
+        assert sum(1 << len(meta.cotree) for meta in by_forest) == rep.decided_by_forest
+        assert 0 < rep.decided_by_forest < rep.decided_instances
+        assert {meta.girth for meta in by_forest} == {3}
+        # some of them have 2(p + k) <= girth: the matching rule misses them
+        assert any(
+            2 * sum(_matching_labels(_adjacency(meta.n, meta.edges))[1:]) <= 3
+            for meta in by_forest
+        )
+        assert rep.to_json_dict()["totals"]["decided_by_forest"] == rep.decided_by_forest
 
     def test_quick_histogram_is_pinned(self):
         rep, _ = _quick_sweep()
@@ -521,13 +617,14 @@ QUICK_HISTOGRAM = [
 
 @lru_cache(maxsize=None)
 def _quick_sweep():
-    """The quick config's report, and the graphs it decided at intake."""
-    decided = []
+    """The quick config's report, and the graphs it decided at intake,
+    each mapped to whether the induced-forest witness decided it."""
+    decided = {}
     decide = sweep_module._Engine._decide
 
-    def spy(self, meta, total):
-        decided.append(meta)
-        decide(self, meta, total)
+    def spy(self, meta, total, by_forest):
+        decided[meta] = by_forest
+        decide(self, meta, total, by_forest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
