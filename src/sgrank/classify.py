@@ -15,10 +15,13 @@ of one spanning tree positive, a cycle's sign is the parity of the co-tree
 edges it uses, so each case's condition is a set of co-tree sign
 patterns, one per accepted switching class.  `_cases` lists every case of
 one underlying graph with its pattern set, and it is the only place that
-states a sign condition.  `accepted_cotree_patterns` takes the union of
-those sets, once per underlying graph, for the verification sweep; the
-classifiers find the pattern of the signing at hand and return the first
-case whose set holds it.
+states a sign condition.  Most of those sets do not depend on the tree;
+only cases (c), (g) and (h) ask for the co-tree edges, so the caller
+passes them as a function and a graph of no such shape never builds its
+tree.  `accepted_cotree_patterns` takes the union of those sets, once
+per underlying graph, for the verification sweep; the classifiers find
+the pattern of the signing at hand and return the first case whose set
+holds it.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import SignedGraph, adjacency_matrix
 from .exact import rank as exact_rank
@@ -244,12 +247,18 @@ def _negative_on(
     )
 
 
-def _cases(adj: list[list[int]], cotree: Sequence[tuple[int, int]]):
+_Cotree = Callable[[], Sequence[tuple[int, int]]]
+
+
+def _cases(adj: Sequence[Sequence[int]], cotree: _Cotree):
     """The extremal cases of one connected graph with a cycle, in the
     order the classifiers report them, as (target, case, certificate,
     patterns): `patterns` holds the co-tree patterns (see
     `accepted_cotree_patterns`) of the signings the case accepts, which is
-    the case's sign condition.  Certificate values that depend on the
+    the case's sign condition.  `cotree()` gives the co-tree edges; only
+    the sign conditions of cases (c), (g) and (h) call it, since the
+    others accept pattern 0, pattern 1 of a unicyclic graph's single
+    co-tree edge, or both.  Certificate values that depend on the
     signing are those of the co-tree signing; only case (c) has any, its
     polarities, which `_first_case` switches to the signing at hand."""
     n = len(adj)
@@ -272,7 +281,7 @@ def _cases(adj: list[list[int]], cotree: Sequence[tuple[int, int]]):
     if parts is not None and len(parts) == 3:
         # rank 3: the balanced class, and the part-constant signing with
         # triangle sign -1, whose class holds the all-negative signing
-        negative, depth_parity = _cotree_pattern(adj, cotree, lambda u, v: -1)
+        negative, depth_parity = _cotree_pattern(adj, cotree(), lambda u, v: -1)
         yield _EQG, "c", {
             "parts": parts, "polarities": [1] * n, "pair_signs": [1, 1, 1]
         }, _BALANCED
@@ -301,7 +310,7 @@ def _cases(adj: list[list[int]], cotree: Sequence[tuple[int, int]]):
             six_cycles = [paths[0] + p[-2::-1] for p in paths[1:]]
             yield _EQG, "g", {
                 "orders": [5, 3, 5], "six_cycle_signs": [-1, -1]
-            }, _negative_on(cotree, six_cycles)
+            }, _negative_on(cotree(), six_cycles)
         elif orders == [5, 5, 5]:
             yield _EQG, "g", {"orders": [5, 5, 5], "balanced": True}, _BALANCED
     k4 = _subdivided_k4_midpoints(adj)
@@ -313,18 +322,19 @@ def _cases(adj: list[list[int]], cotree: Sequence[tuple[int, int]]):
         ]
         yield _EQG, "h", {
             "branch_vertices": branches, "six_cycle_signs": [-1] * 4
-        }, _negative_on(cotree, six_cycles)
+        }, _negative_on(cotree(), six_cycles)
 
 
 def accepted_cotree_patterns(
-    adj: list[list[int]], cotree: Sequence[tuple[int, int]]
+    adj: Sequence[Sequence[int]], cotree: _Cotree
 ) -> tuple[frozenset[int], frozenset[int]]:
     """The signings of one underlying graph accepted by `classify_gminus2`,
     and those accepted by `classify_equals_g` as a case other than (f).
 
-    `adj` holds the adjacency lists of a connected graph with a cycle and
-    `cotree` its edges outside one spanning tree.  Pattern p stands for the
-    signing with every tree edge positive and edge cotree[t] negative
+    `adj` holds the adjacency lists of a connected graph with a cycle, and
+    `cotree()` returns its edges outside one spanning tree; it is called
+    only for the shapes of cases (c), (g) and (h).  Pattern p stands for
+    the signing with every tree edge positive and co-tree edge t negative
     exactly when bit t of p is set: one signing per switching class.  Both
     sets are unions of the case table's pattern sets."""
     gm2 = eqg = _NO_PATTERNS
@@ -347,7 +357,7 @@ def _first_case(
     edges = g.underlying_edges()
     cotree = [edges[i] for i in _spanning_cotree(g.n, edges)]  # checks connectivity
     pattern = None
-    for t, name, cert, patterns in _cases(adj, cotree):
+    for t, name, cert, patterns in _cases(adj, lambda: cotree):
         if t != target or case not in (None, name):
             continue
         if pattern is None:

@@ -22,9 +22,11 @@ sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
 with no signing block built: its instances count as checked at rank
 g + 1, and each co-tree pattern that the case table accepts for it is a
 failure of an "iff classified" check.  The first rule takes a graph of
-girth 3 in which some 4 vertices induce P4 or 2K2
-(`_induced_p4_or_2k2`, tested on the graph's neighbour bitmasks, which
-also find a triangle when no girth is given).  Every signing of a forest
+girth 3 in which some 4 vertices induce P4 or 2K2.  The dense stream
+tests a whole chunk at once (`_dense_witness`), on the neighbour
+bitmasks its enumeration builds; the sparse stream and graph6 records
+test each graph on its own bitmasks (`_induced_p4_or_2k2`), which also
+find a triangle when no girth is given.  Every signing of a forest
 F has rank 2 nu(F), nu the matching number, and a principal submatrix
 never has larger rank, so every signing of the graph has rank
 >= 4 = g + 1.  Otherwise each graph is labeled with its iterated pendant
@@ -33,6 +35,10 @@ lowest degree first (`_matching_labels`): p pendant pairs and k matched
 pairs.  By the pendant lemma and Haynsworth's rank additivity (see
 `exact`), every signing then has rank >= 2(p + k), and the second rule
 decides a graph with 2(p + k) >= g + 1.
+A decided graph costs one case-table lookup: its counts go into running
+sums by (order, girth), and it builds its spanning tree and keeps a
+record only when the case table accepts a pattern for it or a spot-check
+stride samples one of its instances.
 The other graphs' signing blocks are built on the new labels and
 buffered by (order, p, k, g).  Before a block would bring all buffers
 together to one cap, the fullest is flushed, so no batch exceeds it.
@@ -44,7 +50,8 @@ full ranks: when one is selected, nothing is decided at intake and
 batches go through `batch_ranks`, the same kernel with cap n.  A
 counterexample whose rank the sweep knew only as g + 1 is re-ranked
 exactly and marked `rank_capped`.  The report counts instances by
-(order, girth, min(rank, girth + 1)).
+(order, girth, min(rank, girth + 1)), and the seconds spent in each
+stage of the chunks (`STAGES`).
 Only the blocks are relabeled: the recorded edges, co-tree, signing
 indices and counterexamples keep the graph's own labels.  The sparse
 stream computes each subdivided core's girth once and passes it on,
@@ -180,7 +187,16 @@ DEFAULT_CHECKS: tuple[str, ...] = tuple(
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
 
 _SPOT_RANK_STRIDE = 2048
-_SPOT_CLASSIFY_STRIDE = 4096
+_SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
+
+# the report's stage timers, in seconds summed over chunks.  Each chunk's
+# flushes time the kernel (stacking the blocks and ranking them) and the
+# checks; intake is the rest of the chunk: enumeration, girth, witnesses,
+# labels, the case table, block build and the decided graphs' bookkeeping.
+# The planning in the main process is in none of them, and with jobs > 1
+# the stages add up the workers' time.
+STAGES = ("intake", "kernel", "vector_checks", "girth_four_consequences",
+          "spot_checks", "instance_checks")
 
 
 @dataclass(frozen=True)
@@ -221,6 +237,7 @@ class SweepReport:
     decided_instances: int = 0
     decided_by_forest: int = 0
     histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
+    stages: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     elapsed_seconds: float = 0.0
 
     def total_failures(self) -> int:
@@ -260,6 +277,7 @@ class SweepReport:
             ],
             "counterexamples": self.counterexamples,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
+            "stages": {name: round(self.stages[name], 3) for name in STAGES},
         }
 
     def to_json(self) -> str:
@@ -386,11 +404,15 @@ def _edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# the set bits of each neighbour bitmask of a dense graph (n <= 7),
+# ascending: its adjacency lists
+_BITS = tuple(tuple(v for v in range(7) if (b >> v) & 1) for b in range(1 << 7))
 
 
 def _dense_chunk(n: int, lo: int, hi: int):
     """Connected cyclic graphs among edge masks [lo, hi): arrays of
-    (mask, edge count, girth hint) with hint 0 for girth >= 5."""
+    (mask, edge count, girth hint, neighbour bitmasks) with hint 0 for
+    girth >= 5; bit w of nb[i, v] is set when w is a neighbour of v."""
     table = _edge_table(n)
     n_edges = len(table)
     masks = np.arange(lo, hi, dtype=np.int64)
@@ -417,7 +439,27 @@ def _dense_chunk(n: int, lo: int, hi: int):
         for v in range(u + 1, n):
             sq |= _POPCOUNT[nb[:, u] & nb[:, v]] >= 2
     hint = np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
-    return masks[keep], m[keep], hint[keep]
+    return masks[keep], m[keep], hint[keep], nb[keep]
+
+
+def _dense_witness(nb: np.ndarray) -> np.ndarray:
+    """Per row of neighbour bitmasks (one uint8 column per vertex), whether
+    some 4 vertices induce P4 or 2K2: each of the 4 has 1 or 2 neighbours
+    among the other 3, and the 4 counts sum to 4 (2K2) or 6 (P4), not 8
+    (C4).  The vectorized form of `_induced_p4_or_2k2`."""
+    rows = len(nb)
+    columns = np.ascontiguousarray(nb.T)
+    found = np.zeros(rows, dtype=bool)
+    for quad in combinations(range(nb.shape[1]), 4):
+        inside = sum(1 << v for v in quad)
+        ok = np.ones(rows, dtype=bool)
+        degrees = np.zeros(rows, dtype=np.uint8)
+        for v in quad:
+            d = _POPCOUNT[columns[v] & inside]
+            ok &= (d == 1) | (d == 2)
+            degrees += d
+        found |= ok & (degrees < 8)
+    return found
 
 
 def _mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
@@ -430,7 +472,7 @@ def dense_graphs(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     as (mask, edges), ascending by mask."""
     total = 1 << len(_edge_table(n))
     for lo in range(0, total, _DENSE_CHUNK_MASKS):
-        masks, _, _ = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
+        masks, _, _, _ = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
         for mask in masks.tolist():
             yield mask, _mask_edges(n, mask)
 
@@ -694,18 +736,20 @@ class _GraphMeta:
         "accepted",
     )
 
-    def __init__(self, source, key, n, edges, m, girth, cotree, accepted):
+    def __init__(self, source, key, n, edges, girth, cotree, accepted):
         self.source = source
         self.key = key
         self.n = n
         self.edges = edges
-        self.m = m
+        self.m = len(edges)
         self.girth = girth
         self.cotree = cotree
         self.accepted = accepted  # (classify_gminus2, classify_equals_g) patterns
 
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Neighbours of each vertex, in the order of `edges`: ascending for
+    the sweep's streams."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -748,7 +792,7 @@ def _induced_p4_or_2k2(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
     return False
 
 
-def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int, int]:
+def _matching_labels(adj: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
     """New vertex labels in three groups, as (labels, p, k).  First p
     iterated pendant pairs: a vertex x of degree 1 in what is left, then
     its neighbour.  Then a greedy maximal induced matching of k edges on
@@ -779,7 +823,7 @@ def _matching_labels(adj: list[list[int]]) -> tuple[list[int], int, int]:
             for v in sorted(adj[u], key=degree.__getitem__):
                 if free[v]:
                     order += (u, v)
-                    for w in adj[u] + adj[v]:
+                    for w in (*adj[u], *adj[v]):
                         free[w] = False
                     break
     k = len(order) // 2 - p
@@ -840,6 +884,7 @@ class _ChunkResult:
         self.decided_instances = 0
         self.decided_by_forest = 0
         self.histogram: dict[tuple[int, int, int], int] = {}
+        self.stages = dict.fromkeys(STAGES, 0.0)
 
 
 class _Engine:
@@ -856,6 +901,16 @@ class _Engine:
             if CHECKS[name].kind == "vector" and name != "girth_four_consequences"
         ]
         self.result = _ChunkResult()
+        # graphs decided at intake, summed by (order, girth) as [graphs,
+        # instances, instances decided by an induced forest] until `finish`
+        self.decided: dict[tuple[int, int], list[int]] = {}
+        # the finest selected spot-check stride, 0 for none: a graph holds
+        # a sample of either stride exactly when it holds one of this
+        self.stride = (
+            _SPOT_RANK_STRIDE if "spot_check_exact_rank" in self.sel
+            else _SPOT_CLASSIFY_STRIDE if "spot_check_classifier" in self.sel
+            else 0
+        )
         # keyed by (order, pendant pairs, matched pairs, girth)
         self.buffers: dict[tuple[int, int, int, int], list] = {}
         self.segments: dict[tuple[int, int, int, int], list[_Segment]] = {}
@@ -903,25 +958,36 @@ class _Engine:
 
     # -- graph intake
 
-    def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]], girth_hint: int = 0) -> None:
-        adj = _adjacency(n, edges)
-        nb = _neighbour_masks(n, edges)
-        girth = girth_hint or (
-            3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
-        )
-        cotree = _spanning_cotree(n, edges)
-        accepted = accepted_cotree_patterns(adj, [edges[i] for i in cotree])
-        meta = _GraphMeta(source, key, n, edges, len(edges), girth, cotree, accepted)
-        self.result.graphs += 1
-        total = 1 << len(cotree)
-        self.result.instances += total
+    def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
+                  girth: int = 0, adj: list[list[int]] | None = None) -> None:
+        """Intake of one connected graph with a cycle, with its girth when
+        the stream knows it (else 0) and its adjacency lists when the
+        caller has built them.  At girth 3 the neighbour bitmasks test for
+        an induced P4 or 2K2; they also find a triangle when no girth is
+        given."""
+        if adj is None:
+            adj = _adjacency(n, edges)
+        nb = _neighbour_masks(n, edges) if girth in (0, 3) else None
+        if not girth:
+            girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
         if self.capped and girth == 3 and _induced_p4_or_2k2(nb, edges):
-            self._decide(meta, total, by_forest=True)
-            return
+            self._decide(source, key, n, edges, adj, girth, by_forest=True)
+        else:
+            self._label(source, key, n, edges, adj, girth)
+
+    def _label(self, source, key, n, edges, adj, girth):
+        """Decide a graph by its pendant pairs and induced matching, or
+        buffer its signing blocks on the labels that put them first."""
         labels, p, k = _matching_labels(adj)
         if self.capped and 2 * (p + k) > girth:
-            self._decide(meta, total, by_forest=False)
+            self._decide(source, key, n, edges, adj, girth, by_forest=False)
             return
+        cotree = _spanning_cotree(n, edges)
+        accepted = accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
+        meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
+        total = 1 << len(cotree)
+        self.result.graphs += 1
+        self.result.instances += total
         # ranks do not change under relabeling, so the blocks may put the
         # pendant pairs and the matching first while meta keeps the
         # graph's own labels
@@ -931,27 +997,43 @@ class _Engine:
                 (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0)
             )
 
-    def _decide(self, meta: _GraphMeta, total: int, by_forest: bool) -> None:
+    def _decide(self, source, key, n, edges, adj, girth, by_forest):
         """Check all signings of a graph without ranking any, when each of
         them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
         Either 2(p + k) >= girth + 1, and the pendant lemma and the
         matching step give every signing rank >= 2(p + k); or (`by_forest`)
         the girth is 3 and some 4 vertices induce P4 or 2K2, a forest whose
         every signing has rank 4, twice its matching number, and a
-        principal submatrix never has larger rank than the matrix."""
-        capped = meta.girth + 1
-        self.result.decided_instances += total
+        principal submatrix never has larger rank than the matrix.
+
+        The graph's counts go into running sums by (order, girth), folded
+        into the result by `finish`.  The case table runs on every decided
+        graph, and no pattern may be accepted at rank girth + 1; it asks
+        for the co-tree only in cases (c), (g) and (h).  Only a graph with
+        an accepted pattern, or one holding an instance that a spot-check
+        stride samples, builds its spanning tree and record.  The
+        spot-check ordinal moves past the graph's instances here, in
+        stream order, as it does for each flush."""
+        total = 1 << (len(edges) - n + 1)
+        sums = self.decided.setdefault((n, girth), [0, 0, 0])
+        sums[0] += 1
+        sums[1] += total
         if by_forest:
-            self.result.decided_by_forest += total
-        self._tally(meta.n, meta.girth, capped, total)
-        for name in self.per_instance:
-            self._count(name, total)
-        # no pattern may be accepted at rank girth + 1
-        for name, patterns in zip(_IFF_CHECKS, meta.accepted):
-            if name in self.sel:
-                for signing in sorted(patterns):
-                    self._fail(name, meta, signing, capped, "classifier=hit")
-        self._spot_checks([_Segment(meta, 0, total)], (0, total), None, total)
+            sums[2] += total
+        accepted = accepted_cotree_patterns(
+            adj, lambda: [edges[i] for i in _spanning_cotree(n, edges)]
+        )
+        sampled = self.stride and (-self.ordinal) % self.stride < total
+        if accepted[0] or accepted[1] or sampled:
+            cotree = _spanning_cotree(n, edges)
+            meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
+            for name, patterns in zip(_IFF_CHECKS, accepted):
+                if name in self.sel:
+                    for signing in sorted(patterns):
+                        self._fail(name, meta, signing, girth + 1, "classifier=hit")
+            clock = time.perf_counter()
+            self._spot_checks([_Segment(meta, 0, total)], (0, total), None, total)
+            _lap(self.result.stages, "spot_checks", clock)
         self.ordinal += total
 
     def _append_block(
@@ -970,17 +1052,30 @@ class _Engine:
     def finish(self) -> _ChunkResult:
         for key in sorted(self.buffers):
             self._flush(key)
-        return self.result
+        res = self.result
+        for (n, girth), (graphs, instances, by_forest) in self.decided.items():
+            res.graphs += graphs
+            res.instances += instances
+            res.decided_instances += instances
+            res.decided_by_forest += by_forest
+            self._tally(n, girth, girth + 1, instances)
+            for name in self.per_instance:
+                self._count(name, instances)
+        self.decided.clear()
+        return res
 
     # -- the checks
 
     def _flush(self, key: tuple[int, int, int, int]) -> None:
         n, _, _, girth = key
+        stages = self.result.stages
+        clock = time.perf_counter()
         blocks = self.buffers.pop(key)
         segments = self.segments.pop(key)
         self.total_buffered -= self.buffered.pop(key)
         stack = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
         ranks = capped_ranks(stack, girth + 1) if self.capped else batch_ranks(stack)
+        clock = _lap(stages, "kernel", clock)
         counts = np.array([seg.count for seg in segments], dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)))
         total = int(starts[-1])
@@ -1029,6 +1124,7 @@ class _Engine:
                     f"classifier={'hit' if hit[pos] else 'miss'}",
                 )
 
+        clock = _lap(stages, "vector_checks", clock)
         if "girth_four_consequences" in sel:
             hits = np.nonzero((ranks == 4) & (girth == 4))[0]
             self._count("girth_four_consequences", len(hits))
@@ -1049,9 +1145,11 @@ class _Engine:
                         f"twin-reduced rank {r_red} != 4",
                     )
 
+        clock = _lap(stages, "girth_four_consequences", clock)
         self._spot_checks(segments, starts, ranks, total)
-
+        clock = _lap(stages, "spot_checks", clock)
         self._instance_checks(segments, starts, ranks, total)
+        _lap(stages, "instance_checks", clock)
         self.ordinal += total
 
     def _spot_checks(self, segments, starts, ranks, total):
@@ -1128,6 +1226,13 @@ class _Engine:
                         self._count(name)
                         if not ok:
                             self._fail(name, meta, signing, rank_value, detail)
+
+
+def _lap(stages: dict[str, float], name: str, since: float) -> float:
+    """Add the time since `since` to stage `name`; return the clock."""
+    now = time.perf_counter()
+    stages[name] += now - since
+    return now
 
 
 def _run_instance_check(name, g, meta, rank_value, rng):
@@ -1219,12 +1324,28 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
 
 
 def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
+    clock = time.perf_counter()
     engine = _Engine(config)
     if desc[0] == "dense":
         _, n, lo, hi = desc
-        masks, _, hints = _dense_chunk(n, lo, hi)
-        for mask, hint in zip(masks.tolist(), hints.tolist()):
-            engine.add_graph("dense", mask, n, _mask_edges(n, mask), hint)
+        masks, _, hints, nb = _dense_chunk(n, lo, hi)
+        forest = np.zeros(len(masks), dtype=bool)
+        if engine.capped:
+            tri = np.flatnonzero(hints == 3)
+            forest[tri] = _dense_witness(nb[tri])
+        rows = nb.tobytes()
+        for i, (mask, hint, by_forest) in enumerate(
+            zip(masks.tolist(), hints.tolist(), forest.tolist())
+        ):
+            adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
+            if by_forest:
+                edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+                engine._decide("dense", mask, n, edges, adj, 3, by_forest=True)
+            else:
+                # the edge table's own pairs: the buffered records share them
+                edges = _mask_edges(n, mask)
+                girth = hint or girth_of_adjacency(adj)
+                engine._label("dense", mask, n, edges, adj, girth)
     elif desc[0] == "sparse":
         _, lo, hi = desc
         stream = _sparse_stream_cached(config.max_n_sparse, config.max_cyclomatic)
@@ -1234,11 +1355,14 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
     else:
         _, pi, lo, records = desc
         for key, (n, edges) in enumerate(records, lo):
-            if not _connected(n, edges) or len(edges) < n:
+            adj = _adjacency(n, edges)
+            if len(edges) < n or len(connected_components(adj)) != 1:
                 engine.result.skipped_graph6_records += 1
                 continue
-            engine.add_graph(f"graph6[{pi}]", key, n, edges)
-    return engine.finish()
+            engine.add_graph(f"graph6[{pi}]", key, n, edges, adj=adj)
+    res = engine.finish()
+    res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
+    return res
 
 
 def _run_chunk_star(args):
@@ -1277,6 +1401,8 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
     report.decided_by_forest += res.decided_by_forest
     for key, count in res.histogram.items():
         report.histogram[key] = report.histogram.get(key, 0) + count
+    for name, seconds in res.stages.items():
+        report.stages[name] += seconds
     for name, count in res.checked.items():
         report.checked[name] = report.checked.get(name, 0) + count
     for name, count in res.failures.items():

@@ -36,12 +36,14 @@ from sgrank import (
     switch,
     write_counterexamples_csv,
 )
+import sgrank.classify as classify_module
 import sgrank.sweep as sweep_module
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     _SIGNING_BLOCK,
     _cotree_signing,
     _dense_chunk,
+    _dense_witness,
     _edge_table,
     _has_triangle,
     _induced_p4_or_2k2,
@@ -165,13 +167,14 @@ class TestDenseStream:
 
         n = 5
         total = 1 << len(_edge_table(n))
-        masks, counts, hints = _dense_chunk(n, 0, total)
-        for mask, hint in zip(masks.tolist(), hints.tolist()):
+        masks, counts, hints, nb = _dense_chunk(n, 0, total)
+        for mask, hint, row in zip(masks.tolist(), hints.tolist(), nb.tolist()):
             edges = [e for i, e in enumerate(_edge_table(n)) if (mask >> i) & 1]
             adj = [[] for _ in range(n)]
             for u, v in edges:
                 adj[u].append(v)
                 adj[v].append(u)
+            assert row == _neighbour_masks(n, edges)
             girth = girth_of_adjacency(adj)
             if hint:
                 assert girth == hint
@@ -382,6 +385,11 @@ def _witness(n, edges):
     return _induced_p4_or_2k2(_neighbour_masks(n, edges), edges)
 
 
+def _dense_witness_of(n, edges):
+    nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
+    return bool(_dense_witness(nb)[0])
+
+
 class TestInducedForestWitness:
     """The intake test for an induced P4 or 2K2, against a brute-force
     search over 4-vertex subsets with networkx."""
@@ -417,10 +425,12 @@ class TestInducedForestWitness:
             (4, [(0, 1), (1, 2), (2, 3), (0, 3)], False),  # C4
             (4, K4_EDGES, False),
             (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], False),  # K_{2,3}
+            (4, [(0, 1), (0, 2), (1, 2), (0, 3)], False),  # the paw
         ],
     )
     def test_hand_cases(self, n, edges, want):
         assert _witness(n, edges) == want
+        assert _dense_witness_of(n, edges) == want
 
     def test_paw_is_decided_by_its_pendant_pairs(self):
         # a triangle with a pendant vertex: no induced P4 or 2K2, but two
@@ -429,6 +439,34 @@ class TestInducedForestWitness:
         assert not _witness(4, edges)
         _, p, k = _matching_labels(_adjacency(4, edges))
         assert 2 * (p + k) == 4
+
+
+class TestDenseWitness:
+    """`_dense_witness`, the induced P4 or 2K2 on a whole chunk of
+    neighbour bitmasks, against the per-graph `_induced_p4_or_2k2`."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_equals_the_scalar_witness_on_every_dense_graph(self, n):
+        table = _edge_table(n)
+        total = 1 << len(table)
+        found = 0
+        for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
+            hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
+            masks, _, _, nb = _dense_chunk(n, lo, hi)
+            got = _dense_witness(nb).tolist()
+            for mask, row, witness in zip(masks.tolist(), nb.tolist(), got):
+                edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
+                assert witness == _induced_p4_or_2k2(row, edges), (n, edges)
+            found += sum(got)
+        assert (found > 0) == (n >= 5)  # P4 plus a vertex closing a cycle
+
+    def test_two_cross_edges_are_too_many(self):
+        # disjoint edges 01 and 23 with two edges between them: C4 or the
+        # paw, never a forest
+        for cross in combinations([(0, 2), (0, 3), (1, 2), (1, 3)], 2):
+            edges = [(0, 1), (2, 3), *cross]
+            assert not _dense_witness_of(4, edges), edges
+            assert not _witness(4, edges), edges
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
@@ -541,12 +579,13 @@ class TestDecidedAtIntake:
 
     def test_decided_graphs_have_rank_above_girth(self):
         rep, decided = _quick_sweep()
-        assert sum(1 << len(meta.cotree) for meta in decided) == rep.decided_instances > 0
+        assert sum(g.instances for g in decided) == rep.decided_instances > 0
         by_order = {}
-        for meta in decided:
-            for j0 in range(0, 1 << len(meta.cotree), _SIGNING_BLOCK):
-                block = _signing_block(meta.n, meta.edges, meta.cotree, j0)
-                by_order.setdefault(meta.n, []).append((block, meta.girth))
+        for g in decided:
+            cotree = _spanning_cotree(g.n, g.edges)
+            for j0 in range(0, 1 << len(cotree), _SIGNING_BLOCK):
+                block = _signing_block(g.n, g.edges, cotree, j0)
+                by_order.setdefault(g.n, []).append((block, g.girth))
         assert set(by_order) == set(range(4, 10))
         for items in by_order.values():
             stack = np.concatenate([block for block, _ in items])
@@ -555,16 +594,86 @@ class TestDecidedAtIntake:
 
     def test_forest_witness_decides_beyond_the_matching_bound(self):
         rep, decided = _quick_sweep()
-        by_forest = [meta for meta, forest in decided.items() if forest]
-        assert sum(1 << len(meta.cotree) for meta in by_forest) == rep.decided_by_forest
+        by_forest = [g for g in decided if g.by_forest]
+        assert sum(g.instances for g in by_forest) == rep.decided_by_forest
         assert 0 < rep.decided_by_forest < rep.decided_instances
-        assert {meta.girth for meta in by_forest} == {3}
+        assert {g.girth for g in by_forest} == {3}
         # some of them have 2(p + k) <= girth: the matching rule misses them
         assert any(
-            2 * sum(_matching_labels(_adjacency(meta.n, meta.edges))[1:]) <= 3
-            for meta in by_forest
+            2 * sum(_matching_labels(_adjacency(g.n, g.edges))[1:]) <= 3
+            for g in by_forest
         )
         assert rep.to_json_dict()["totals"]["decided_by_forest"] == rep.decided_by_forest
+
+    def test_cotree_and_record_only_where_needed(self, monkeypatch):
+        # on the quick config, the spanning tree is built only for graphs
+        # that are ranked, spot-sampled or accept a pattern, and a decided
+        # graph leaves nothing behind unless it is one of those
+        trees = []
+        real_tree = _spanning_cotree
+        for module in (sweep_module, classify_module):
+            def tree(n, edges, module=module):
+                trees.append((module, n, frozenset(map(frozenset, edges))))
+                return real_tree(n, edges)
+
+            monkeypatch.setattr(module, "_spanning_cotree", tree)
+        ranked, sampled, accepting = {}, {}, {}  # id -> meta
+        records = []
+        decided_keys = []
+
+        def graph(meta):
+            return meta.n, frozenset(map(frozenset, meta.edges))
+
+        real_meta = sweep_module._GraphMeta.__init__
+        real_append = sweep_module._Engine._append_block
+        real_spot = sweep_module._Engine._spot_checks
+        real_fail = sweep_module._Engine._fail
+        real_finish = sweep_module._Engine.finish
+
+        def meta_init(self, *args):
+            real_meta(self, *args)
+            records.append(self)
+
+        def append(self, key, meta, *args):
+            ranked[id(meta)] = meta
+            real_append(self, key, meta, *args)
+
+        def spot(self, segments, starts, ranks, total):
+            if ranks is None:  # a decided graph holding a sample
+                sampled[id(segments[0].meta)] = segments[0].meta
+            real_spot(self, segments, starts, ranks, total)
+
+        def fail(self, name, meta, *args):
+            accepting[id(meta)] = meta
+            real_fail(self, name, meta, *args)
+
+        def finish(self):
+            decided_keys.append(len(self.decided))
+            return real_finish(self)
+
+        monkeypatch.setattr(sweep_module._GraphMeta, "__init__", meta_init)
+        monkeypatch.setattr(sweep_module._Engine, "_append_block", append)
+        monkeypatch.setattr(sweep_module._Engine, "_spot_checks", spot)
+        monkeypatch.setattr(sweep_module._Engine, "_fail", fail)
+        monkeypatch.setattr(sweep_module._Engine, "finish", finish)
+        rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
+        assert rep.total_failures() == 0 and not accepting
+        assert 0 < len(sampled) <= rep.decided_instances // 2048 + len(decided_keys)
+        needed = {
+            graph(meta) for group in (ranked, sampled, accepting) for meta in group.values()
+        }
+        seen = {module: [] for module in (sweep_module, classify_module)}
+        for module, n, edges in trees:
+            assert (n, edges) in needed
+            seen[module].append((n, edges))
+        # one tree per ranked or sampled graph in the engine; the
+        # classifiers, run on sampled instances only, build their own
+        assert len(seen[sweep_module]) == len(records) == len(ranked) + len(sampled)
+        assert seen[classify_module]
+        assert len(records) < rep.graphs // 4
+        # the running sums hold one entry per (order, girth)
+        histogram = rep.to_json_dict()["rank_histogram"]
+        assert max(decided_keys) <= len({(n, g) for n, g, _, _ in histogram})
 
     def test_quick_histogram_is_pinned(self):
         rep, _ = _quick_sweep()
@@ -615,16 +724,28 @@ QUICK_HISTOGRAM = [
 ]
 
 
+@dataclasses.dataclass(frozen=True)
+class _Decided:
+    n: int
+    edges: tuple
+    girth: int
+    by_forest: bool
+
+    @property
+    def instances(self):
+        return 1 << (len(self.edges) - self.n + 1)
+
+
 @lru_cache(maxsize=None)
 def _quick_sweep():
     """The quick config's report, and the graphs it decided at intake,
-    each mapped to whether the induced-forest witness decided it."""
-    decided = {}
+    each with whether the induced-forest witness decided it."""
+    decided = []
     decide = sweep_module._Engine._decide
 
-    def spy(self, meta, total, by_forest):
-        decided[meta] = by_forest
-        decide(self, meta, total, by_forest)
+    def spy(self, source, key, n, edges, adj, girth, by_forest):
+        decided.append(_Decided(n, tuple(edges), girth, by_forest))
+        decide(self, source, key, n, edges, adj, girth, by_forest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
@@ -697,6 +818,7 @@ class TestSweepRuns:
         for d in (d1, d2):
             d["config"]["jobs"] = 0
             d["elapsed_seconds"] = 0
+            d["stages"] = {}
         assert d1 == d2
 
     def test_buffers_stay_under_one_cap_across_keys(self, monkeypatch):
