@@ -173,20 +173,27 @@ def delete_vertices(g: SignedGraph, drop: Iterable[int]) -> SignedGraph:
 
 
 def reduced_graph(g: SignedGraph) -> SignedGraph:
-    """Delete one vertex of a twin pair until no twins remain.
+    """Delete one vertex of a twin pair until no twins remain, taking the
+    higher vertex y of the lexicographically first pair (x, y) each time,
+    then reindex densely.  Twin deletion preserves the rank of the
+    adjacency matrix, so the reduced graph has the same rank as the input.
 
-    Deterministic: at each step the lexicographically first pair (x, y) is
-    taken and the higher-indexed vertex y is deleted, then vertices are
-    reindexed densely.  Twin deletion preserves the rank of the adjacency
-    matrix, so the reduced graph has the same rank as the input.
+    One `find_twins` pass gives the same graph, keeping the lowest vertex
+    of each twin class:
+
+    * the signed twin relation is an equivalence: twins have equal
+      neighbour sets, and along a chain of twins the sign ratios multiply;
+    * deleting a twin y of x changes no other pair's twin status: column
+      y is +-column x and twins are never adjacent, so any other vertex
+      sees y exactly when it sees x, and two vertices that agree up to a
+      sign ratio on x agree with it on y.
+
+    So the classes stay as they were, less the deleted vertices, and each
+    step deletes a vertex above the lowest of its class until one vertex
+    per class is left.
     """
-    current = g
-    while True:
-        pairs = find_twins(current)
-        if not pairs:
-            return current
-        first = pairs[0]
-        current = delete_vertices(current, [first.y])
+    drop = {pair.y for pair in find_twins(g)}
+    return delete_vertices(g, drop) if drop else g
 
 
 class SgrParseError(ValueError):

@@ -11,7 +11,10 @@ Two built-in graph streams plus optional graph6 files:
   cyclomatic number <= 3), subdivided in all ways that keep the graph
   simple, with rooted trees hung on core vertices.  Every isomorphism
   class appears at least once; relabeled duplicates are possible and
-  harmless for universal assertions.
+  harmless for universal assertions.  No list of the stream is held:
+  each chunk builds its own slice from a per-process table of the
+  subdivided cores (`_core_table`) and the hangings, cached per core
+  order (`_hangings`).
 
 Per underlying graph, one signing per switching class is enumerated
 (edges of the spanning tree from `invariants._spanning_cotree` positive,
@@ -24,11 +27,13 @@ g + 1, and each co-tree pattern that the case table accepts for it is a
 failure of an "iff classified" check.  The first rule takes a graph of
 girth 3 in which some 4 vertices induce P4 or 2K2.  The dense stream
 tests a whole chunk at once (`_dense_witness`), on the neighbour
-bitmasks its enumeration builds; the sparse stream and graph6 records
-test each graph on its own bitmasks (`_induced_p4_or_2k2`), which also
-find a triangle when no girth is given.  Every signing of a forest
-F has rank 2 nu(F), nu the matching number, and a principal submatrix
-never has larger rank, so every signing of the graph has rank
+bitmasks its enumeration builds.  The sparse stream tests each core
+once: a core is an induced subgraph of every graph hung from it, so its
+witness holds for all of them.  The graphs of cores without one, and
+graph6 records, are tested on their own bitmasks (`_induced_p4_or_2k2`),
+which also find a triangle when no girth is given.  Every signing of a
+forest F has rank 2 nu(F), nu the matching number, and a principal
+submatrix never has larger rank, so every signing of the graph has rank
 >= 4 = g + 1.  Otherwise each graph is labeled with its iterated pendant
 pairs first and then a greedy maximal induced matching of the rest,
 lowest degree first (`_matching_labels`): p pendant pairs and k matched
@@ -50,12 +55,13 @@ full ranks: when one is selected, nothing is decided at intake and
 batches go through `batch_ranks`, the same kernel with cap n.  A
 counterexample whose rank the sweep knew only as g + 1 is re-ranked
 exactly and marked `rank_capped`.  The report counts instances by
-(order, girth, min(rank, girth + 1)), and the seconds spent in each
-stage of the chunks (`STAGES`).
+(order, girth, min(rank, girth + 1)), and the seconds spent planning
+and in each stage of the chunks (`STAGES`).
 Only the blocks are relabeled: the recorded edges, co-tree, signing
 indices and counterexamples keep the graph's own labels.  The sparse
 stream computes each subdivided core's girth once and passes it on,
-since hung trees add no cycle.  Checks are vectorized across instance
+since hung trees add no cycle, with adjacency lists joined from the
+core's and the hanging's.  Checks are vectorized across instance
 buffers.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
@@ -71,6 +77,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -189,13 +196,14 @@ _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
 _SPOT_RANK_STRIDE = 2048
 _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 
-# the report's stage timers, in seconds summed over chunks.  Each chunk's
-# flushes time the kernel (stacking the blocks and ranking them) and the
-# checks; intake is the rest of the chunk: enumeration, girth, witnesses,
-# labels, the case table, block build and the decided graphs' bookkeeping.
-# The planning in the main process is in none of them, and with jobs > 1
-# the stages add up the workers' time.
-STAGES = ("intake", "kernel", "vector_checks", "girth_four_consequences",
+# the report's stage timers, in seconds.  `plan` is the main process's
+# planning: graph6 parsing and its co-tree limit, and the sparse stream's
+# core table and length.  The others are summed over chunks.  Each
+# chunk's flushes time the kernel (stacking the blocks and ranking them)
+# and the checks; intake is the rest of the chunk: enumeration, girth,
+# witnesses, labels, the case table, block build and the decided graphs'
+# bookkeeping.  With jobs > 1 the chunk stages add up the workers' time.
+STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
 
@@ -604,24 +612,137 @@ def _tree_assignments(k: int, budget: int) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, budget, [])
 
 
+class _Hanging:
+    """Rooted trees of the given shapes hung on vertices 0, 1, ... of a
+    core of order `core_n`, with the hung vertices numbered from core_n in
+    preorder, root by root: `extra` hung vertices; per root with
+    children, (root, its children, the edges to them); the edges among
+    hung vertices, sorted; and the hung vertices' adjacency lists, parent
+    first, then children."""
+
+    __slots__ = ("extra", "roots", "inner", "adj")
+
+    def __init__(self, core_n: int, shapes: tuple[tuple, ...]):
+        edges: list[tuple[int, int]] = []
+        nxt = core_n
+        for root, shape in enumerate(shapes):
+            nxt = _attach_tree(edges, root, shape, nxt)
+        self.extra = nxt - core_n
+        kids: dict[int, list[int]] = {}
+        for u, w in edges:
+            if u < core_n:
+                kids.setdefault(u, []).append(w)
+        self.roots = tuple(
+            (v, tuple(ws), tuple((v, w) for w in ws)) for v, ws in sorted(kids.items())
+        )
+        self.inner = tuple(sorted(e for e in edges if e[0] >= core_n))
+        self.adj = tuple(map(tuple, _adjacency(nxt, edges)[core_n:]))
+
+
+@lru_cache(maxsize=None)
+def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
+    """Every way to hang trees with at most `budget` vertices in all on a
+    core of order core_n, in stream order.  They depend on the core only
+    through its order."""
+    return tuple(_Hanging(core_n, shapes) for shapes in _tree_assignments(core_n, budget))
+
+
+class _Core:
+    """One subdivided core of the sparse stream: its order, sorted edges,
+    adjacency lists (as `_adjacency` builds them from those edges), girth
+    and hangings, and whether it has girth 3 and 4 vertices inducing P4
+    or 2K2.  Hung trees add no cycle and keep the core an induced
+    subgraph, so the girth and the witness hold for every graph hung from
+    it.  `cut[v]` is the number of edges that start at or below v, and
+    `split[v]` the length of the part of adj[v] that those edges give:
+    the places where the edges to v's hung children and the children
+    themselves go."""
+
+    __slots__ = ("n", "edges", "adj", "girth", "forest", "cut", "split", "hangings")
+
+    def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
+        self.n = n
+        self.edges = tuple(sorted(edges))
+        adj = _adjacency(n, self.edges)
+        self.adj = tuple(map(tuple, adj))
+        self.girth = girth_of_adjacency(adj)
+        self.forest = self.girth == 3 and _induced_p4_or_2k2(
+            _neighbour_masks(n, self.edges), self.edges
+        )
+        self.cut = tuple(bisect_left(self.edges, (v + 1,)) for v in range(n))
+        split = [len(nb) for nb in adj]
+        for u, v in self.edges:
+            if u > v:
+                split[v] -= 1
+        self.split = tuple(split)
+        self.hangings = _hangings(n, max_n - n)
+
+
+@lru_cache(maxsize=4)
+def _core_table(max_n: int, max_cyclomatic: int) -> tuple[_Core, ...]:
+    return tuple(
+        _Core(k + sum(subdiv), _subdivide(k, links, subdiv), max_n)
+        for c in range(1, max_cyclomatic + 1)
+        for _, k, links in _BASES[c]
+        for subdiv in _subdivision_tuples(links, max_n - k)
+    )
+
+
+def _sparse_length(max_n: int, max_cyclomatic: int) -> int:
+    return sum(len(core.hangings) for core in _core_table(max_n, max_cyclomatic))
+
+
+def _sparse_pieces(
+    max_n: int, max_cyclomatic: int, lo: int = 0, hi: int | None = None
+) -> Iterator[tuple[_Core, _Hanging]]:
+    """The (core, hanging) pairs at stream positions [lo, hi), skipping
+    whole cores before lo by their hanging counts."""
+    start = 0
+    for core in _core_table(max_n, max_cyclomatic):
+        if hi is not None and start >= hi:
+            return
+        count = len(core.hangings)
+        if start + count > lo:
+            stop = None if hi is None else hi - start
+            for hang in core.hangings[max(lo - start, 0):stop]:
+                yield core, hang
+        start += count
+
+
+def _hung_edges(core: _Core, hang: _Hanging) -> list[tuple[int, int]]:
+    """The sorted edge list: each root's edges to its children follow the
+    core edges that start at or below it, and the edges among hung
+    vertices start above every core vertex."""
+    edges: list[tuple[int, int]] = []
+    at = 0
+    for v, _, links in hang.roots:
+        edges += core.edges[at:core.cut[v]]
+        edges += links
+        at = core.cut[v]
+    edges += core.edges[at:]
+    edges += hang.inner
+    return edges
+
+
+def _hung_adjacency(core: _Core, hang: _Hanging) -> list[tuple[int, ...]]:
+    """`_adjacency(n, _hung_edges(core, hang))`, from the two templates."""
+    adj = list(core.adj)
+    for v, kids, _ in hang.roots:
+        nb, s = core.adj[v], core.split[v]
+        adj[v] = nb[:s] + kids + nb[s:]
+    adj += hang.adj
+    return adj
+
+
 def _sparse_records(
-    max_n: int, max_cyclomatic: int
+    max_n: int, max_cyclomatic: int, lo: int = 0, hi: int | None = None
 ) -> Iterator[tuple[int, list[tuple[int, int]], int]]:
-    """The graphs of `sparse_graphs`, in the same order, as (n, sorted
-    edge list, girth).  Hung trees add no cycle, so the girth is computed
-    once per subdivided core."""
-    for c in range(1, max_cyclomatic + 1):
-        for _, k, links in _BASES[c]:
-            for subdiv in _subdivision_tuples(links, max_n - k):
-                core_edges = _subdivide(k, links, subdiv)
-                core_n = k + sum(subdiv)
-                girth = girth_of_adjacency(_adjacency(core_n, core_edges))
-                for shapes in _tree_assignments(core_n, max_n - core_n):
-                    edges = list(core_edges)
-                    nxt = core_n
-                    for root, shape in enumerate(shapes):
-                        nxt = _attach_tree(edges, root, shape, nxt)
-                    yield nxt, sorted(edges), girth
+    """The graphs of `sparse_graphs` at stream positions [lo, hi) (to the
+    end for hi None), in the same order, as (n, sorted edge list, girth).
+    Each is built from its core's row in `_core_table` and a hanging that
+    `_hangings` caches per core order, so no list of the stream is held."""
+    for core, hang in _sparse_pieces(max_n, max_cyclomatic, lo, hi):
+        yield core.n + hang.extra, _hung_edges(core, hang), core.girth
 
 
 def sparse_graphs(
@@ -632,11 +753,6 @@ def sparse_graphs(
     (labeled duplicates possible).  Yields (n, sorted edge list)."""
     for n, edges, _ in _sparse_records(max_n, max_cyclomatic):
         yield n, edges
-
-
-@lru_cache(maxsize=4)
-def _sparse_stream_cached(max_n: int, max_cyclomatic: int) -> list:
-    return list(_sparse_records(max_n, max_cyclomatic))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +865,8 @@ class _GraphMeta:
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Neighbours of each vertex, in the order of `edges`: ascending for
-    the sweep's streams."""
+    the dense stream, not always for the sparse one, whose subdivided
+    links end in pairs (u, v) with u > v."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -959,18 +1076,22 @@ class _Engine:
     # -- graph intake
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
-                  girth: int = 0, adj: list[list[int]] | None = None) -> None:
+                  girth: int = 0, adj: Sequence[Sequence[int]] | None = None,
+                  forest: bool = False) -> None:
         """Intake of one connected graph with a cycle, with its girth when
-        the stream knows it (else 0) and its adjacency lists when the
-        caller has built them.  At girth 3 the neighbour bitmasks test for
-        an induced P4 or 2K2; they also find a triangle when no girth is
-        given."""
+        the stream knows it (else 0), its adjacency lists when the caller
+        has built them, and `forest` when the caller knows that the girth
+        is 3 and some 4 vertices induce P4 or 2K2.  Otherwise, at girth 3,
+        the neighbour bitmasks test for that; they also find a triangle
+        when no girth is given."""
         if adj is None:
             adj = _adjacency(n, edges)
-        nb = _neighbour_masks(n, edges) if girth in (0, 3) else None
-        if not girth:
-            girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
-        if self.capped and girth == 3 and _induced_p4_or_2k2(nb, edges):
+        if girth in (0, 3) and not forest:
+            nb = _neighbour_masks(n, edges)
+            if not girth:
+                girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
+            forest = girth == 3 and self.capped and _induced_p4_or_2k2(nb, edges)
+        if self.capped and forest:
             self._decide(source, key, n, edges, adj, girth, by_forest=True)
         else:
             self._label(source, key, n, edges, adj, girth)
@@ -1128,15 +1249,19 @@ class _Engine:
         if "girth_four_consequences" in sel:
             hits = np.nonzero((ranks == 4) & (girth == 4))[0]
             self._count("girth_four_consequences", len(hits))
+            bipartite: dict[_GraphMeta, bool] = {}  # one test per underlying graph
             for pos in hits.tolist():
                 seg, signing = _locate(segments, starts, pos)
-                g = _instance_graph(seg.meta, signing)
-                if bipartition(g.neighbors()) is None:
+                meta = seg.meta
+                if meta not in bipartite:
+                    adj = _adjacency(meta.n, meta.edges)
+                    bipartite[meta] = bipartition(adj) is not None
+                if not bipartite[meta]:
                     report(
                         "girth_four_consequences", pos, "underlying graph not bipartite"
                     )
                     continue
-                reduced = reduced_graph(g)
+                reduced = reduced_graph(_instance_graph(meta, signing))
                 r_red = exact_rank(adjacency_matrix(reduced)).rank
                 if r_red != 4:
                     report(
@@ -1298,9 +1423,7 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
         for lo in range(0, total, _DENSE_CHUNK_MASKS):
             chunks.append(("dense", n, lo, min(lo + _DENSE_CHUNK_MASKS, total)))
     if config.max_n_sparse >= 3:
-        stream_len = len(
-            _sparse_stream_cached(config.max_n_sparse, config.max_cyclomatic)
-        )
+        stream_len = _sparse_length(config.max_n_sparse, config.max_cyclomatic)
         for lo in range(0, stream_len, _SPARSE_CHUNK_GRAPHS):
             chunks.append(("sparse", lo, min(lo + _SPARSE_CHUNK_GRAPHS, stream_len)))
     for pi, path in enumerate(config.graph6_paths):
@@ -1348,10 +1471,12 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
                 engine._label("dense", mask, n, edges, adj, girth)
     elif desc[0] == "sparse":
         _, lo, hi = desc
-        stream = _sparse_stream_cached(config.max_n_sparse, config.max_cyclomatic)
-        for key in range(lo, hi):
-            n, edges, girth = stream[key]
-            engine.add_graph("sparse", key, n, edges, girth)
+        pieces = _sparse_pieces(config.max_n_sparse, config.max_cyclomatic, lo, hi)
+        for key, (core, hang) in enumerate(pieces, lo):
+            engine.add_graph(
+                "sparse", key, core.n + hang.extra, _hung_edges(core, hang),
+                core.girth, _hung_adjacency(core, hang), core.forest,
+            )
     else:
         _, pi, lo, records = desc
         for key, (n, edges) in enumerate(records, lo):
@@ -1374,8 +1499,10 @@ def run(config: SweepConfig) -> SweepReport:
     (identical for any `jobs` value, up to elapsed time)."""
     config.validate()
     start = time.monotonic()
+    clock = time.perf_counter()
     chunks = _plan_chunks(config)
     report = SweepReport(config=config)
+    _lap(report.stages, "plan", clock)
     if config.jobs == 1 or len(chunks) <= 1:
         results = (_run_chunk(config, desc) for desc in chunks)
         for res in results:

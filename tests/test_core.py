@@ -10,6 +10,8 @@ from sgrank import (
     SgrParseError,
     SignedGraph,
     adjacency_matrix,
+    delete_vertices,
+    dense_graphs,
     find_twins,
     induced_subgraph,
     is_balanced,
@@ -115,6 +117,43 @@ class TestTwins:
                 edges.append((u, base.n, ratio * base.sign_of(u, v)))
             g = SignedGraph(base.n + 1, edges)
             assert rank_of(reduced_graph(g)) == rank_of(g)
+
+    def test_one_pass_equals_deleting_pair_by_pair(self):
+        # every signing of the dense graphs on up to 5 vertices, and 16
+        # signings of each dense graph on 6 vertices with two equal
+        # neighbour sets (without one no signing has twins)
+        def pair_by_pair(g):
+            while True:
+                pairs = find_twins(g)
+                if not pairs:
+                    return g
+                g = delete_vertices(g, [pairs[0].y])
+
+        def signed(n, edges, signs):
+            return SignedGraph(n, [(u, v, s) for (u, v), s in zip(edges, signs)])
+
+        rng = random.Random(23)
+        reduced = 0
+        for n in range(3, 7):
+            for _, edges in dense_graphs(n):
+                m = len(edges)
+                if n < 6:
+                    signings = [
+                        [-1 if (p >> i) & 1 else 1 for i in range(m)]
+                        for p in range(1 << m)
+                    ]
+                else:
+                    nbrs = [frozenset(w for e in edges for w in e if v in e and w != v)
+                            for v in range(n)]
+                    if len(set(nbrs)) == n:
+                        continue
+                    signings = [[rng.choice((1, -1)) for _ in edges] for _ in range(16)]
+                for signs in signings:
+                    g = signed(n, edges, signs)
+                    want = pair_by_pair(g)
+                    assert reduced_graph(g) == want, g
+                    reduced += want.n < n
+        assert reduced > 10_000
 
     def test_induced_subgraph_relabels(self):
         g = SignedGraph(5, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, -1)])

@@ -40,6 +40,7 @@ import sgrank.classify as classify_module
 import sgrank.sweep as sweep_module
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
+    STAGES,
     _SIGNING_BLOCK,
     _cotree_signing,
     _dense_chunk,
@@ -50,7 +51,11 @@ from sgrank.sweep import (
     _matching_labels,
     _neighbour_masks,
     _run_chunk,
+    _hung_adjacency,
+    _hung_edges,
     _signing_block,
+    _sparse_length,
+    _sparse_pieces,
     _sparse_records,
 )
 
@@ -482,9 +487,10 @@ def _sparse_stream(max_n, max_cyclomatic):
     return list(sparse_graphs(max_n, max_cyclomatic))
 
 
-def _replay(ce):
+def _replay(ce, sparse_n=7):
     """The counterexample's graph, checked against its .sgr record, its
-    reported rank and girth, and its source and signing index."""
+    reported rank and girth, and its source and signing index (a sparse
+    key indexes `sparse_graphs(sparse_n, 3)`)."""
     g = parse_sgr(ce["sgr"])
     assert rank_of(g) == ce["rank"]
     assert profile(g).girth == ce["girth"]
@@ -493,7 +499,7 @@ def _replay(ce):
         table = _edge_table(ce["n"])
         edges = [e for i, e in enumerate(table) if (int(key) >> i) & 1]
     else:
-        edges = _sparse_stream(7, 3)[int(key)][1]
+        edges = _sparse_stream(sparse_n, 3)[int(key)][1]
     assert list(enumerate_signings(ce["n"], edges))[ce["signing_index"]] == g
     return g
 
@@ -801,6 +807,55 @@ class TestSparseGirthHint:
             assert girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
 
 
+class TestSparseChunks:
+    """Each sparse chunk builds its own slice of the stream from the core
+    table and the hangings cached per core order."""
+
+    @pytest.mark.parametrize("max_n", [8, 10])
+    def test_slices_join_to_the_full_stream(self, max_n):
+        full = list(_sparse_records(max_n, 3))
+        assert _sparse_length(max_n, 3) == len(full)
+        assert all(edges == sorted(edges) for _, edges, _ in full)
+        # a step of 97 puts slice boundaries inside cores
+        joined = []
+        for lo in range(0, len(full) + 97, 97):
+            joined += _sparse_records(max_n, 3, lo, lo + 97)
+        assert joined == full
+        assert list(_sparse_records(max_n, 3, 97)) == full[97:]
+
+    def test_template_adjacency_is_the_edge_adjacency(self):
+        for core, hang in _sparse_pieces(10, 3):
+            n = core.n + hang.extra
+            edges = _hung_edges(core, hang)
+            want = _adjacency(n, edges)
+            assert [list(nb) for nb in _hung_adjacency(core, hang)] == want, edges
+
+    def test_small_chunks_report_the_same_failures(self, monkeypatch):
+        cfg = SweepConfig(max_n_dense=0, max_n_sparse=8,
+                          checks=("rank_ge_girth_minus_1",), max_counterexamples=10**6)
+        want = run(cfg)
+        monkeypatch.setattr(sweep_module, "_SPARSE_CHUNK_GRAPHS", 97)
+        got = run(cfg)
+        assert got.total_failures() == want.total_failures() > 0
+        assert len(got.counterexamples) == got.total_failures()
+        for ce in got.counterexamples:
+            _replay(ce, sparse_n=8)
+
+    def test_core_witness_holds_for_every_hung_graph(self):
+        witnessed = 0
+        for core, hang in _sparse_pieces(9, 3):
+            if core.forest:
+                n = core.n + hang.extra
+                edges = _hung_edges(core, hang)
+                assert _induced_p4_or_2k2(_neighbour_masks(n, edges), edges), edges
+                witnessed += 1
+        cores = sweep_module._core_table(9, 3)
+        assert any(core.girth == 3 and not core.forest for core in cores)
+        assert witnessed > 0
+        rep = run(SweepConfig(max_n_dense=0, max_n_sparse=9))
+        assert rep.decided_by_forest == 199_330
+
+
 class TestSweepRuns:
     def test_small_run_is_clean(self):
         rep = run(SweepConfig(max_n_dense=5, max_n_sparse=6))
@@ -943,6 +998,8 @@ class TestSweepRuns:
         data = json.loads(rep.to_json())
         assert data["schema"] == 2
         assert data["totals"]["graphs"] == rep.graphs
+        assert list(data["stages"]) == sorted(STAGES)
+        assert rep.stages["plan"] > 0
         assert set(data["checks"]) == set(DEFAULT_CHECKS)
 
     def test_instance_checks_run_clean(self):
