@@ -21,7 +21,9 @@ passes them as a function and a graph of no such shape never builds its
 tree.  `accepted_cotree_patterns` takes the union of those sets, once
 per underlying graph, for the verification sweep; the classifiers find
 the pattern of the signing at hand and return the first case whose set
-holds it.
+holds it.  `case_shapes` widens those shapes to a test on edge counts
+and neighbour bitmasks that numpy runs over many graphs at once: a graph
+that fails it has no case, so the sweep skips its table.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -34,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import SignedGraph, adjacency_matrix
 from .exact import rank as exact_rank
@@ -323,6 +327,40 @@ def _cases(adj: Sequence[Sequence[int]], cotree: _Cotree):
         yield _EQG, "h", {
             "branch_vertices": branches, "six_cycle_signs": [-1] * 4
         }, _negative_on(cotree(), six_cycles)
+
+
+def case_shapes(n: int, m, nb) -> np.ndarray:
+    """Per graph, whether `_cases` may yield anything for it: a necessary
+    condition, vectorized over connected graphs with a cycle on n
+    vertices, with edge counts m and neighbour bitmasks nb (one row per
+    graph, one integer column per vertex, bit w of nb[i, v] set when w is
+    a neighbour of v).  It widens each shape `_cases` tests:
+
+    * cycles and the graphs of cases (d) and (e) are unicyclic: m == n;
+    * case (g)'s theta graphs and case (h)'s subdivided K4 have degrees 2
+      and 3, and m == n + 1 and m == n + 2;
+    * the graphs of cases (A) and (c) are complete multipartite:
+      non-adjacent vertices have equal neighbour masks."""
+    nb = np.asarray(nb)
+    min_degree_two = np.ones(len(nb), dtype=bool)
+    multipartite = np.ones(len(nb), dtype=bool)
+    for u in range(n):
+        col = nb[:, u]
+        min_degree_two &= (col & (col - 1)) != 0  # two bits or more
+        for v in range(u + 1, n):
+            multipartite &= (((col >> v) & 1) == 1) | (col == nb[:, v])
+    return could_have_case(np.asarray(m) - n, min_degree_two, multipartite)
+
+
+def could_have_case(excess, min_degree_two, multipartite):
+    """The test of `case_shapes` on m - n, on whether every degree is at
+    least 2 and on whether the graph is complete multipartite; element by
+    element on arrays."""
+    return (
+        (excess == 0)
+        | (((excess == 1) | (excess == 2)) & min_degree_two)
+        | multipartite
+    )
 
 
 def accepted_cotree_patterns(

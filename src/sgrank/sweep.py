@@ -25,25 +25,36 @@ sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
 with no signing block built: its instances count as checked at rank
 g + 1, and each co-tree pattern that the case table accepts for it is a
 failure of an "iff classified" check.  The first rule takes a graph of
-girth 3 in which some 4 vertices induce P4 or 2K2.  The dense stream
-tests a whole chunk at once (`_dense_witness`), on the neighbour
-bitmasks its enumeration builds.  The sparse stream tests each core
+girth 3 in which some 4 vertices induce a graph H whose every signing
+has rank 4: a principal submatrix never has larger rank, so every
+signing of the graph has rank >= 4 = g + 1.  `_witness_table` finds
+these H at first use by ranking every signing on 4 vertices, keyed by
+their in-set degree multisets: 2K2 and P4 (the forests with two disjoint
+edges, counted in `decided_by_forest`), the paw and K4.  The dense
+stream looks up every 4-set of a whole chunk at once (`_dense_witness`),
+on the neighbour bitmasks its enumeration builds; so do graph6 records
+of order <= 7, grouped by order.  The sparse stream tests each core
 once: a core is an induced subgraph of every graph hung from it, so its
-witness holds for all of them.  The graphs of cores without one, and
-graph6 records, are tested on their own bitmasks (`_induced_p4_or_2k2`),
-which also find a triangle when no girth is given.  Every signing of a
-forest F has rank 2 nu(F), nu the matching number, and a principal
-submatrix never has larger rank, so every signing of the graph has rank
->= 4 = g + 1.  Otherwise each graph is labeled with its iterated pendant
+witness holds for all of them.  The graphs of cores without P4 or 2K2,
+and larger graph6 records, are tested on their own bitmasks
+(`_induced_witness`), which also find a triangle when no girth is given.
+Otherwise each graph is labeled with its iterated pendant
 pairs first and then a greedy maximal induced matching of the rest,
 lowest degree first (`_matching_labels`): p pendant pairs and k matched
 pairs.  By the pendant lemma and Haynsworth's rank additivity (see
 `exact`), every signing then has rank >= 2(p + k), and the second rule
 decides a graph with 2(p + k) >= g + 1.
-A decided graph costs one case-table lookup: its counts go into running
-sums by (order, girth), and it builds its spanning tree and keeps a
-record only when the case table accepts a pattern for it or a spot-check
-stride samples one of its instances.
+A decided graph goes into running sums by (order, girth).  The case
+table runs on it only when `classify.case_shapes` says a case may fit,
+and it builds its spanning tree and keeps a record only when the case
+table accepts a pattern for it or a spot-check stride samples one of its
+instances.  A graph decided by a witness that neither holds costs no
+Python of its own: the dense and graph6 chunks sum such rows in numpy,
+and the sparse stream counts them from the core's row, which holds the
+verdict of `case_shapes` for the core and for all its non-empty
+hangings.  Spot checks sample by chunk-local stream position: every
+graph takes the next 2^(m - n + 1) positions, and an instance is sampled
+when its position is a multiple of the stride.
 The other graphs' signing blocks are built on the new labels and
 buffered by (order, p, k, g).  Before a block would bring all buffers
 together to one cap, the fullest is flushed, so no batch exceeds it.
@@ -104,7 +115,13 @@ from .invariants import (
     girth_of_adjacency,
     shortest_cycle,
 )
-from .classify import accepted_cotree_patterns, classify_equals_g, classify_gminus2
+from .classify import (
+    accepted_cotree_patterns,
+    case_shapes,
+    classify_equals_g,
+    classify_gminus2,
+    could_have_case,
+)
 
 _BUFFER_INSTANCES = 1 << 17
 _SIGNING_BITS = 15
@@ -192,6 +209,7 @@ DEFAULT_CHECKS: tuple[str, ...] = tuple(
 )
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
+_NO_PATTERNS = (frozenset(), frozenset())  # no case accepts any signing
 
 _SPOT_RANK_STRIDE = 2048
 _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
@@ -200,9 +218,12 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # planning: graph6 parsing and its co-tree limit, and the sparse stream's
 # core table and length.  The others are summed over chunks.  Each
 # chunk's flushes time the kernel (stacking the blocks and ranking them)
-# and the checks; intake is the rest of the chunk: enumeration, girth,
-# witnesses, labels, the case table, block build and the decided graphs'
-# bookkeeping.  With jobs > 1 the chunk stages add up the workers' time.
+# and the checks, and the spot checks of decided graphs count as
+# spot_checks; intake is the rest of the chunk: enumeration, girth, the
+# witness table (built at first use) and its lookups, the case-shape
+# test, labels, the case table, block build and the decided graphs' sums,
+# whole chunks at a time where numpy takes them.  With jobs > 1 the chunk
+# stages add up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
@@ -244,6 +265,7 @@ class SweepReport:
     skipped_graph6_records: int = 0
     decided_instances: int = 0
     decided_by_forest: int = 0
+    decided_by_witness: int = 0
     histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
     stages: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     elapsed_seconds: float = 0.0
@@ -277,6 +299,7 @@ class SweepReport:
                 "skipped_graph6_records": self.skipped_graph6_records,
                 "decided_instances": self.decided_instances,
                 "decided_by_forest": self.decided_by_forest,
+                "decided_by_witness": self.decided_by_witness,
             },
             "checks": checks,
             # rows [order, girth, min(rank, girth + 1), instances]
@@ -412,9 +435,12 @@ def _edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-# the set bits of each neighbour bitmask of a dense graph (n <= 7),
-# ascending: its adjacency lists
-_BITS = tuple(tuple(v for v in range(7) if (b >> v) & 1) for b in range(1 << 7))
+# the largest order whose neighbour bitmasks fit uint8 columns; _BITS
+# holds the set bits of each such mask, ascending: its adjacency list
+_MASK_ORDER = 7
+_BITS = tuple(
+    tuple(v for v in range(_MASK_ORDER) if (b >> v) & 1) for b in range(1 << _MASK_ORDER)
+)
 
 
 def _dense_chunk(n: int, lo: int, hi: int):
@@ -432,41 +458,90 @@ def _dense_chunk(n: int, lo: int, hi: int):
     for e, (u, v) in enumerate(table):
         nb[:, u] |= bits[:, e] << v
         nb[:, v] |= bits[:, e] << u
-    reach = np.ones(len(masks), dtype=np.uint8)
+    keep = _connected_cyclic(n, m, nb)
+    nb = nb[keep]
+    return masks[keep], m[keep], _girth_hints(n, nb), nb
+
+
+def _connected_cyclic(n: int, m: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Per row of uint8 neighbour bitmasks with m edges, whether the
+    graph is connected and has a cycle."""
+    reach = np.ones(len(nb), dtype=np.uint8)
     for _ in range(n):
         for v in range(n):
             sel = (reach >> v) & 1
             reach |= nb[:, v] * sel
-    keep = (m >= n) & (reach == (1 << n) - 1)
+    return (m >= n) & (reach == (1 << n) - 1)
 
-    tri = np.zeros(len(masks), dtype=bool)
-    for e, (u, v) in enumerate(table):
-        tri |= (bits[:, e] == 1) & ((nb[:, u] & nb[:, v]) != 0)
-    sq = np.zeros(len(masks), dtype=bool)
+
+def _girth_hints(n: int, nb: np.ndarray) -> np.ndarray:
+    """Per row of uint8 neighbour bitmasks: 3 with a triangle, else 4 when
+    two vertices have two common neighbours, else 0."""
+    tri = np.zeros(len(nb), dtype=bool)
+    sq = np.zeros(len(nb), dtype=bool)
     for u in range(n):
         for v in range(u + 1, n):
-            sq |= _POPCOUNT[nb[:, u] & nb[:, v]] >= 2
-    hint = np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
-    return masks[keep], m[keep], hint[keep], nb[keep]
+            common = nb[:, u] & nb[:, v]
+            tri |= (((nb[:, u] >> v) & 1) == 1) & (common != 0)
+            sq |= _POPCOUNT[common] >= 2
+    return np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
+
+
+# the kinds of 4-vertex witness in `_witness_table`, ordered so that the
+# larger one is kept: P4 or 2K2 (counted again in decided_by_forest), and
+# the paw or K4
+_FOREST = 2
+_OTHER = 1
+
+
+def _degree_code(degrees) -> int:
+    """The code of a multiset of degrees below 8: the sum of 8^d."""
+    return sum(1 << 3 * d for d in degrees)
+
+
+@lru_cache(maxsize=None)
+def _witness_table() -> np.ndarray:
+    """The witness kind of each in-set degree code of 4 vertices
+    (`_degree_code`), 0 for none.  A code is a witness when every signing
+    of every graph on 4 vertices with that degree multiset has rank 4:
+    then a graph of girth 3 in which 4 vertices induce it has rank >= 4 =
+    g + 1 on every signing, since a principal submatrix never has larger
+    rank.  Such a graph has no isolated vertex, so with fewer edges than
+    vertices it is a forest (_FOREST, P4 or 2K2); the others are _OTHER
+    (the paw and K4).  Built at first use, by ranking all 729 signings of
+    the 64 labeled graphs on 4 vertices."""
+    # every signing of every labeled graph on 4 vertices: each of the 6
+    # vertex pairs is a non-edge, a positive edge or a negative edge
+    values = np.array((0, 1, -1), dtype=np.int8)[np.indices((3,) * 6).reshape(6, -1).T]
+    matrices = np.zeros((len(values), 4, 4), dtype=np.int8)
+    for e, (u, v) in enumerate(_edge_table(4)):
+        matrices[:, u, v] = matrices[:, v, u] = values[:, e]
+    degrees = (matrices != 0).sum(axis=2)
+    codes = (1 << 3 * degrees).sum(axis=1)
+    lowest = np.full(_degree_code((3,) * 4) + 1, 5)
+    np.minimum.at(lowest, codes, batch_ranks(matrices))
+    edge_counts = dict(zip(codes.tolist(), (degrees.sum(axis=1) // 2).tolist()))
+    kinds = np.zeros(len(lowest), dtype=np.uint8)
+    for code in np.flatnonzero(lowest == 4).tolist():
+        kinds[code] = _FOREST if edge_counts[code] < 4 else _OTHER
+    kinds.setflags(write=False)
+    return kinds
 
 
 def _dense_witness(nb: np.ndarray) -> np.ndarray:
-    """Per row of neighbour bitmasks (one uint8 column per vertex), whether
-    some 4 vertices induce P4 or 2K2: each of the 4 has 1 or 2 neighbours
-    among the other 3, and the 4 counts sum to 4 (2K2) or 6 (P4), not 8
-    (C4).  The vectorized form of `_induced_p4_or_2k2`."""
-    rows = len(nb)
+    """Per row of neighbour bitmasks (one uint8 column per vertex), the
+    largest witness kind among the graphs that 4 of its vertices induce,
+    0 for none: each 4-set's in-set degree code looked up in
+    `_witness_table`.  The vectorized form of `_induced_witness`."""
+    kinds = _witness_table()
+    # 8^d for a vertex with d neighbours in the set; d <= 3
+    terms = np.left_shift(1, 3 * np.minimum(_POPCOUNT, 3).astype(np.uint16))
     columns = np.ascontiguousarray(nb.T)
-    found = np.zeros(rows, dtype=bool)
+    found = np.zeros(len(nb), dtype=np.uint8)
     for quad in combinations(range(nb.shape[1]), 4):
         inside = sum(1 << v for v in quad)
-        ok = np.ones(rows, dtype=bool)
-        degrees = np.zeros(rows, dtype=np.uint8)
-        for v in quad:
-            d = _POPCOUNT[columns[v] & inside]
-            ok &= (d == 1) | (d == 2)
-            degrees += d
-        found |= ok & (degrees < 8)
+        code = sum(terms[columns[v] & inside] for v in quad)
+        np.maximum(found, kinds[code], out=found)
     return found
 
 
@@ -649,16 +724,20 @@ def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
 
 class _Core:
     """One subdivided core of the sparse stream: its order, sorted edges,
-    adjacency lists (as `_adjacency` builds them from those edges), girth
-    and hangings, and whether it has girth 3 and 4 vertices inducing P4
-    or 2K2.  Hung trees add no cycle and keep the core an induced
-    subgraph, so the girth and the witness hold for every graph hung from
-    it.  `cut[v]` is the number of edges that start at or below v, and
-    `split[v]` the length of the part of adj[v] that those edges give:
-    the places where the edges to v's hung children and the children
+    adjacency lists (as `_adjacency` builds them from those edges), girth,
+    signings per graph, hangings, and its witness kind (`_induced_witness`,
+    0 unless the girth is 3).  Hung trees add no cycle and keep the core
+    an induced subgraph, so the girth and the witness hold for every graph
+    hung from it.  `hung_shape` is `case_shapes` of every graph with a
+    non-empty hanging: the hanging adds a leaf and keeps m - n, and a
+    connected graph with a cycle and a leaf is never complete multipartite
+    (the leaf's non-neighbours would all see only its neighbour).  `cut[v]` is the number of edges that start at or below
+    v, and `split[v]` the length of the part of adj[v] that those edges
+    give: the places where the edges to v's hung children and the children
     themselves go."""
 
-    __slots__ = ("n", "edges", "adj", "girth", "forest", "cut", "split", "hangings")
+    __slots__ = ("n", "edges", "adj", "girth", "witness", "signings", "hung_shape",
+                 "cut", "split", "hangings")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
         self.n = n
@@ -666,9 +745,12 @@ class _Core:
         adj = _adjacency(n, self.edges)
         self.adj = tuple(map(tuple, adj))
         self.girth = girth_of_adjacency(adj)
-        self.forest = self.girth == 3 and _induced_p4_or_2k2(
-            _neighbour_masks(n, self.edges), self.edges
+        self.witness = (
+            _induced_witness(_neighbour_masks(n, self.edges), self.edges)
+            if self.girth == 3 else 0
         )
+        self.signings = 1 << (len(edges) - n + 1)
+        self.hung_shape = bool(could_have_case(len(edges) - n, False, False))
         self.cut = tuple(bisect_left(self.edges, (v + 1,)) for v in range(n))
         split = [len(nb) for nb in adj]
         for u, v in self.edges:
@@ -821,19 +903,30 @@ def _decode_graph6_record(line: str, record: int) -> tuple[int, list[tuple[int, 
             f"expected {need} data characters for order {n}, got {len(body)}",
             record,
         )
-    bits = []
+    word = 0  # the body's bits, the first one highest
     for x in body:
-        bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[pairs:]):
+        word = (word << 6) | x
+    padding = 6 * need - pairs
+    if word & ((1 << padding) - 1):
         raise Graph6Error("nonzero padding bits", record)
+    word >>= padding
+    # bit p of word is the vertex pair at position pairs - 1 - p in graph6's
+    # column order; walk the set bits upwards, then turn the list round
+    table = _graph6_pairs(n)
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    while word:
+        low = word & -word
+        edges.append(table[low.bit_length() - 1])
+        word ^= low
+    edges.reverse()
     return n, edges
+
+
+@lru_cache(maxsize=None)
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs (u, v), u < v, in graph6's column order (by v,
+    then u), last first."""
+    return tuple((u, v) for v in range(1, n) for u in range(v))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -891,22 +984,58 @@ def _has_triangle(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
     return any(nb[u] & nb[v] for u, v in edges)
 
 
-def _induced_p4_or_2k2(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
-    """Whether some two disjoint edges ab and cd have at most one edge
-    between {a, b} and {c, d}: exactly when some 4 vertices induce P4 or
-    2K2, the forests on 4 vertices with matching number 2.  Then one of c,
-    d has no neighbour in {a, b}, and the other at most one."""
+@lru_cache(maxsize=None)
+def _partner_types() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Rules (kind, s, partners), _FOREST first, read off `_witness_table`
+    for the sets {a, b, c, d} with edges ab and cd.  A vertex's type says
+    which of a and b it sees (bit 0: a, bit 1: b).  The set has the kind
+    when c has type s and d a type in `partners`, all >= s since c and d
+    may swap."""
+    kinds = _witness_table()
+    rules: dict[tuple[int, int], list[int]] = {}
+    for s in range(4):
+        for t in range(s, 4):
+            degrees = (1 + (s & 1) + (t & 1), 1 + (s >> 1) + (t >> 1),
+                       1 + s.bit_count(), 1 + t.bit_count())
+            kind = int(kinds[_degree_code(degrees)])
+            if kind:
+                rules.setdefault((kind, s), []).append(t)
+    return tuple(
+        (kind, s, tuple(ts)) for (kind, s), ts in sorted(rules.items(), reverse=True)
+    )
+
+
+def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> int:
+    """The largest witness kind among the graphs that 4 vertices induce,
+    0 for none, from the neighbour bitmasks; it stops at the first
+    _FOREST.  Each graph of `_witness_table` has a perfect matching (on 4
+    vertices with a zero diagonal, a nonzero determinant needs one), so
+    only the sets with disjoint edges ab and cd are looked at: per edge
+    ab, each rule of `_partner_types` asks for an edge from a vertex of
+    type s to one of a partner type."""
     full = (1 << len(nb)) - 1
+    best = 0
     for a, b in edges:
         pair = (1 << a) | (1 << b)
-        far = full & ~(nb[a] | nb[b] | pair)  # no neighbour in {a, b}
-        reach = far | ((nb[a] ^ nb[b]) & ~pair)  # at most one
-        while far:
-            c = far & -far
-            if nb[c.bit_length() - 1] & reach:
-                return True
-            far ^= c
-    return False
+        sees_a, sees_b = nb[a] & ~pair, nb[b] & ~pair
+        types = (full & ~(sees_a | sees_b | pair), sees_a & ~sees_b,
+                 sees_b & ~sees_a, sees_a & sees_b)
+        for kind, s, partners in _partner_types():
+            if kind <= best:
+                break
+            reach = 0
+            for t in partners:
+                reach |= types[t]
+            rest = types[s] if reach else 0
+            while rest:
+                c = rest & -rest
+                if nb[c.bit_length() - 1] & reach:
+                    best = kind
+                    break
+                rest ^= c
+        if best == _FOREST:
+            break
+    return best
 
 
 def _matching_labels(adj: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
@@ -957,12 +1086,30 @@ def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
 
 
 class _Segment:
-    __slots__ = ("meta", "j0", "count")
+    """`count` signings of one graph from signing j0 on; `start` is the
+    chunk-local stream position of signing j0."""
 
-    def __init__(self, meta, j0, count):
+    __slots__ = ("meta", "j0", "count", "start")
+
+    def __init__(self, meta, j0, count, start):
         self.meta = meta
         self.j0 = j0
         self.count = count
+        self.start = start
+
+
+def _holds_sample(start, count, stride):
+    """Whether stream positions start .. start + count - 1 hold a multiple
+    of `stride` (never for stride 0); element by element on arrays."""
+    return (-start) % stride < count if stride else count < 0
+
+
+def _samples(segments: list[_Segment], starts, stride: int):
+    """(buffer position, segment, signing) of each buffered instance whose
+    stream position is a multiple of `stride`."""
+    for seg, at in zip(segments, starts):
+        for off in range((-seg.start) % stride, seg.count, stride):
+            yield at + off, seg, seg.j0 + off
 
 
 def _locate(segments: list[_Segment], starts, pos: int) -> tuple[_Segment, int]:
@@ -1000,6 +1147,7 @@ class _ChunkResult:
         self.skipped_graph6_records = 0
         self.decided_instances = 0
         self.decided_by_forest = 0
+        self.decided_by_witness = 0
         self.histogram: dict[tuple[int, int, int], int] = {}
         self.stages = dict.fromkeys(STAGES, 0.0)
 
@@ -1019,7 +1167,8 @@ class _Engine:
         ]
         self.result = _ChunkResult()
         # graphs decided at intake, summed by (order, girth) as [graphs,
-        # instances, instances decided by an induced forest] until `finish`
+        # instances, instances with an induced P4 or 2K2, instances with
+        # any witness of `_witness_table`] until `finish`
         self.decided: dict[tuple[int, int], list[int]] = {}
         # the finest selected spot-check stride, 0 for none: a graph holds
         # a sample of either stride exactly when it holds one of this
@@ -1033,7 +1182,9 @@ class _Engine:
         self.segments: dict[tuple[int, int, int, int], list[_Segment]] = {}
         self.buffered: dict[tuple[int, int, int, int], int] = {}
         self.total_buffered = 0
-        self.ordinal = 0  # chunk-local instance counter for spot strides
+        # the chunk-local stream position of the next graph's first
+        # instance: the spot strides sample by it
+        self.position = 0
 
     # -- accounting helpers
 
@@ -1077,34 +1228,89 @@ class _Engine:
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
                   girth: int = 0, adj: Sequence[Sequence[int]] | None = None,
-                  forest: bool = False) -> None:
-        """Intake of one connected graph with a cycle, with its girth when
-        the stream knows it (else 0), its adjacency lists when the caller
-        has built them, and `forest` when the caller knows that the girth
-        is 3 and some 4 vertices induce P4 or 2K2.  Otherwise, at girth 3,
-        the neighbour bitmasks test for that; they also find a triangle
-        when no girth is given."""
+                  witness: int = 0, shape: bool = True) -> None:
+        """Intake of one connected graph with a cycle, at the next stream
+        position, with its girth when the stream knows it (else 0), its
+        adjacency lists when the caller has built them, and `shape` False
+        when the caller knows that no case shape fits it (`case_shapes`).
+        A `witness` of _FOREST is taken as known; below that, at girth 3,
+        the neighbour bitmasks look for the largest witness
+        (`_induced_witness`), and they find a triangle when no girth is
+        given."""
+        start = self.position
+        self.position += 1 << (len(edges) - n + 1)
         if adj is None:
             adj = _adjacency(n, edges)
-        if girth in (0, 3) and not forest:
+        if girth in (0, 3) and witness != _FOREST:
             nb = _neighbour_masks(n, edges)
             if not girth:
                 girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
-            forest = girth == 3 and self.capped and _induced_p4_or_2k2(nb, edges)
-        if self.capped and forest:
-            self._decide(source, key, n, edges, adj, girth, by_forest=True)
+            if girth == 3 and self.capped:
+                witness = _induced_witness(nb, edges)
+        if self.capped and witness:
+            self._decide(source, key, n, edges, adj, girth, witness, shape, start)
         else:
-            self._label(source, key, n, edges, adj, girth)
+            self._label(source, key, n, edges, adj, girth, shape, start)
 
-    def _label(self, source, key, n, edges, adj, girth):
+    def add_batch(self, source: str, n: int, keys: np.ndarray, m: np.ndarray,
+                  hints: np.ndarray, nb: np.ndarray, edges_of) -> None:
+        """Intake of connected graphs with a cycle on n <= _MASK_ORDER
+        vertices, one row each, in stream order: keys, edge counts, girth
+        hints and uint8 neighbour bitmasks as `_dense_chunk` gives them,
+        and edges_of(key) the graph's edge list.  Girth-3 rows are looked
+        up in the witness table together (`_dense_witness`).  Rows with a
+        witness, no case shape (`case_shapes`) and no spot sample are only
+        counted, in numpy; the other rows take the per-graph path."""
+        counts = np.left_shift(1, m - n + 1)
+        starts = self.position + np.cumsum(counts) - counts
+        self.position += int(counts.sum())
+        kinds = np.zeros(len(m), dtype=np.uint8)
+        if self.capped:
+            tri = np.flatnonzero(hints == 3)
+            kinds[tri] = _dense_witness(nb[tri])
+        shape = case_shapes(n, m, nb)
+        bulk = (kinds > 0) & ~shape & ~_holds_sample(starts, counts, self.stride)
+        if bulk.any():
+            instances = int(counts[bulk].sum())
+            self._sum_decided(n, 3, int(bulk.sum()), instances,
+                              int(counts[bulk & (kinds == _FOREST)].sum()), instances)
+        rest = np.flatnonzero(~bulk)
+        rows = nb.tobytes()
+        for i, key, kind, hint, fits, start in zip(
+            rest.tolist(), keys[rest].tolist(), kinds[rest].tolist(),
+            hints[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
+        ):
+            adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
+            if kind:
+                self._decide(source, key, n, edges_of(key), adj, 3, kind, fits, start)
+            else:
+                girth = hint or girth_of_adjacency(adj)
+                self._label(source, key, n, edges_of(key), adj, girth, fits, start)
+
+    def add_uncased(self, n: int, count: int) -> bool:
+        """Count a graph of girth 3 with an induced P4 or 2K2 and no case
+        shape, of order n and with `count` instances, at the next stream
+        position, and return True; unless a spot stride samples one of its
+        instances: then return False, and the caller passes it to
+        `add_graph`."""
+        if _holds_sample(self.position, count, self.stride):
+            return False
+        self._sum_decided(n, 3, 1, count, count, count)
+        self.position += count
+        return True
+
+    def _label(self, source, key, n, edges, adj, girth, shape, start):
         """Decide a graph by its pendant pairs and induced matching, or
         buffer its signing blocks on the labels that put them first."""
         labels, p, k = _matching_labels(adj)
         if self.capped and 2 * (p + k) > girth:
-            self._decide(source, key, n, edges, adj, girth, by_forest=False)
+            self._decide(source, key, n, edges, adj, girth, 0, shape, start)
             return
         cotree = _spanning_cotree(n, edges)
-        accepted = accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
+        accepted = (
+            accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
+            if shape else _NO_PATTERNS
+        )
         meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
         total = 1 << len(cotree)
         self.result.graphs += 1
@@ -1115,37 +1321,37 @@ class _Engine:
         relabeled = [(labels[u], labels[v]) for u, v in edges]
         for j0 in range(0, total, _SIGNING_BLOCK):
             self._append_block(
-                (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0)
+                (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0),
+                start + j0,
             )
 
-    def _decide(self, source, key, n, edges, adj, girth, by_forest):
+    def _decide(self, source, key, n, edges, adj, girth, witness, shape, start):
         """Check all signings of a graph without ranking any, when each of
         them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
-        Either 2(p + k) >= girth + 1, and the pendant lemma and the
-        matching step give every signing rank >= 2(p + k); or (`by_forest`)
-        the girth is 3 and some 4 vertices induce P4 or 2K2, a forest whose
-        every signing has rank 4, twice its matching number, and a
-        principal submatrix never has larger rank than the matrix.
+        Either the girth is 3 and 4 vertices induce a graph of
+        `_witness_table` (`witness`, its largest kind), every signing of
+        which has rank 4, and a principal submatrix never has larger rank
+        than the matrix; or (witness 0) 2(p + k) >= girth + 1, and the
+        pendant lemma and the matching step give every signing rank >=
+        2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
-        into the result by `finish`.  The case table runs on every decided
-        graph, and no pattern may be accepted at rank girth + 1; it asks
-        for the co-tree only in cases (c), (g) and (h).  Only a graph with
-        an accepted pattern, or one holding an instance that a spot-check
-        stride samples, builds its spanning tree and record.  The
-        spot-check ordinal moves past the graph's instances here, in
-        stream order, as it does for each flush."""
+        into the result by `finish`.  When a case shape may fit it
+        (`shape`), the case table runs, and no pattern may be accepted at
+        rank girth + 1; it asks for the co-tree only in cases (c), (g) and
+        (h).  Only a graph with an accepted pattern, or one holding an
+        instance that a spot-check stride samples, builds its spanning
+        tree and record.  `start` is the graph's stream position."""
         total = 1 << (len(edges) - n + 1)
-        sums = self.decided.setdefault((n, girth), [0, 0, 0])
-        sums[0] += 1
-        sums[1] += total
-        if by_forest:
-            sums[2] += total
-        accepted = accepted_cotree_patterns(
-            adj, lambda: [edges[i] for i in _spanning_cotree(n, edges)]
+        self._sum_decided(n, girth, 1, total, total if witness == _FOREST else 0,
+                          total if witness else 0)
+        accepted = (
+            accepted_cotree_patterns(
+                adj, lambda: [edges[i] for i in _spanning_cotree(n, edges)]
+            )
+            if shape else _NO_PATTERNS
         )
-        sampled = self.stride and (-self.ordinal) % self.stride < total
-        if accepted[0] or accepted[1] or sampled:
+        if accepted[0] or accepted[1] or _holds_sample(start, total, self.stride):
             cotree = _spanning_cotree(n, edges)
             meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
             for name, patterns in zip(_IFF_CHECKS, accepted):
@@ -1153,20 +1359,29 @@ class _Engine:
                     for signing in sorted(patterns):
                         self._fail(name, meta, signing, girth + 1, "classifier=hit")
             clock = time.perf_counter()
-            self._spot_checks([_Segment(meta, 0, total)], (0, total), None, total)
+            self._spot_checks([_Segment(meta, 0, total, start)], (0, total), None)
             _lap(self.result.stages, "spot_checks", clock)
-        self.ordinal += total
+
+    def _sum_decided(self, n, girth, graphs, instances, by_forest, by_witness):
+        sums = self.decided.setdefault((n, girth), [0, 0, 0, 0])
+        sums[0] += graphs
+        sums[1] += instances
+        sums[2] += by_forest
+        sums[3] += by_witness
 
     def _append_block(
-        self, key: tuple[int, int, int, int], meta: _GraphMeta, j0: int, block: np.ndarray
+        self, key: tuple[int, int, int, int], meta: _GraphMeta, j0: int,
+        block: np.ndarray, start: int,
     ) -> None:
+        """Buffer the signings j0 .. of `meta`'s graph, the first of them
+        at stream position `start`."""
         count = len(block)
         # one cap on all keys together bounds the memory the buffers hold:
         # flush before this block would fill it, so no batch exceeds it
         while self.buffered and self.total_buffered + count >= _BUFFER_INSTANCES:
             self._flush(max(self.buffered, key=self.buffered.__getitem__))
         self.buffers.setdefault(key, []).append(block)
-        self.segments.setdefault(key, []).append(_Segment(meta, j0, count))
+        self.segments.setdefault(key, []).append(_Segment(meta, j0, count, start))
         self.buffered[key] = self.buffered.get(key, 0) + count
         self.total_buffered += count
 
@@ -1174,11 +1389,12 @@ class _Engine:
         for key in sorted(self.buffers):
             self._flush(key)
         res = self.result
-        for (n, girth), (graphs, instances, by_forest) in self.decided.items():
+        for (n, girth), (graphs, instances, by_forest, by_witness) in self.decided.items():
             res.graphs += graphs
             res.instances += instances
             res.decided_instances += instances
             res.decided_by_forest += by_forest
+            res.decided_by_witness += by_witness
             self._tally(n, girth, girth + 1, instances)
             for name in self.per_instance:
                 self._count(name, instances)
@@ -1271,27 +1487,23 @@ class _Engine:
                     )
 
         clock = _lap(stages, "girth_four_consequences", clock)
-        self._spot_checks(segments, starts, ranks, total)
+        self._spot_checks(segments, starts.tolist(), ranks)
         clock = _lap(stages, "spot_checks", clock)
         self._instance_checks(segments, starts, ranks, total)
         _lap(stages, "instance_checks", clock)
-        self.ordinal += total
 
-    def _spot_checks(self, segments, starts, ranks, total):
-        """Sampled instances through the slow paths; ranks None means
-        every instance is at the cap girth + 1 (a graph decided at intake)."""
+    def _spot_checks(self, segments, starts, ranks):
+        """Sampled instances through the slow paths: those whose stream
+        position is a multiple of the check's stride.  ranks None means
+        every instance is at the cap girth + 1 (a graph decided at
+        intake)."""
 
         def rank_at(pos, meta):
             return meta.girth + 1 if ranks is None else int(ranks[pos])
 
-        do_rank = "spot_check_exact_rank" in self.sel
-        do_cls = "spot_check_classifier" in self.sel
-        base = self.ordinal
-        if do_rank:
-            first = (-base) % _SPOT_RANK_STRIDE
-            for pos in range(first, total, _SPOT_RANK_STRIDE):
+        if "spot_check_exact_rank" in self.sel:
+            for pos, seg, signing in _samples(segments, starts, _SPOT_RANK_STRIDE):
                 self._count("spot_check_exact_rank")
-                seg, signing = _locate(segments, starts, pos)
                 g = _instance_graph(seg.meta, signing)
                 r = exact_rank(adjacency_matrix(g)).rank
                 if self.capped:
@@ -1305,11 +1517,9 @@ class _Engine:
                         rank_value,
                         f"fraction-free rank {r}",
                     )
-        if do_cls:
-            first = (-base) % _SPOT_CLASSIFY_STRIDE
-            for pos in range(first, total, _SPOT_CLASSIFY_STRIDE):
+        if "spot_check_classifier" in self.sel:
+            for pos, seg, signing in _samples(segments, starts, _SPOT_CLASSIFY_STRIDE):
                 self._count("spot_check_classifier")
-                seg, signing = _locate(segments, starts, pos)
                 meta = seg.meta
                 g = _instance_graph(meta, signing)
                 rank_value = rank_at(pos, meta)
@@ -1451,40 +1661,51 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
     engine = _Engine(config)
     if desc[0] == "dense":
         _, n, lo, hi = desc
-        masks, _, hints, nb = _dense_chunk(n, lo, hi)
-        forest = np.zeros(len(masks), dtype=bool)
-        if engine.capped:
-            tri = np.flatnonzero(hints == 3)
-            forest[tri] = _dense_witness(nb[tri])
-        rows = nb.tobytes()
-        for i, (mask, hint, by_forest) in enumerate(
-            zip(masks.tolist(), hints.tolist(), forest.tolist())
-        ):
-            adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
-            if by_forest:
-                edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-                engine._decide("dense", mask, n, edges, adj, 3, by_forest=True)
-            else:
-                # the edge table's own pairs: the buffered records share them
-                edges = _mask_edges(n, mask)
-                girth = hint or girth_of_adjacency(adj)
-                engine._label("dense", mask, n, edges, adj, girth)
+        masks, m, hints, nb = _dense_chunk(n, lo, hi)
+        # the edge table's own pairs: the buffered records share them
+        engine.add_batch("dense", n, masks, m, hints, nb, lambda mask: _mask_edges(n, mask))
     elif desc[0] == "sparse":
         _, lo, hi = desc
         pieces = _sparse_pieces(config.max_n_sparse, config.max_cyclomatic, lo, hi)
         for key, (core, hang) in enumerate(pieces, lo):
-            engine.add_graph(
-                "sparse", key, core.n + hang.extra, _hung_edges(core, hang),
-                core.girth, _hung_adjacency(core, hang), core.forest,
-            )
+            n = core.n + hang.extra
+            # a bare core always meets the case table
+            shape = core.hung_shape if hang.extra else True
+            if not (
+                engine.capped and core.witness == _FOREST and not shape
+                and engine.add_uncased(n, core.signings)
+            ):
+                engine.add_graph(
+                    "sparse", key, n, _hung_edges(core, hang), core.girth,
+                    _hung_adjacency(core, hang), core.witness, shape,
+                )
     else:
         _, pi, lo, records = desc
+        source = f"graph6[{pi}]"
+        # records of order 3 .. _MASK_ORDER go through numpy by order
+        by_order: dict[int, list[int]] = {}
+        for key, (n, _) in enumerate(records, lo):
+            if 3 <= n <= _MASK_ORDER:
+                by_order.setdefault(n, []).append(key)
+        for n, keys in sorted(by_order.items()):
+            edge_lists = [records[key - lo][1] for key in keys]
+            nb = np.array([_neighbour_masks(n, e) for e in edge_lists], dtype=np.uint8)
+            m = np.array([len(e) for e in edge_lists], dtype=np.int64)
+            keep = _connected_cyclic(n, m, nb)
+            engine.result.skipped_graph6_records += len(keys) - int(keep.sum())
+            nb = nb[keep]
+            engine.add_batch(
+                source, n, np.array(keys, dtype=np.int64)[keep], m[keep],
+                _girth_hints(n, nb), nb, lambda key: records[key - lo][1],
+            )
         for key, (n, edges) in enumerate(records, lo):
+            if 3 <= n <= _MASK_ORDER:
+                continue
             adj = _adjacency(n, edges)
             if len(edges) < n or len(connected_components(adj)) != 1:
                 engine.result.skipped_graph6_records += 1
                 continue
-            engine.add_graph(f"graph6[{pi}]", key, n, edges, adj=adj)
+            engine.add_graph(source, key, n, edges, adj=adj)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
     return res
@@ -1526,6 +1747,7 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
     report.skipped_graph6_records += res.skipped_graph6_records
     report.decided_instances += res.decided_instances
     report.decided_by_forest += res.decided_by_forest
+    report.decided_by_witness += res.decided_by_witness
     for key, count in res.histogram.items():
         report.histogram[key] = report.histogram.get(key, 0) + count
     for name, seconds in res.stages.items():

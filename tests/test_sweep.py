@@ -31,6 +31,7 @@ from sgrank import (
     parse_graph6,
     parse_sgr,
     profile,
+    rank_oracle,
     run,
     sparse_graphs,
     switch,
@@ -38,16 +39,22 @@ from sgrank import (
 )
 import sgrank.classify as classify_module
 import sgrank.sweep as sweep_module
+from sgrank.classify import case_shapes
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     STAGES,
+    _FOREST,
+    _OTHER,
     _SIGNING_BLOCK,
+    _SPOT_CLASSIFY_STRIDE,
+    _SPOT_RANK_STRIDE,
     _cotree_signing,
+    _degree_code,
     _dense_chunk,
     _dense_witness,
     _edge_table,
     _has_triangle,
-    _induced_p4_or_2k2,
+    _induced_witness,
     _matching_labels,
     _neighbour_masks,
     _run_chunk,
@@ -57,6 +64,7 @@ from sgrank.sweep import (
     _sparse_length,
     _sparse_pieces,
     _sparse_records,
+    _witness_table,
 )
 
 
@@ -268,6 +276,73 @@ class TestAcceptedPatterns:
         assert graphs > 60000
 
 
+def _yields_a_case(n, edges):
+    cotree = lambda: [edges[i] for i in _spanning_cotree(n, edges)]
+    return next(classify_module._cases(_adjacency(n, edges), cotree), None) is not None
+
+
+def _shapes(n, edge_lists):
+    nb = [_neighbour_masks(n, edges) for edges in edge_lists]
+    return case_shapes(n, [len(edges) for edges in edge_lists], nb).tolist()
+
+
+class TestCaseShapes:
+    """`case_shapes` is a necessary condition for the case table: every
+    graph for which `_cases` yields a case passes it."""
+
+    def _cases(self, n, edge_lists):
+        """How many of the graphs have a case; each of them must pass."""
+        cases = 0
+        for edges, fits in zip(edge_lists, _shapes(n, edge_lists)):
+            if _yields_a_case(n, edges):
+                assert fits, (n, edges)
+                cases += 1
+        return cases
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_dense_graphs(self, n):
+        table = _edge_table(n)
+        total = 1 << len(table)
+        graphs = passed = 0
+        for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
+            hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
+            masks, m, _, nb = _dense_chunk(n, lo, hi)
+            fits = case_shapes(n, m, nb).tolist()
+            for mask, fit in zip(masks.tolist(), fits):
+                if not fit:
+                    edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
+                    assert not _yields_a_case(n, edges), (n, edges)
+            graphs += len(fits)
+            passed += sum(fits)
+        assert 0 < passed and (n < 5 or passed < graphs)
+
+    def test_sparse_graphs_and_the_g_and_h_shapes(self):
+        by_order = {}
+        for n, edges in sparse_graphs(10, 3):
+            by_order.setdefault(n, []).append(edges)
+        for n, edges in sparse_graphs(11, 2):
+            degrees = {len(nb) for nb in _adjacency(n, edges)}
+            if n == 11 and len(edges) == 12 and degrees <= {2, 3}:  # theta(5,5,5)
+                by_order.setdefault(n, []).append(edges)
+        assert 11 in by_order
+        assert sum(self._cases(n, graphs) for n, graphs in by_order.items()) > 0
+
+    def test_sparse_verdicts_per_core_and_hanging(self):
+        # the sweep takes one verdict for all non-empty hangings of a core,
+        # and runs the case table on the bare core
+        by_order = {}
+        for core, hang in _sparse_pieces(10, 3):
+            n = core.n + hang.extra
+            fits = core.hung_shape if hang.extra else True
+            by_order.setdefault(n, []).append((_hung_edges(core, hang), fits))
+        verdicts = set()
+        for n, items in by_order.items():
+            got = _shapes(n, [edges for edges, _ in items])
+            assert got == [fits for _, fits in items], n
+            verdicts |= set(got)
+        assert verdicts == {True, False}
+
+
 def _k7_plus_vertex():
     """K7 plus a vertex joined to two of its vertices: 16 co-tree edges."""
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
@@ -361,43 +436,90 @@ class TestInducedMatching:
         assert k_seen == {0, 1, 2, 3}
 
 
+def _graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
 @lru_cache(maxsize=None)
-def _forest_of_matching_number_two(quad_edges):
+def _quad_kind(quad_edges):
     """Brute force on one 4-vertex induced subgraph, given by its edges:
-    a forest with two disjoint edges."""
-    h = nx.Graph()
-    h.add_nodes_from(range(4))
-    h.add_edges_from(quad_edges)
-    return nx.is_forest(h) and any(
-        not set(e) & set(f) for e, f in combinations(quad_edges, 2)
+    _FOREST or _OTHER when every signing has rank 4 (by `rank_oracle`),
+    as it is a forest or not, else 0."""
+    low = min(
+        rank_oracle(adjacency_matrix(SignedGraph(4, [
+            (u, v, -1 if (signs >> i) & 1 else 1) for i, (u, v) in enumerate(quad_edges)
+        ])))
+        for signs in range(1 << len(quad_edges))
     )
+    if low < 4:
+        return 0
+    return _FOREST if nx.is_forest(_graph(4, quad_edges)) else _OTHER
 
 
 def _brute_force_witness(n, edges):
     present = {frozenset(e) for e in edges}
+    best = 0
     for quad in combinations(range(n), 4):
         quad_edges = tuple(
             (i, j)
             for (i, u), (j, v) in combinations(enumerate(quad), 2)
             if frozenset((u, v)) in present
         )
-        if _forest_of_matching_number_two(quad_edges):
-            return True
-    return False
+        best = max(best, _quad_kind(quad_edges))
+    return best
 
 
 def _witness(n, edges):
-    return _induced_p4_or_2k2(_neighbour_masks(n, edges), edges)
+    return _induced_witness(_neighbour_masks(n, edges), edges)
 
 
 def _dense_witness_of(n, edges):
     nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
-    return bool(_dense_witness(nb)[0])
+    return int(_dense_witness(nb)[0])
+
+
+PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]
+
+
+class TestWitnessTable:
+    """The 4-vertex witness table, derived with the batch kernel, against
+    `rank_oracle` and the networkx atlas."""
+
+    def test_every_labeled_graph_on_four_vertices(self):
+        kinds = _witness_table()
+        for mask in range(1 << 6):
+            edges = [e for i, e in enumerate(_edge_table(4)) if (mask >> i) & 1]
+            code = _degree_code(sum(v in e for e in edges) for v in range(4))
+            assert kinds[code] == _quad_kind(tuple(edges)), edges
+
+    def test_exactly_2k2_p4_the_paw_and_k4(self):
+        graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 4]
+        assert len(graphs) == 11
+        codes = [_degree_code(d for _, d in g.degree()) for g in graphs]
+        assert len(set(codes)) == 11  # the degree multiset names the graph
+        kinds = _witness_table()
+        found = {code: kinds[code] for code in codes if kinds[code]}
+        assert sorted(found.values()) == [_OTHER, _OTHER, _FOREST, _FOREST]
+        want = {
+            _degree_code((1, 1, 1, 1)): nx.Graph([(0, 1), (2, 3)]),
+            _degree_code((1, 1, 2, 2)): nx.path_graph(4),
+            _degree_code((1, 2, 2, 3)): nx.Graph(PAW_EDGES),
+            _degree_code((3, 3, 3, 3)): nx.complete_graph(4),
+        }
+        assert set(found) == set(want)
+        for g, code in zip(graphs, codes):
+            if code in want:
+                assert nx.is_isomorphic(g, want[code])
+        assert int(np.count_nonzero(kinds)) == 4
 
 
 class TestInducedForestWitness:
-    """The intake test for an induced P4 or 2K2, against a brute-force
-    search over 4-vertex subsets with networkx."""
+    """The intake search for an induced graph of the witness table,
+    against a brute-force search over 4-vertex subsets with networkx and
+    `rank_oracle`."""
 
     def test_atlas_graphs(self):
         seen = set()
@@ -411,7 +533,9 @@ class TestInducedForestWitness:
             girth = girth_of_adjacency(_adjacency(n, edges))
             assert _has_triangle(nb, edges) == (girth == 3), edges
             seen.add((girth, got))
-        assert {(3, True), (3, False), (4, True), (4, False), (None, True)} <= seen
+        assert {
+            (3, _FOREST), (3, _OTHER), (3, 0), (4, _FOREST), (4, 0), (None, _FOREST)
+        } <= seen
 
     def test_labeled_dense_graphs(self):
         found = 0
@@ -419,7 +543,7 @@ class TestInducedForestWitness:
             for _, edges in dense_graphs(n):
                 got = _witness(n, edges)
                 assert got == _brute_force_witness(n, edges), (n, edges)
-                found += got
+                found += got == _OTHER
         assert found > 0
 
     @pytest.mark.parametrize(
@@ -428,50 +552,61 @@ class TestInducedForestWitness:
             (4, [(0, 1), (1, 2), (2, 3)], True),  # P4
             (4, [(0, 1), (2, 3)], True),  # 2K2
             (4, [(0, 1), (1, 2), (2, 3), (0, 3)], False),  # C4
-            (4, K4_EDGES, False),
+            (4, K4_EDGES, True),
             (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], False),  # K_{2,3}
-            (4, [(0, 1), (0, 2), (1, 2), (0, 3)], False),  # the paw
+            (4, PAW_EDGES, True),  # the paw
         ],
     )
     def test_hand_cases(self, n, edges, want):
-        assert _witness(n, edges) == want
-        assert _dense_witness_of(n, edges) == want
+        assert bool(_witness(n, edges)) == want
+        assert _dense_witness_of(n, edges) == _witness(n, edges)
+
+    def test_kinds_of_the_hand_cases(self):
+        assert _witness(4, [(0, 1), (1, 2), (2, 3)]) == _FOREST
+        assert _witness(4, [(0, 1), (2, 3)]) == _FOREST
+        assert _witness(4, PAW_EDGES) == _OTHER
+        assert _witness(4, K4_EDGES) == _OTHER
+        # a paw and a P4 in one graph: the forest is the kind reported
+        assert _witness(5, PAW_EDGES + [(3, 4)]) == _FOREST
 
     def test_paw_is_decided_by_its_pendant_pairs(self):
-        # a triangle with a pendant vertex: no induced P4 or 2K2, but two
-        # pendant pairs give 2(p + k) = 4 = girth + 1
-        edges = [(0, 1), (0, 2), (1, 2), (0, 3)]
-        assert not _witness(4, edges)
-        _, p, k = _matching_labels(_adjacency(4, edges))
+        # a triangle with a pendant vertex: no induced P4 or 2K2, only
+        # the paw itself; two pendant pairs also give 2(p + k) = 4 =
+        # girth + 1
+        assert _witness(4, PAW_EDGES) == _OTHER
+        _, p, k = _matching_labels(_adjacency(4, PAW_EDGES))
         assert 2 * (p + k) == 4
 
 
 class TestDenseWitness:
-    """`_dense_witness`, the induced P4 or 2K2 on a whole chunk of
-    neighbour bitmasks, against the per-graph `_induced_p4_or_2k2`."""
+    """`_dense_witness`, the witness table looked up on a whole chunk of
+    neighbour bitmasks, against the per-graph `_induced_witness`."""
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_equals_the_scalar_witness_on_every_dense_graph(self, n):
         table = _edge_table(n)
         total = 1 << len(table)
-        found = 0
+        found = {_FOREST: 0, _OTHER: 0}
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
             masks, _, _, nb = _dense_chunk(n, lo, hi)
             got = _dense_witness(nb).tolist()
             for mask, row, witness in zip(masks.tolist(), nb.tolist(), got):
                 edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
-                assert witness == _induced_p4_or_2k2(row, edges), (n, edges)
-            found += sum(got)
-        assert (found > 0) == (n >= 5)  # P4 plus a vertex closing a cycle
+                assert witness == _induced_witness(row, edges), (n, edges)
+                if witness:
+                    found[witness] += 1
+        assert (found[_FOREST] > 0) == (n >= 5)  # P4 plus a vertex closing a cycle
+        assert (found[_OTHER] > 0) == (n >= 4)  # the paw and K4
 
     def test_two_cross_edges_are_too_many(self):
-        # disjoint edges 01 and 23 with two edges between them: C4 or the
-        # paw, never a forest
+        # disjoint edges 01 and 23 with two edges between them: C4, or the
+        # paw when the two share an end; never a forest
         for cross in combinations([(0, 2), (0, 3), (1, 2), (1, 3)], 2):
             edges = [(0, 1), (2, 3), *cross]
-            assert not _dense_witness_of(4, edges), edges
-            assert not _witness(4, edges), edges
+            want = _OTHER if set(cross[0]) & set(cross[1]) else 0
+            assert _dense_witness_of(4, edges) == want, edges
+            assert _witness(4, edges) == want, edges
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
@@ -551,8 +686,9 @@ class TestIffChecksAreLive:
 
 class TestDecidedAtIntake:
     """Graphs whose pendant pairs and matching already give 2(p + k) >=
-    girth + 1, and graphs of girth 3 with an induced P4 or 2K2, are checked
-    without building or ranking any signing."""
+    girth + 1, and graphs of girth 3 with an induced graph of the witness
+    table (P4, 2K2, the paw or K4), are checked without building or
+    ranking any signing."""
 
     def test_forced_decisions_fail_once_per_accepted_pattern(self, monkeypatch):
         accepted = [0, 0]
@@ -586,6 +722,13 @@ class TestDecidedAtIntake:
     def test_decided_graphs_have_rank_above_girth(self):
         rep, decided = _quick_sweep()
         assert sum(g.instances for g in decided) == rep.decided_instances > 0
+        assert any(g.counted for g in decided)
+        # the paw and K4 decide graphs that the other rules leave
+        assert any(
+            g.witness == _OTHER
+            and 2 * sum(_matching_labels(_adjacency(g.n, g.edges))[1:]) <= 3
+            for g in decided
+        )
         by_order = {}
         for g in decided:
             cotree = _spanning_cotree(g.n, g.edges)
@@ -602,14 +745,18 @@ class TestDecidedAtIntake:
         rep, decided = _quick_sweep()
         by_forest = [g for g in decided if g.by_forest]
         assert sum(g.instances for g in by_forest) == rep.decided_by_forest
-        assert 0 < rep.decided_by_forest < rep.decided_instances
-        assert {g.girth for g in by_forest} == {3}
+        assert 0 < rep.decided_by_forest < rep.decided_by_witness < rep.decided_instances
+        witnessed = [g for g in decided if g.witness]
+        assert sum(g.instances for g in witnessed) == rep.decided_by_witness
+        assert {g.girth for g in witnessed} == {3}
         # some of them have 2(p + k) <= girth: the matching rule misses them
         assert any(
             2 * sum(_matching_labels(_adjacency(g.n, g.edges))[1:]) <= 3
             for g in by_forest
         )
-        assert rep.to_json_dict()["totals"]["decided_by_forest"] == rep.decided_by_forest
+        totals = rep.to_json_dict()["totals"]
+        assert totals["decided_by_forest"] == rep.decided_by_forest
+        assert totals["decided_by_witness"] == rep.decided_by_witness
 
     def test_cotree_and_record_only_where_needed(self, monkeypatch):
         # on the quick config, the spanning tree is built only for graphs
@@ -644,10 +791,10 @@ class TestDecidedAtIntake:
             ranked[id(meta)] = meta
             real_append(self, key, meta, *args)
 
-        def spot(self, segments, starts, ranks, total):
+        def spot(self, segments, starts, ranks):
             if ranks is None:  # a decided graph holding a sample
                 sampled[id(segments[0].meta)] = segments[0].meta
-            real_spot(self, segments, starts, ranks, total)
+            real_spot(self, segments, starts, ranks)
 
         def fail(self, name, meta, *args):
             accepting[id(meta)] = meta
@@ -664,7 +811,8 @@ class TestDecidedAtIntake:
         monkeypatch.setattr(sweep_module._Engine, "finish", finish)
         rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
         assert rep.total_failures() == 0 and not accepting
-        assert 0 < len(sampled) <= rep.decided_instances // 2048 + len(decided_keys)
+        # each sampled graph holds one of the stride's samples at least
+        assert 0 < len(sampled) <= rep.checked["spot_check_exact_rank"]
         needed = {
             graph(meta) for group in (ranked, sampled, accepting) for meta in group.values()
         }
@@ -735,27 +883,47 @@ class _Decided:
     n: int
     edges: tuple
     girth: int
-    by_forest: bool
+    witness: int  # the largest witness kind, 0 when decided by 2(p + k)
+    counted: bool  # only counted, with no per-graph intake
 
     @property
     def instances(self):
         return 1 << (len(self.edges) - self.n + 1)
 
+    @property
+    def by_forest(self):
+        return self.witness == _FOREST
+
 
 @lru_cache(maxsize=None)
 def _quick_sweep():
     """The quick config's report, and the graphs it decided at intake,
-    each with whether the induced-forest witness decided it."""
+    each with its witness kind: the graphs `_Engine._decide` took, and
+    the ones it only counted, which are the girth-3 graphs of the quick
+    config's streams with a witness that `_decide` did not see."""
     decided = []
+    seen = set()
     decide = sweep_module._Engine._decide
 
-    def spy(self, source, key, n, edges, adj, girth, by_forest):
-        decided.append(_Decided(n, tuple(edges), girth, by_forest))
-        decide(self, source, key, n, edges, adj, girth, by_forest)
+    def spy(self, source, key, n, edges, adj, girth, witness, shape, start):
+        decided.append(_Decided(n, tuple(edges), girth, witness, False))
+        seen.add((source, n, key))  # a dense key is a mask: it needs n
+        decide(self, source, key, n, edges, adj, girth, witness, shape, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
         rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
+    graphs = [
+        ("dense", mask, n, edges) for n in range(3, 7) for mask, edges in dense_graphs(n)
+    ]
+    graphs += [
+        ("sparse", key, n, edges) for key, (n, edges) in enumerate(sparse_graphs(9, 3))
+    ]
+    for source, key, n, edges in graphs:
+        if (source, n, key) not in seen and _has_triangle(_neighbour_masks(n, edges), edges):
+            witness = _witness(n, edges)
+            if witness:
+                decided.append(_Decided(n, tuple(edges), 3, witness, True))
     return rep, decided
 
 
@@ -844,16 +1012,18 @@ class TestSparseChunks:
     def test_core_witness_holds_for_every_hung_graph(self):
         witnessed = 0
         for core, hang in _sparse_pieces(9, 3):
-            if core.forest:
+            if core.witness:
                 n = core.n + hang.extra
                 edges = _hung_edges(core, hang)
-                assert _induced_p4_or_2k2(_neighbour_masks(n, edges), edges), edges
+                assert _witness(n, edges) >= core.witness, edges
                 witnessed += 1
         cores = sweep_module._core_table(9, 3)
-        assert any(core.girth == 3 and not core.forest for core in cores)
+        assert any(core.girth == 3 and not core.witness for core in cores)
+        assert {core.witness for core in cores} == {0, _OTHER, _FOREST}
         assert witnessed > 0
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=9))
-        assert rep.decided_by_forest == 199_330
+        assert rep.decided_by_forest == 199_330  # the induced P4 or 2K2
+        assert rep.decided_by_witness == 199_958
 
 
 class TestSweepRuns:
@@ -901,8 +1071,10 @@ class TestSweepRuns:
 
     def test_no_kernel_batch_exceeds_the_buffer_cap(self, monkeypatch):
         # blocks of up to 1024 signings against a small cap: the buffers
-        # cross it often, and a batch may only pass it as one large block
-        cap = 384
+        # cross it often, and a batch may only pass it as one large block.
+        # Few graphs are ranked once the witnesses decide the rest, so the
+        # cap is small enough for them to cross it often
+        cap = 64
         monkeypatch.setattr(sweep_module, "_BUFFER_INSTANCES", cap)
         flushed = []
         flush = sweep_module._Engine._flush
@@ -998,6 +1170,7 @@ class TestSweepRuns:
         data = json.loads(rep.to_json())
         assert data["schema"] == 2
         assert data["totals"]["graphs"] == rep.graphs
+        assert data["totals"]["decided_by_witness"] == rep.decided_by_witness
         assert list(data["stages"]) == sorted(STAGES)
         assert rep.stages["plan"] > 0
         assert set(data["checks"]) == set(DEFAULT_CHECKS)
@@ -1016,6 +1189,78 @@ class TestSweepRuns:
         assert rep.total_failures() == 0
         for name in names:
             assert rep.checked[name] > 0
+
+
+def _graph6_file(path, graphs):
+    path.write_bytes(b"".join(nx.to_graph6_bytes(g, header=False) for g in graphs))
+    return str(path)
+
+
+class TestWholeChunkIntake:
+    """Dense chunks and graph6 records of order <= 7 go through numpy a
+    chunk at a time; the spot strides sample by chunk-local stream
+    position."""
+
+    def test_graph6_records_match_the_dense_stream(self, tmp_path, monkeypatch):
+        graphs = [
+            _graph(n, edges) for n in range(3, 6) for _, edges in dense_graphs(n)
+        ]
+        path = _graph6_file(tmp_path / "dense.g6", graphs)
+        checks = DEFAULT_CHECKS + ("rank_ge_girth_minus_1",)
+        dense = run(SweepConfig(max_n_dense=5, max_n_sparse=0, checks=checks,
+                                max_counterexamples=10**6))
+        monkeypatch.setattr(sweep_module, "_GRAPH6_CHUNK_RECORDS", 97)
+        g6 = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,),
+                             checks=checks, max_counterexamples=10**6))
+        want, got = dense.to_json_dict(), g6.to_json_dict()
+        assert got["totals"] == want["totals"]
+        assert got["totals"]["decided_by_witness"] > 0
+        assert got["rank_histogram"] == want["rank_histogram"]
+        for name in checks:
+            if CHECKS[name].kind == "vector":
+                assert got["checks"][name] == want["checks"][name], name
+        assert g6.failures["rank_ge_girth_minus_1"] > 0
+        for ce in g6.counterexamples:
+            index = int(ce["source"].split(":")[1])
+            g = parse_sgr(ce["sgr"])
+            assert nx.is_isomorphic(_graph(g.n, [(u, v) for u, v, _ in g.edges]),
+                                    graphs[index])
+
+    def test_spot_counts_follow_the_chunk_sizes(self, tmp_path, monkeypatch):
+        rng = random.Random(23)
+        graphs = [
+            nx.gnp_random_graph(n, min(0.6, 3.5 / n), seed=rng.randrange(10**6))
+            for n in (4, 9, 5, 6, 11, 7, 3) for _ in range(40)
+        ]
+        # no witness and 16 co-tree edges: ranked in two signing blocks
+        graphs.insert(100, nx.complete_multipartite_graph(2, 2, 5))
+        path = _graph6_file(tmp_path / "mixed.g6", graphs)
+        monkeypatch.setattr(sweep_module, "_GRAPH6_CHUNK_RECORDS", 40)
+        chunks = []
+        merge = sweep_module._merge
+
+        def spy(report, res):
+            chunks.append(res.instances)
+            merge(report, res)
+
+        monkeypatch.setattr(sweep_module, "_merge", spy)
+        reports = []
+        for jobs in (1, 3):
+            chunks.clear()
+            rep = run(SweepConfig(max_n_dense=5, max_n_sparse=7,
+                                  graph6_paths=(path,), jobs=jobs))
+            assert rep.total_failures() == 0 and rep.skipped_graph6_records > 0
+            assert len(chunks) > 10
+            for name, stride in (("spot_check_exact_rank", _SPOT_RANK_STRIDE),
+                                 ("spot_check_classifier", _SPOT_CLASSIFY_STRIDE)):
+                want = sum(-(-count // stride) for count in chunks)
+                assert rep.checked[name] == want, name
+            data = rep.to_json_dict()
+            data["config"]["jobs"] = 0
+            data["elapsed_seconds"] = 0
+            data["stages"] = {}
+            reports.append(data)
+        assert reports[0] == reports[1]
 
 
 class TestConfigValidation:
