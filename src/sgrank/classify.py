@@ -329,14 +329,20 @@ def _cases(adj: Sequence[Sequence[int]], cotree: _Cotree):
         }, _negative_on(cotree(), six_cycles)
 
 
-def case_shapes(n: int, m, nb) -> np.ndarray:
+def case_shapes(n: int, m, nb, girth) -> np.ndarray:
     """Per graph, whether `_cases` may yield anything for it: a necessary
     condition, vectorized over connected graphs with a cycle on n
-    vertices, with edge counts m and neighbour bitmasks nb (one row per
+    vertices, with edge counts m, neighbour bitmasks nb (one row per
     graph, one integer column per vertex, bit w of nb[i, v] set when w is
-    a neighbour of v).  It widens each shape `_cases` tests:
+    a neighbour of v) and girth hints (3 exactly for a graph with a
+    triangle).  It widens each shape `_cases` tests:
 
-    * cycles and the graphs of cases (d) and (e) are unicyclic: m == n;
+    * cycles and the graphs of cases (d) and (e) are unicyclic: m == n.
+      Apart from C3, no unicyclic graph of girth 3 has a case: case (d)
+      needs every gap between consecutive star centers odd, which a
+      triangle cannot give, and case (e) needs an even cycle.  C3 is
+      complete multipartite, so m == n counts only for a triangle-free
+      graph;
     * case (g)'s theta graphs and case (h)'s subdivided K4 have degrees 2
       and 3, and m == n + 1 and m == n + 2;
     * the graphs of cases (A) and (c) are complete multipartite:
@@ -349,15 +355,17 @@ def case_shapes(n: int, m, nb) -> np.ndarray:
         min_degree_two &= (col & (col - 1)) != 0  # two bits or more
         for v in range(u + 1, n):
             multipartite &= (((col >> v) & 1) == 1) | (col == nb[:, v])
-    return could_have_case(np.asarray(m) - n, min_degree_two, multipartite)
+    return could_have_case(
+        np.asarray(m) - n, min_degree_two, multipartite, np.asarray(girth)
+    )
 
 
-def could_have_case(excess, min_degree_two, multipartite):
+def could_have_case(excess, min_degree_two, multipartite, girth):
     """The test of `case_shapes` on m - n, on whether every degree is at
-    least 2 and on whether the graph is complete multipartite; element by
-    element on arrays."""
+    least 2, on whether the graph is complete multipartite and on its
+    girth hint; element by element on arrays."""
     return (
-        (excess == 0)
+        ((excess == 0) & (girth != 3))
         | (((excess == 1) | (excess == 2)) & min_degree_two)
         | multipartite
     )

@@ -38,12 +38,13 @@ once: a core is an induced subgraph of every graph hung from it, so its
 witness holds for all of them.  The graphs of cores without P4 or 2K2,
 and larger graph6 records, are tested on their own bitmasks
 (`_induced_witness`), which also find a triangle when no girth is given.
-Otherwise each graph is labeled with its iterated pendant
-pairs first and then a greedy maximal induced matching of the rest,
-lowest degree first (`_matching_labels`): p pendant pairs and k matched
-pairs.  By the pendant lemma and Haynsworth's rank additivity (see
-`exact`), every signing then has rank >= 2(p + k), and the second rule
-decides a graph with 2(p + k) >= g + 1.
+Otherwise the second rule takes the graph's iterated pendant pairs and
+then a greedy maximal induced matching of the rest, lowest degree first
+(`_matching_pairs`): p pendant pairs and k matched pairs.  Deleting a
+pendant vertex and its neighbour lowers the rank by exactly 2 (the
+paper's pendant lemma), and the matched pairs induce kK2, a principal
+submatrix of rank 2k on every signing.  So every signing has rank
+>= 2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.
 A decided graph goes into running sums by (order, girth).  The case
 table runs on it only when `classify.case_shapes` says a case may fit,
 and it builds its spanning tree and keeps a record only when the case
@@ -55,24 +56,20 @@ verdict of `case_shapes` for the core and for all its non-empty
 hangings.  Spot checks sample by chunk-local stream position: every
 graph takes the next 2^(m - n + 1) positions, and an instance is sampled
 when its position is a multiple of the stride.
-The other graphs' signing blocks are built on the new labels and
-buffered by (order, p, k, g).  Before a block would bring all buffers
-together to one cap, the fullest is flushed, so no batch exceeds it.
-`capped_ranks` ranks a batch with cap g + 1: it deletes the pendant pairs
-without arithmetic, removes the matching in one Schur-complement step and
-stops elimination at the cap, in float32, float64 or int64 by the
-elimination order min(n, g + 1) - 2p.  The opt-in instance checks need
-full ranks: when one is selected, nothing is decided at intake and
-batches go through `batch_ranks`, the same kernel with cap n.  A
+The other graphs' signing blocks are built on the graph's own labels and
+buffered by (order, g).  Before a block would bring all buffers together
+to one cap, the fullest is flushed, so no batch exceeds it.
+`capped_ranks` ranks a batch with cap g + 1: fraction-free elimination
+stopped at the cap, in float32 or int64 by the elimination order
+min(n, g + 1).  The opt-in instance checks need full ranks: when one is
+selected, nothing is decided at intake and the cap is n.  A
 counterexample whose rank the sweep knew only as g + 1 is re-ranked
 exactly and marked `rank_capped`.  The report counts instances by
 (order, girth, min(rank, girth + 1)), and the seconds spent planning
 and in each stage of the chunks (`STAGES`).
-Only the blocks are relabeled: the recorded edges, co-tree, signing
-indices and counterexamples keep the graph's own labels.  The sparse
-stream computes each subdivided core's girth once and passes it on,
-since hung trees add no cycle, with adjacency lists joined from the
-core's and the hanging's.  Checks are vectorized across instance
+The sparse stream computes each subdivided core's girth once and passes
+it on, since hung trees add no cycle, with adjacency lists joined from
+the core's and the hanging's.  Checks are vectorized across instance
 buffers.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
@@ -221,9 +218,9 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # and the checks, and the spot checks of decided graphs count as
 # spot_checks; intake is the rest of the chunk: enumeration, girth, the
 # witness table (built at first use) and its lookups, the case-shape
-# test, labels, the case table, block build and the decided graphs' sums,
-# whole chunks at a time where numpy takes them.  With jobs > 1 the chunk
-# stages add up the workers' time.
+# test, the pendant pairs and matching, the case table, block build and
+# the decided graphs' sums, whole chunks at a time where numpy takes
+# them.  With jobs > 1 the chunk stages add up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
@@ -247,6 +244,10 @@ class SweepConfig:
             raise ValueError("sparse slice supports cyclomatic numbers 1..3")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.max_counterexamples < 0:
+            raise ValueError(
+                f"max_counterexamples must be non-negative, got {self.max_counterexamples}"
+            )
         unknown = [name for name in self.checks if name not in CHECKS]
         if unknown:
             raise ValueError(
@@ -729,9 +730,10 @@ class _Core:
     0 unless the girth is 3).  Hung trees add no cycle and keep the core
     an induced subgraph, so the girth and the witness hold for every graph
     hung from it.  `hung_shape` is `case_shapes` of every graph with a
-    non-empty hanging: the hanging adds a leaf and keeps m - n, and a
-    connected graph with a cycle and a leaf is never complete multipartite
-    (the leaf's non-neighbours would all see only its neighbour).  `cut[v]` is the number of edges that start at or below
+    non-empty hanging: the hanging adds a leaf and keeps m - n and the
+    girth, and a connected graph with a cycle and a leaf is never complete
+    multipartite (the leaf's non-neighbours would all see only its
+    neighbour).  `cut[v]` is the number of edges that start at or below
     v, and `split[v]` the length of the part of adj[v] that those edges
     give: the places where the edges to v's hung children and the children
     themselves go."""
@@ -750,7 +752,7 @@ class _Core:
             if self.girth == 3 else 0
         )
         self.signings = 1 << (len(edges) - n + 1)
-        self.hung_shape = bool(could_have_case(len(edges) - n, False, False))
+        self.hung_shape = bool(could_have_case(len(edges) - n, False, False, self.girth))
         self.cut = tuple(bisect_left(self.edges, (v + 1,)) for v in range(n))
         split = [len(nb) for nb in adj]
         for u, v in self.edges:
@@ -1038,47 +1040,44 @@ def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> int:
     return best
 
 
-def _matching_labels(adj: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
-    """New vertex labels in three groups, as (labels, p, k).  First p
-    iterated pendant pairs: a vertex x of degree 1 in what is left, then
-    its neighbour.  Then a greedy maximal induced matching of k edges on
-    the remainder, visiting vertices and their neighbours lowest remaining
-    degree first.  Then the other vertices, in ascending order.  The batch
-    kernel deletes the pendant pairs and removes the matching in one
-    Schur-complement step."""
+def _matching_pairs(
+    adj: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The p iterated pendant pairs and the k matched pairs of a graph, as
+    two lists of (x, y).  A pendant pair is a vertex x of degree 1 in what
+    is left, then its neighbour y; the matched pairs are the edges of a
+    greedy maximal induced matching of the remainder, visiting vertices
+    and their neighbours lowest remaining degree first.  Deleting a
+    pendant pair lowers the rank by exactly 2 (the pendant lemma), and the
+    matched pairs induce kK2, of rank 2k on every signing, as a principal
+    submatrix of what is left.  So every signing has rank >= 2(p + k)."""
     n = len(adj)
     degree = [len(nb) for nb in adj]  # once the pendant pairs are deleted
-    free = [True] * n  # neither placed nor adjacent to a matched vertex
-    order = []
+    free = [True] * n  # neither paired nor adjacent to a matched vertex
+    pendant = []
     leaves = [v for v in range(n) if degree[v] == 1]
     while leaves:
         x = leaves.pop()
         if not free[x] or degree[x] != 1:
             continue
         y = next(w for w in adj[x] if free[w])
-        order += (x, y)
+        pendant.append((x, y))
         free[x] = free[y] = False
         for w in adj[y]:
             if free[w]:
                 degree[w] -= 1
                 if degree[w] == 1:
                     leaves.append(w)
-    p = len(order) // 2
+    matched = []
     for u in sorted(range(n), key=degree.__getitem__):
         if free[u]:
             for v in sorted(adj[u], key=degree.__getitem__):
                 if free[v]:
-                    order += (u, v)
+                    matched.append((u, v))
                     for w in (*adj[u], *adj[v]):
                         free[w] = False
                     break
-    k = len(order) // 2 - p
-    placed = set(order)
-    order += [v for v in range(n) if v not in placed]
-    labels = [0] * n
-    for i, v in enumerate(order):
-        labels[v] = i
-    return labels, p, k
+    return pendant, matched
 
 
 def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
@@ -1177,10 +1176,10 @@ class _Engine:
             else _SPOT_CLASSIFY_STRIDE if "spot_check_classifier" in self.sel
             else 0
         )
-        # keyed by (order, pendant pairs, matched pairs, girth)
-        self.buffers: dict[tuple[int, int, int, int], list] = {}
-        self.segments: dict[tuple[int, int, int, int], list[_Segment]] = {}
-        self.buffered: dict[tuple[int, int, int, int], int] = {}
+        # keyed by (order, girth)
+        self.buffers: dict[tuple[int, int], list] = {}
+        self.segments: dict[tuple[int, int], list[_Segment]] = {}
+        self.buffered: dict[tuple[int, int], int] = {}
         self.total_buffered = 0
         # the chunk-local stream position of the next graph's first
         # instance: the spot strides sample by it
@@ -1250,7 +1249,7 @@ class _Engine:
         if self.capped and witness:
             self._decide(source, key, n, edges, adj, girth, witness, shape, start)
         else:
-            self._label(source, key, n, edges, adj, girth, shape, start)
+            self._match_or_rank(source, key, n, edges, adj, girth, shape, start)
 
     def add_batch(self, source: str, n: int, keys: np.ndarray, m: np.ndarray,
                   hints: np.ndarray, nb: np.ndarray, edges_of) -> None:
@@ -1268,7 +1267,7 @@ class _Engine:
         if self.capped:
             tri = np.flatnonzero(hints == 3)
             kinds[tri] = _dense_witness(nb[tri])
-        shape = case_shapes(n, m, nb)
+        shape = case_shapes(n, m, nb, hints)
         bulk = (kinds > 0) & ~shape & ~_holds_sample(starts, counts, self.stride)
         if bulk.any():
             instances = int(counts[bulk].sum())
@@ -1285,7 +1284,7 @@ class _Engine:
                 self._decide(source, key, n, edges_of(key), adj, 3, kind, fits, start)
             else:
                 girth = hint or girth_of_adjacency(adj)
-                self._label(source, key, n, edges_of(key), adj, girth, fits, start)
+                self._match_or_rank(source, key, n, edges_of(key), adj, girth, fits, start)
 
     def add_uncased(self, n: int, count: int) -> bool:
         """Count a graph of girth 3 with an induced P4 or 2K2 and no case
@@ -1299,13 +1298,14 @@ class _Engine:
         self.position += count
         return True
 
-    def _label(self, source, key, n, edges, adj, girth, shape, start):
+    def _match_or_rank(self, source, key, n, edges, adj, girth, shape, start):
         """Decide a graph by its pendant pairs and induced matching, or
-        buffer its signing blocks on the labels that put them first."""
-        labels, p, k = _matching_labels(adj)
-        if self.capped and 2 * (p + k) > girth:
-            self._decide(source, key, n, edges, adj, girth, 0, shape, start)
-            return
+        buffer its signing blocks."""
+        if self.capped:
+            pendant, matched = _matching_pairs(adj)
+            if 2 * (len(pendant) + len(matched)) > girth:
+                self._decide(source, key, n, edges, adj, girth, 0, shape, start)
+                return
         cotree = _spanning_cotree(n, edges)
         accepted = (
             accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
@@ -1315,14 +1315,9 @@ class _Engine:
         total = 1 << len(cotree)
         self.result.graphs += 1
         self.result.instances += total
-        # ranks do not change under relabeling, so the blocks may put the
-        # pendant pairs and the matching first while meta keeps the
-        # graph's own labels
-        relabeled = [(labels[u], labels[v]) for u, v in edges]
         for j0 in range(0, total, _SIGNING_BLOCK):
             self._append_block(
-                (n, p, k, girth), meta, j0, _signing_block(n, relabeled, cotree, j0),
-                start + j0,
+                (n, girth), meta, j0, _signing_block(n, edges, cotree, j0), start + j0
             )
 
     def _decide(self, source, key, n, edges, adj, girth, witness, shape, start):
@@ -1331,9 +1326,9 @@ class _Engine:
         Either the girth is 3 and 4 vertices induce a graph of
         `_witness_table` (`witness`, its largest kind), every signing of
         which has rank 4, and a principal submatrix never has larger rank
-        than the matrix; or (witness 0) 2(p + k) >= girth + 1, and the
-        pendant lemma and the matching step give every signing rank >=
-        2(p + k).
+        than the matrix; or (witness 0) 2(p + k) >= girth + 1 for the p
+        pendant pairs and k matched pairs of `_matching_pairs`, which
+        give every signing rank >= 2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
         into the result by `finish`.  When a case shape may fit it
@@ -1370,8 +1365,8 @@ class _Engine:
         sums[3] += by_witness
 
     def _append_block(
-        self, key: tuple[int, int, int, int], meta: _GraphMeta, j0: int,
-        block: np.ndarray, start: int,
+        self, key: tuple[int, int], meta: _GraphMeta, j0: int, block: np.ndarray,
+        start: int,
     ) -> None:
         """Buffer the signings j0 .. of `meta`'s graph, the first of them
         at stream position `start`."""
@@ -1403,15 +1398,15 @@ class _Engine:
 
     # -- the checks
 
-    def _flush(self, key: tuple[int, int, int, int]) -> None:
-        n, _, _, girth = key
+    def _flush(self, key: tuple[int, int]) -> None:
+        n, girth = key
         stages = self.result.stages
         clock = time.perf_counter()
         blocks = self.buffers.pop(key)
         segments = self.segments.pop(key)
         self.total_buffered -= self.buffered.pop(key)
         stack = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
-        ranks = capped_ranks(stack, girth + 1) if self.capped else batch_ranks(stack)
+        ranks = capped_ranks(stack, girth + 1 if self.capped else n)
         clock = _lap(stages, "kernel", clock)
         counts = np.array([seg.count for seg in segments], dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)))
@@ -1730,7 +1725,7 @@ def run(config: SweepConfig) -> SweepReport:
             _merge(report, res)
     else:
         ctx = get_context("fork")
-        with ctx.Pool(config.jobs) as pool:
+        with ctx.Pool(min(config.jobs, len(chunks))) as pool:
             for res in pool.imap(
                 _run_chunk_star, [(config, d) for d in chunks], chunksize=1
             ):

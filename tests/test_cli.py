@@ -178,6 +178,12 @@ class TestVerify:
         assert "graph6 record 0" in err and str(path) in err
         assert "36 co-tree edges" in err
 
+    def test_negative_max_counterexamples_is_usage_error(self):
+        code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                           "--max-counterexamples", "-1")
+        assert code == 2
+        assert "max_counterexamples" in err
+
     def test_unknown_check_is_usage_error(self):
         code, _, err = cli("verify", "--checks", "bogus")
         assert code == 2

@@ -8,19 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_matrix
-from sgrank import (
-    batch_ranks,
-    capped_ranks,
-    dense_graphs,
-    determinant,
-    rank,
-    rank_oracle,
-    sparse_graphs,
-)
+from sgrank import batch_ranks, capped_ranks, determinant, rank, rank_oracle
 import sgrank.exact as exact
-from sgrank.exact import _leading_pairs, _matching_complement, _pendant_pairs
-from sgrank.invariants import _spanning_cotree
-from sgrank.sweep import _adjacency, _matching_labels, _signing_block
 
 
 def cofactor_det(mat):
@@ -121,16 +110,13 @@ class TestBatchKernel:
         expect = [rank([[int(x) for x in row] for row in m]).rank for m in mats]
         assert got.tolist() == expect
 
-    def test_float32_float64_int64_agree(self):
-        from sgrank.exact import _batch_ranks_bareiss
-
+    def test_float32_and_int64_agree(self):
         rng = np.random.default_rng(7)
         for n in (4, 8):
             mats = rng.integers(-1, 2, size=(500, n, n)).astype(np.int8)
-            a = _batch_ranks_bareiss(mats, np.float32)
-            b = _batch_ranks_bareiss(mats, np.float64)
-            c = _batch_ranks_bareiss(mats, np.int64)
-            assert (a == b).all() and (b == c).all()
+            a = exact._batch_ranks_bareiss(mats, np.float32, n)
+            b = exact._batch_ranks_bareiss(mats, np.int64, n)
+            assert (a == b).all()
 
     def test_empty_batch(self):
         out = batch_ranks(np.zeros((0, 5, 5), dtype=np.int8))
@@ -160,8 +146,9 @@ class TestBatchKernel:
 
     def test_worst_case_magnitudes(self):
         # all-ones-off-diagonal and alternating-sign matrices drive the
-        # largest minors the kernel can meet at each dtype boundary
-        for n in (8, 13, 14, 15, 16):
+        # largest minors the kernel can meet on each side of the dtype
+        # switch and at the order limit
+        for n in (8, 9, 16):
             mats = []
             ones = np.ones((n, n), dtype=np.int8)
             np.fill_diagonal(ones, 0)
@@ -198,7 +185,7 @@ def _full_rank(rng, n):
             return m
 
 
-# every arithmetic path: both sides of each dtype switch (8|9, 14|15), the cap 16
+# both sides of the dtype switch (8|9), and int64 up to the order limit 16
 KERNEL_ORDERS = [5, 8, 9, 14, 15, 16]
 
 
@@ -284,72 +271,6 @@ def _with_leading_matching(rng, n, k, count, symmetric):
     return mats.astype(np.int8)
 
 
-class TestMatchingSchurStep:
-    """The kernel's Schur-complement step over a leading induced matching."""
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_every_matching_size(self, n):
-        rng = np.random.default_rng(600 + n)
-        for k in range((n - 1) // 2 + 1):
-            for symmetric in (True, False):
-                arr = _with_leading_matching(rng, n, k, 10, symmetric)
-                if 2 * k + 2 <= n:
-                    arr[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
-                assert _leading_pairs(arr) == k
-                if not symmetric and k:
-                    assert (arr[:, 0, 1] != arr[:, 1, 0]).any()
-                assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 14, 16])
-    def test_perfect_matching_leaves_no_block(self, n):
-        rng = np.random.default_rng(650 + n)
-        arr = _with_leading_matching(rng, n, n // 2, 6, symmetric=False)
-        assert _leading_pairs(arr) == n // 2
-        assert batch_ranks(arr).tolist() == [n] * 6 == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_one_matrix_breaking_the_matching_lowers_k(self, n):
-        rng = np.random.default_rng(700 + n)
-        k = (n - 1) // 2
-        for j in range(k):
-            arr = _with_leading_matching(rng, n, k, 8, symmetric=j % 2 == 0)
-            odd = arr[3]
-            if j == 0:
-                odd[0, 1] = 0  # a pair without its edge
-            elif j % 2:
-                odd[2 * j, 0] = odd[0, 2 * j] = 1  # an edge to an earlier pair
-            else:
-                odd[2 * j, 2 * j] = 1  # a loop on the pair
-            assert _leading_pairs(arr) == j
-            mixed = batch_ranks(arr).tolist()
-            alone = [int(batch_ranks(m[None])[0]) for m in arr]
-            assert mixed == alone == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n", [8, 9, 14, 15, 16])
-    def test_worst_case_magnitudes_with_a_matching(self, n):
-        for k in range(1, (n - 1) // 2 + 1):
-            h = 2 * k
-            mats = []
-            for alternating in (False, True):
-                mat = np.fromfunction(
-                    lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i,
-                    (n, n),
-                ).astype(np.int8)
-                np.fill_diagonal(mat, 0)
-                mat[:h, :h] = 0
-                for a in range(0, h, 2):
-                    # negative pairs make every update term add to A_RR
-                    mat[a, a + 1] = mat[a + 1, a] = -1
-                mats.append(mat)
-            arr = np.stack(mats)
-            assert _leading_pairs(arr) == k
-            rest = _matching_complement(arr, k)
-            # the bound 2k+1 is met off the diagonal; a 1 x 1 rest has
-            # only its diagonal, which reaches 2k
-            assert np.abs(rest).max() == (h + 1 if n - h >= 2 else h)
-            assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
-
-
 def _with_pendant_pairs(rng, n, p, count, symmetric):
     """Random {-1,0,1} matrices whose vertex pairs (0,1), ..., (2p-2, 2p-1)
     are pendant once the earlier pairs are deleted: row and column 2i
@@ -366,113 +287,6 @@ def _with_pendant_pairs(rng, n, p, count, symmetric):
             mats[:, x, x + 1] if symmetric else rng.choice([-1, 1], size=count)
         )
     return mats.astype(np.int8)
-
-
-class TestPendantPairs:
-    """The kernel's deletion of leading pendant pairs."""
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_every_pendant_count(self, n):
-        rng = np.random.default_rng(800 + n)
-        for p in range(n // 2 + 1):
-            for symmetric in (True, False):
-                arr = _with_pendant_pairs(rng, n, p, 10, symmetric)
-                if 2 * p + 2 <= n:
-                    arr[0, 2 * p, 2 * p] = 1  # pair p is not pendant
-                assert _pendant_pairs(arr) == p
-                assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_pendant_row_over_a_longer_column_is_kept(self, n):
-        # row 2i is pendant, column 2i is not: deleting the pair would
-        # change the rank by 1 or 3 in some of these matrices
-        rng = np.random.default_rng(850 + n)
-        for i in range((n - 1) // 2):
-            x = 2 * i
-            arr = _with_pendant_pairs(rng, n, i + 1, 40, symmetric=False)
-            # a sparse rest is rank deficient, where a wrong deletion shows
-            arr[:, x + 2:, x + 2:] *= rng.random((40, n - x - 2, n - x - 2)) < 0.15
-            arr[np.arange(40), x + 2 + rng.integers(n - x - 2, size=40), x] = 1
-            assert _pendant_pairs(arr) == i
-            got = batch_ranks(arr).tolist()
-            assert got == _oracle_ranks(arr)
-            rows_only = 2 * (i + 1) + batch_ranks(arr[:, x + 2:, x + 2:])
-            assert (rows_only != np.array(got)).any()
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_one_matrix_breaking_the_pairs_lowers_p(self, n):
-        rng = np.random.default_rng(900 + n)
-        p = n // 2
-        for j in range(p):
-            x = 2 * j
-            arr = _with_pendant_pairs(rng, n, p, 8, symmetric=j % 2 == 0)
-            odd = arr[3]
-            kind = j % 4
-            if kind == 0:
-                odd[x, x + 1] = 0  # a pair without its edge
-            elif kind == 1:
-                odd[x, x] = -1  # a loop on the pendant vertex
-            elif kind == 2 and x + 2 < n:
-                odd[x + 2, x] = 1  # a second neighbour, in the column only
-            elif x + 2 < n:
-                odd[x, n - 1] = 1  # a second neighbour, in the row only
-            else:
-                odd[x + 1, x] = 0
-            assert _pendant_pairs(arr) == j
-            mixed = batch_ranks(arr).tolist()
-            alone = [int(batch_ranks(m[None])[0]) for m in arr]
-            assert mixed == alone == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n", KERNEL_ORDERS)
-    def test_pendant_pairs_followed_by_a_matching(self, n):
-        rng = np.random.default_rng(950 + n)
-        for p in range(1, n // 2):
-            h = 2 * p
-            # an unmatched vertex is left, so the first matched vertex
-            # can have a second neighbour and is not pendant
-            for k in range(1, (n - h - 1) // 2 + 1):
-                for symmetric in (True, False):
-                    arr = _with_pendant_pairs(rng, n, p, 8, symmetric)
-                    rest = _with_leading_matching(rng, n - h, k, 8, symmetric)
-                    rest[:, 0, -1] = 1
-                    if 2 * k + 2 <= n - h:
-                        rest[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
-                    arr[:, h:, h:] = rest
-                    assert _pendant_pairs(arr) == p
-                    assert _leading_pairs(arr[:, h:, h:]) == k
-                    assert batch_ranks(arr).tolist() == _oracle_ranks(arr)
-
-    @pytest.mark.parametrize("n, p, order, dtype", [
-        (9, 1, 7, np.float32),
-        (10, 1, 8, np.float32),
-        (15, 1, 13, np.float64),
-        (16, 1, 14, np.float64),
-        (16, 4, 8, np.float32),
-        (15, 0, 15, np.int64),
-    ])
-    def test_worst_case_magnitudes_at_the_reduced_order(self, monkeypatch, n, p, order, dtype):
-        mats = []
-        for alternating in (False, True):
-            mat = np.fromfunction(
-                lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i, (n, n)
-            ).astype(np.int8)
-            np.fill_diagonal(mat, 0)
-            for x in range(0, 2 * p, 2):
-                mat[x, :] = mat[:, x] = 0
-                mat[x, x + 1] = mat[x + 1, x] = -1
-            mats.append(mat)
-        arr = np.stack(mats)
-        seen = []
-        inner = exact._batch_ranks_bareiss
-
-        def spy(matrices, dtype, cap=None):
-            seen.append((matrices.shape[1], dtype))
-            return inner(matrices, dtype, cap)
-
-        monkeypatch.setattr(exact, "_batch_ranks_bareiss", spy)
-        got = batch_ranks(arr).tolist()
-        assert seen == [(order, dtype)]
-        assert got == [rank(m.tolist()).rank for m in arr] == _oracle_ranks(arr)
 
 
 def _sylvester_hadamard(n):
@@ -499,22 +313,17 @@ class TestCappedKernel:
             # sparse matrices have ranks well below the order
             dense[:3] *= rng.random((3, n, n)) < 0.15
             batches.append(dense.astype(np.int8))
+            # the shapes behind the sweep's 2(p + k) rule
             p = int(rng.integers(1, n // 2 + 1))
-            pendant = _with_pendant_pairs(rng, n, p, 6, symmetric)
-            assert _pendant_pairs(pendant) >= p
-            batches.append(pendant)
+            batches.append(_with_pendant_pairs(rng, n, p, 6, symmetric))
             k = int(rng.integers(1, (n - 1) // 2 + 1))
-            matched = _with_leading_matching(rng, n, k, 6, symmetric)
-            assert _leading_pairs(matched) >= k
-            batches.append(matched)
+            batches.append(_with_leading_matching(rng, n, k, 6, symmetric))
             if n >= 5:
                 # one pendant pair, then a matching of the rest
                 both = _with_pendant_pairs(rng, n, 1, 6, symmetric)
                 rest = _with_leading_matching(rng, n - 2, (n - 3) // 2, 6, symmetric)
                 rest[:, 0, -1] = 1
                 both[:, 2:, 2:] = rest
-                assert _pendant_pairs(both) == 1
-                assert _leading_pairs(both[:, 2:, 2:]) >= 1
                 batches.append(both)
         for arr in batches:
             want = _oracle_ranks(arr)
@@ -522,21 +331,18 @@ class TestCappedKernel:
                 got = capped_ranks(arr, cap).tolist()
                 assert got == [min(r, cap) for r in want], (cap, got, want)
 
-    @pytest.mark.parametrize("n, p, cap, order, dtype", [
-        (16, 0, 8, 8, np.float32),
-        (16, 0, 9, 9, np.float64),
-        (16, 1, 10, 8, np.float32),
-        (16, 0, 14, 14, np.float64),
-        (16, 0, 15, 15, np.int64),
-        (16, 1, 17, 14, np.float64),
-        (12, 2, 13, 8, np.float32),
-        (15, 0, 8, 8, np.float32),
+    @pytest.mark.parametrize("n, cap, dtype", [
+        (8, 9, np.float32),
+        (9, 9, np.int64),
+        (16, 9, np.int64),
+        (16, 17, np.int64),
+        (16, 8, np.float32),
     ])
     def test_worst_case_magnitudes_at_the_elimination_order(
-        self, monkeypatch, n, p, cap, order, dtype
+        self, monkeypatch, n, cap, dtype
     ):
-        # the dtype follows min(n, cap) - 2p: the cap makes an order-16
-        # matrix run in float32
+        # the dtype follows the elimination order min(n, cap): the cap
+        # makes an order-16 matrix run in float32
         rng = np.random.default_rng(1100 + n + cap)
         mats = []
         hadamard = _sylvester_hadamard(16)[:n, :n]
@@ -553,23 +359,20 @@ class TestCappedKernel:
         sym = rng.integers(-1, 2, size=(8, n, n))
         mats.extend((np.tril(sym) + np.tril(sym, -1).transpose(0, 2, 1)).astype(np.int8))
         arr = np.stack(mats)
-        for x in range(0, 2 * p, 2):
-            arr[:, x, :] = arr[:, :, x] = 0
-            arr[:, x, x + 1] = arr[:, x + 1, x] = -1
+        order = min(n, cap)
         seen = []
         inner = exact._batch_ranks_bareiss
 
-        def spy(matrices, dtype, cap=None):
+        def spy(matrices, dtype, cap):
             seen.append((matrices.shape[1], dtype, cap))
             return inner(matrices, dtype, cap)
 
         monkeypatch.setattr(exact, "_batch_ranks_bareiss", spy)
         got = capped_ranks(arr, cap).tolist()
-        assert seen == [(n - 2 * p, dtype, order)]
+        assert seen == [(n, dtype, order)]
         assert got == [min(r, cap) for r in _oracle_ranks(arr)]
         # int64 carries every minor of order <= 16 exactly
-        rest = arr[:, 2 * p:, 2 * p:]
-        assert (inner(rest, dtype, order) == inner(rest, np.int64, order)).all()
+        assert (inner(arr, dtype, order) == inner(arr, np.int64, order)).all()
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="order <= 16, got 17"):
@@ -580,23 +383,6 @@ class TestCappedKernel:
             capped_ranks(np.full((1, 3, 3), 2, dtype=np.int8), 2)
         assert capped_ranks(np.ones((2, 4, 4), dtype=np.int8), 0).tolist() == [0, 0]
         assert capped_ranks(np.zeros((0, 5, 5), dtype=np.int8), 3).shape == (0,)
-
-
-class TestKernelSeesTheSweepsMatching:
-    def test_detected_pairs_equal_the_sweeps_matching(self):
-        rng = random.Random(18)
-        graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
-        graphs = rng.sample(graphs, 300) + rng.sample(list(sparse_graphs(10, 3)), 300)
-        seen = set()
-        for n, edges in graphs:
-            labels, p, k = _matching_labels(_adjacency(n, edges))
-            relabeled = [(labels[u], labels[v]) for u, v in edges]
-            block = _signing_block(n, relabeled, _spanning_cotree(n, edges), 0)
-            detected = _pendant_pairs(block)
-            assert (detected, _leading_pairs(block[:, 2 * detected:, 2 * detected:])) == (p, k)
-            seen.add((p, k))
-        assert {p for p, _ in seen} == {0, 1, 2, 3, 4, 5}
-        assert {k for _, k in seen} == {0, 1, 2, 3}
 
 
 def test_rank_report_consistency():

@@ -55,7 +55,7 @@ from sgrank.sweep import (
     _edge_table,
     _has_triangle,
     _induced_witness,
-    _matching_labels,
+    _matching_pairs,
     _neighbour_masks,
     _run_chunk,
     _hung_adjacency,
@@ -283,7 +283,8 @@ def _yields_a_case(n, edges):
 
 def _shapes(n, edge_lists):
     nb = [_neighbour_masks(n, edges) for edges in edge_lists]
-    return case_shapes(n, [len(edges) for edges in edge_lists], nb).tolist()
+    girth = [girth_of_adjacency(_adjacency(n, edges)) for edges in edge_lists]
+    return case_shapes(n, [len(edges) for edges in edge_lists], nb, girth).tolist()
 
 
 class TestCaseShapes:
@@ -306,8 +307,8 @@ class TestCaseShapes:
         graphs = passed = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
-            masks, m, _, nb = _dense_chunk(n, lo, hi)
-            fits = case_shapes(n, m, nb).tolist()
+            masks, m, hints, nb = _dense_chunk(n, lo, hi)
+            fits = case_shapes(n, m, nb, hints).tolist()
             for mask, fit in zip(masks.tolist(), fits):
                 if not fit:
                     edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
@@ -315,6 +316,19 @@ class TestCaseShapes:
             graphs += len(fits)
             passed += sum(fits)
         assert 0 < passed and (n < 5 or passed < graphs)
+
+    def test_unicyclic_graphs_of_girth_three(self):
+        # at girth 3 only C3 passes, as a complete multipartite graph; a
+        # triangle-free unicyclic graph passes with or without a leaf
+        c3 = [(0, 1), (1, 2), (0, 2)]
+        c4_leaf = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]
+        assert _shapes(3, [c3]) == [True]
+        assert _shapes(4, [PAW_EDGES]) == [False]
+        assert _shapes(5, [PAW_EDGES + [(3, 4)], PAW_EDGES + [(2, 4)]]) == [False, False]
+        assert _shapes(5, [c4_leaf]) == [True]
+        # the hint decides: the paw without a girth-3 hint passes
+        paw_nb = [_neighbour_masks(4, PAW_EDGES)]
+        assert case_shapes(4, [4], paw_nb, [0]).tolist() == [True]
 
     def test_sparse_graphs_and_the_g_and_h_shapes(self):
         by_order = {}
@@ -375,24 +389,6 @@ class TestSigningBlocks:
             want = adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
             assert block[off].tolist() == want
 
-    def test_relabeled_block_is_the_permuted_adjacency_matrix(self):
-        # the sweep builds its blocks on the labels of `_matching_labels`
-        rng = random.Random(19)
-        graphs = rng.sample(_sampled_graphs(), 200) + [_k7_plus_vertex()]
-        for n, edges in graphs:
-            cotree = _spanning_cotree(n, edges)
-            labels, _, _ = _matching_labels(_adjacency(n, edges))
-            relabeled = [(labels[u], labels[v]) for u, v in edges]
-            perm = np.zeros((n, n), dtype=np.int64)
-            perm[labels, range(n)] = 1
-            j0 = 1 << 15 if len(cotree) > 15 else 0
-            block = _signing_block(n, relabeled, cotree, j0)
-            for off in rng.sample(range(len(block)), min(len(block), 5)):
-                want = np.array(
-                    adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
-                )
-                assert block[off].tolist() == (perm @ want @ perm.T).tolist()
-
 
 class TestInducedMatching:
     def test_greedy_matching_is_induced_and_maximal(self):
@@ -401,37 +397,35 @@ class TestInducedMatching:
         p_seen, k_seen = set(), set()
         for n, edges in graphs:
             adj = _adjacency(n, edges)
-            labels, p, k = _matching_labels(adj)
-            assert sorted(labels) == list(range(n))
-            order = sorted(range(n), key=labels.__getitem__)
-            pendant, matched = order[: 2 * p], order[2 * p: 2 * (p + k)]
-            rest = order[2 * (p + k):]
+            pendant, matched = _matching_pairs(adj)
+            paired = [v for pair in pendant + matched for v in pair]
+            assert len(set(paired)) == len(paired), (n, edges)
             # a pendant sequence: x has the single neighbour y once the
             # earlier pairs are deleted
             gone = set()
-            for i in range(p):
-                x, y = pendant[2 * i: 2 * i + 2]
+            for x, y in pendant:
                 assert [w for w in adj[x] if w not in gone] == [y], (n, edges)
                 gone |= {x, y}
             # the deletion ran to the end: no pendant vertex is left
-            for v in matched + rest:
-                assert sum(1 for w in adj[v] if w not in gone) != 1, (n, edges)
+            for v in range(n):
+                if v not in gone:
+                    assert sum(1 for w in adj[v] if w not in gone) != 1, (n, edges)
             # then an induced matching of G minus those pairs
             present = {frozenset(e) for e in edges}
-            pair = {v: i // 2 for i, v in enumerate(matched)}
-            for i in range(k):
-                assert frozenset(matched[2 * i: 2 * i + 2]) in present
+            pair = {}
+            for i, (u, v) in enumerate(matched):
+                assert frozenset((u, v)) in present
+                pair[u] = pair[v] = i
             for u, v in edges:
                 if u in pair and v in pair:
-                    assert pair[u] == pair[v], (n, edges, labels)
+                    assert pair[u] == pair[v], (n, edges, matched)
             # maximal there: no edge of G minus the pairs could join it
-            near = set(matched).union(*(adj[v] for v in matched))
+            near = set(pair).union(*(adj[v] for v in pair))
             for u, v in edges:
                 if u not in gone and v not in gone:
-                    assert u in near or v in near, (n, edges, labels)
-            assert rest == sorted(rest)
-            p_seen.add(p)
-            k_seen.add(k)
+                    assert u in near or v in near, (n, edges, matched)
+            p_seen.add(len(pendant))
+            k_seen.add(len(matched))
         assert p_seen == {0, 1, 2, 3, 4}
         assert k_seen == {0, 1, 2, 3}
 
@@ -574,8 +568,8 @@ class TestInducedForestWitness:
         # the paw itself; two pendant pairs also give 2(p + k) = 4 =
         # girth + 1
         assert _witness(4, PAW_EDGES) == _OTHER
-        _, p, k = _matching_labels(_adjacency(4, PAW_EDGES))
-        assert 2 * (p + k) == 4
+        pendant, matched = _matching_pairs(_adjacency(4, PAW_EDGES))
+        assert 2 * (len(pendant) + len(matched)) == 4
 
 
 class TestDenseWitness:
@@ -702,9 +696,9 @@ class TestDecidedAtIntake:
         monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", count)
         def all_pendant(adj):
             # n pendant pairs: 2(p + k) >= girth + 1 decides every graph
-            return list(range(len(adj))), len(adj), 0
+            return [(v, v) for v in range(len(adj))], []
 
-        monkeypatch.setattr(sweep_module, "_matching_labels", all_pendant)
+        monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
@@ -726,7 +720,7 @@ class TestDecidedAtIntake:
         # the paw and K4 decide graphs that the other rules leave
         assert any(
             g.witness == _OTHER
-            and 2 * sum(_matching_labels(_adjacency(g.n, g.edges))[1:]) <= 3
+            and 2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
             for g in decided
         )
         by_order = {}
@@ -751,7 +745,7 @@ class TestDecidedAtIntake:
         assert {g.girth for g in witnessed} == {3}
         # some of them have 2(p + k) <= girth: the matching rule misses them
         assert any(
-            2 * sum(_matching_labels(_adjacency(g.n, g.edges))[1:]) <= 3
+            2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
             for g in by_forest
         )
         totals = rep.to_json_dict()["totals"]
@@ -840,22 +834,21 @@ class TestDecidedAtIntake:
         cfg = SweepConfig(max_n_dense=5, max_n_sparse=7)
         capped = run(cfg).to_json_dict()
         kernel_calls = []
+        kernel = sweep_module.capped_ranks
 
-        def uncapped_kernel(stack):
-            kernel_calls.append(len(stack))
-            return batch_ranks(stack)
+        def spy(stack, cap):
+            kernel_calls.append((len(stack), stack.shape[1], cap))
+            return kernel(stack, cap)
 
-        def no_capped_kernel(stack, cap):
-            raise AssertionError("capped kernel called on the uncapped path")
-
-        monkeypatch.setattr(sweep_module, "batch_ranks", uncapped_kernel)
-        monkeypatch.setattr(sweep_module, "capped_ranks", no_capped_kernel)
+        monkeypatch.setattr(sweep_module, "capped_ranks", spy)
         # an instance check needs full ranks, so the engine runs uncapped
         checks = DEFAULT_CHECKS + ("twin_deletion_rank",)
         full = run(dataclasses.replace(cfg, checks=checks)).to_json_dict()
         totals = full["totals"]
         assert totals["decided_instances"] == 0 < capped["totals"]["decided_instances"]
-        assert sum(kernel_calls) == totals["instances"] == capped["totals"]["instances"]
+        assert all(cap == n for _, n, cap in kernel_calls)
+        assert sum(size for size, _, _ in kernel_calls) == totals["instances"]
+        assert totals["instances"] == capped["totals"]["instances"]
         assert full["rank_histogram"] == capped["rank_histogram"]
         for name in DEFAULT_CHECKS:
             assert full["checks"][name] == capped["checks"][name], name
@@ -1046,6 +1039,31 @@ class TestSweepRuns:
             d["stages"] = {}
         assert d1 == d2
 
+    def test_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+        real = sweep_module.get_context
+
+        class Context:
+            def __init__(self, method):
+                self.ctx = real(method)
+
+            def Pool(self, processes):
+                sizes.append(processes)
+                return self.ctx.Pool(processes)
+
+        monkeypatch.setattr(sweep_module, "get_context", Context)
+        cfg = SweepConfig(max_n_dense=4, max_n_sparse=0, jobs=4)
+        chunks = len(sweep_module._plan_chunks(cfg))
+        assert chunks == 2
+        got = run(cfg).to_json_dict()
+        want = run(SweepConfig(max_n_dense=4, max_n_sparse=0)).to_json_dict()
+        assert sizes == [chunks]
+        for d in (got, want):
+            d["config"]["jobs"] = 0
+            d["elapsed_seconds"] = 0
+            d["stages"] = {}
+        assert got == want
+
     def test_buffers_stay_under_one_cap_across_keys(self, monkeypatch):
         cfg = SweepConfig(max_n_dense=5, max_n_sparse=7)
         want = run(cfg)
@@ -1061,7 +1079,8 @@ class TestSweepRuns:
 
         monkeypatch.setattr(sweep_module._Engine, "_append_block", spy)
         got = run(cfg)
-        assert len(keys) >= 20
+        # every (order, girth) of a ranked graph of this config
+        assert len(keys) == 12
         assert (got.graphs, got.instances) == (want.graphs, want.instances)
         assert got.total_failures() == want.total_failures() == 0
         for name in DEFAULT_CHECKS:
@@ -1273,6 +1292,11 @@ class TestConfigValidation:
             run(SweepConfig(max_cyclomatic=0))
         with pytest.raises(ValueError):
             run(SweepConfig(jobs=0))
+
+    def test_negative_max_counterexamples(self):
+        with pytest.raises(ValueError, match="max_counterexamples"):
+            run(SweepConfig(max_counterexamples=-1))
+        SweepConfig(max_counterexamples=0).validate()
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown checks"):
