@@ -289,6 +289,210 @@ def _with_pendant_pairs(rng, n, p, count, symmetric):
     return mats.astype(np.int8)
 
 
+def _pendant_pairs(matrices):
+    """The number p of leading vertex pairs (0,1), (2,3), ... that are
+    pendant in every matrix of the batch once the earlier pairs are
+    deleted: row and column 2i zero except for nonzero entries at 2i+1.
+    It checks the inputs below; the kernel itself looks for no pairs."""
+    n = matrices.shape[1]
+    p = 0
+    while 2 * p + 2 <= n:
+        x = 2 * p
+        row = matrices[:, x, x:]
+        col = matrices[:, x:, x]
+        if (
+            row[:, 0].any()
+            or not row[:, 1].all()
+            or not col[:, 1].all()
+            or row[:, 2:].any()
+            or col[:, 2:].any()
+        ):
+            break
+        p += 1
+    return p
+
+
+def _leading_pairs(matrices):
+    """The number k of leading vertex pairs (0,1), (2,3), ... that form an
+    induced matching in every matrix of the batch: zero diagonal, nonzero
+    entries within each pair, zero entries between pairs."""
+    n = matrices.shape[1]
+    k = 0
+    while 2 * k + 2 <= n:
+        a = 2 * k
+        pair = matrices[:, a:a + 2, a:a + 2]
+        if (
+            pair[:, 0, 0].any()
+            or pair[:, 1, 1].any()
+            or not pair[:, 0, 1].all()
+            or not pair[:, 1, 0].all()
+            or matrices[:, a:a + 2, :a].any()
+            or matrices[:, :a, a:a + 2].any()
+        ):
+            break
+        k += 1
+    return k
+
+
+def _assert_every_cap(arr):
+    """capped_ranks(arr, cap) = min(rank, cap) for every cap up to n + 1,
+    and batch_ranks equals the rational oracle."""
+    want = _oracle_ranks(arr)
+    assert batch_ranks(arr).tolist() == want
+    for cap in range(1, arr.shape[1] + 2):
+        assert capped_ranks(arr, cap).tolist() == [min(r, cap) for r in want], cap
+
+
+class TestMatchingSchurStep:
+    """Batches whose leading vertex pairs form an induced matching, the
+    sweep's k in 2(p + k) >= g + 1: the plain elimination ranks them exactly
+    at every cap, whether or not every matrix keeps the matching."""
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_every_matching_size(self, n):
+        rng = np.random.default_rng(600 + n)
+        for k in range((n - 1) // 2 + 1):
+            for symmetric in (True, False):
+                arr = _with_leading_matching(rng, n, k, 10, symmetric)
+                if 2 * k + 2 <= n:
+                    arr[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
+                assert _leading_pairs(arr) == k
+                if not symmetric and k:
+                    assert (arr[:, 0, 1] != arr[:, 1, 0]).any()
+                _assert_every_cap(arr)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 14, 16])
+    def test_perfect_matching_leaves_no_block(self, n):
+        # an induced perfect matching has full rank
+        rng = np.random.default_rng(650 + n)
+        arr = _with_leading_matching(rng, n, n // 2, 6, symmetric=False)
+        assert _leading_pairs(arr) == n // 2
+        assert batch_ranks(arr).tolist() == [n] * 6 == _oracle_ranks(arr)
+        assert capped_ranks(arr, n - 1).tolist() == [n - 1] * 6
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_one_matrix_breaking_the_matching_lowers_k(self, n):
+        rng = np.random.default_rng(700 + n)
+        k = (n - 1) // 2
+        for j in range(k):
+            arr = _with_leading_matching(rng, n, k, 8, symmetric=j % 2 == 0)
+            odd = arr[3]
+            if j == 0:
+                odd[0, 1] = 0  # a pair without its edge
+            elif j % 2:
+                odd[2 * j, 0] = odd[0, 2 * j] = 1  # an edge to an earlier pair
+            else:
+                odd[2 * j, 2 * j] = 1  # a loop on the pair
+            assert _leading_pairs(arr) == j
+            mixed = batch_ranks(arr).tolist()
+            alone = [int(batch_ranks(m[None])[0]) for m in arr]
+            assert mixed == alone == _oracle_ranks(arr)
+            cap = 2 * k
+            assert capped_ranks(arr, cap).tolist() == [min(r, cap) for r in mixed]
+
+    @pytest.mark.parametrize("n", [8, 9, 14, 15, 16])
+    def test_worst_case_magnitudes_with_a_matching(self, n):
+        # negative pairs and all-equal or alternating signs elsewhere: the
+        # matrices that made the Schur complement over the matching largest
+        for k in range(1, (n - 1) // 2 + 1):
+            h = 2 * k
+            mats = []
+            for alternating in (False, True):
+                mat = np.fromfunction(
+                    lambda i, j: (-1) ** (i + j) if alternating else 1 + 0 * i,
+                    (n, n),
+                ).astype(np.int8)
+                np.fill_diagonal(mat, 0)
+                mat[:h, :h] = 0
+                for a in range(0, h, 2):
+                    mat[a, a + 1] = mat[a + 1, a] = -1
+                mats.append(mat)
+            arr = np.stack(mats)
+            assert _leading_pairs(arr) == k
+            _assert_every_cap(arr)
+
+
+class TestPendantPairs:
+    """Batches whose leading vertex pairs are pendant, the sweep's p in
+    2(p + k) >= g + 1: the plain elimination ranks them exactly at every
+    cap, including the shapes a wrong pendant deletion would misrank."""
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_every_pendant_count(self, n):
+        rng = np.random.default_rng(800 + n)
+        for p in range(n // 2 + 1):
+            for symmetric in (True, False):
+                arr = _with_pendant_pairs(rng, n, p, 10, symmetric)
+                if 2 * p + 2 <= n:
+                    arr[0, 2 * p, 2 * p] = 1  # pair p is not pendant
+                assert _pendant_pairs(arr) == p
+                _assert_every_cap(arr)
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_pendant_row_over_a_longer_column_is_kept(self, n):
+        # row 2i is pendant, column 2i is not: deleting the pair would
+        # change the rank by 1 or 3 in some of these matrices
+        rng = np.random.default_rng(850 + n)
+        for i in range((n - 1) // 2):
+            x = 2 * i
+            arr = _with_pendant_pairs(rng, n, i + 1, 40, symmetric=False)
+            # a sparse rest is rank deficient, where a wrong deletion shows
+            arr[:, x + 2:, x + 2:] *= rng.random((40, n - x - 2, n - x - 2)) < 0.15
+            arr[np.arange(40), x + 2 + rng.integers(n - x - 2, size=40), x] = 1
+            assert _pendant_pairs(arr) == i
+            got = batch_ranks(arr).tolist()
+            assert got == _oracle_ranks(arr)
+            rows_only = 2 * (i + 1) + batch_ranks(arr[:, x + 2:, x + 2:])
+            assert (rows_only != np.array(got)).any()
+            cap = x + 3
+            assert capped_ranks(arr, cap).tolist() == [min(r, cap) for r in got]
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_one_matrix_breaking_the_pairs_lowers_p(self, n):
+        rng = np.random.default_rng(900 + n)
+        p = n // 2
+        for j in range(p):
+            x = 2 * j
+            arr = _with_pendant_pairs(rng, n, p, 8, symmetric=j % 2 == 0)
+            odd = arr[3]
+            kind = j % 4
+            if kind == 0:
+                odd[x, x + 1] = 0  # a pair without its edge
+            elif kind == 1:
+                odd[x, x] = -1  # a loop on the pendant vertex
+            elif kind == 2 and x + 2 < n:
+                odd[x + 2, x] = 1  # a second neighbour, in the column only
+            elif x + 2 < n:
+                odd[x, n - 1] = 1  # a second neighbour, in the row only
+            else:
+                odd[x + 1, x] = 0
+            assert _pendant_pairs(arr) == j
+            mixed = batch_ranks(arr).tolist()
+            alone = [int(batch_ranks(m[None])[0]) for m in arr]
+            assert mixed == alone == _oracle_ranks(arr)
+            cap = 2 * p - 1
+            assert capped_ranks(arr, cap).tolist() == [min(r, cap) for r in mixed]
+
+    @pytest.mark.parametrize("n", KERNEL_ORDERS)
+    def test_pendant_pairs_followed_by_a_matching(self, n):
+        rng = np.random.default_rng(950 + n)
+        for p in range(1, n // 2):
+            h = 2 * p
+            # an unmatched vertex is left, so the first matched vertex
+            # can have a second neighbour and is not pendant
+            for k in range(1, (n - h - 1) // 2 + 1):
+                for symmetric in (True, False):
+                    arr = _with_pendant_pairs(rng, n, p, 8, symmetric)
+                    rest = _with_leading_matching(rng, n - h, k, 8, symmetric)
+                    rest[:, 0, -1] = 1
+                    if 2 * k + 2 <= n - h:
+                        rest[0, 2 * k, 2 * k] = 1  # pair k is not a matched edge
+                    arr[:, h:, h:] = rest
+                    assert _pendant_pairs(arr) == p
+                    assert _leading_pairs(arr[:, h:, h:]) == k
+                    _assert_every_cap(arr)
+
+
 def _sylvester_hadamard(n):
     """The Sylvester Hadamard matrix of order n, a power of 2: +-1 entries
     and |det| = n**(n/2), Hadamard's bound, as have its leading blocks of
