@@ -44,12 +44,12 @@ _CASE_NAMES = {
 def _load(path: str):
     try:
         return load_sgr(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(2)
-    except SgrParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    except OSError as exc:  # missing, a directory, unreadable
+        reason = exc.strerror or exc
+    except (UnicodeDecodeError, SgrParseError) as exc:
+        reason = exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _signs_arg(text: str, m: int, what: str) -> tuple[int, ...]:
@@ -145,7 +145,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _load(args.file)
-    if not is_connected(g) or g.m < g.n:
+    if g.n == 0 or g.m < g.n or not is_connected(g):
         print(
             "error: classification needs a connected graph containing a cycle",
             file=sys.stderr,
@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         report = run(config)
-    except (Graph6Error, FileNotFoundError) as exc:
+    except (Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # keep stdout pure JSON under `--json -`

@@ -24,27 +24,28 @@ The default checks tell ranks apart only at or below the girth g, so the
 sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
 with no signing block built: its instances count as checked at rank
 g + 1, and each co-tree pattern that the case table accepts for it is a
-failure of an "iff classified" check.  The first rule takes a graph of
-girth 3 in which some 4 vertices induce a graph H whose every signing
-has rank 4: a principal submatrix never has larger rank, so every
-signing of the graph has rank >= 4 = g + 1.  `_witness_table` finds
-these H at first use by ranking every signing on 4 vertices, keyed by
-their in-set degree multisets: 2K2 and P4 (the forests with two disjoint
-edges, counted in `decided_by_forest`), the paw and K4.  The dense
-stream looks up every 4-set of a whole chunk at once (`_dense_witness`),
-on the neighbour bitmasks its enumeration builds; so do graph6 records
-of order <= 7, grouped by order.  The sparse stream tests each core
-once: a core is an induced subgraph of every graph hung from it, so its
-witness holds for all of them.  The graphs of cores without P4 or 2K2,
-and larger graph6 records, are tested on their own bitmasks
-(`_induced_witness`), which also find a triangle when no girth is given.
-Otherwise the second rule takes the graph's iterated pendant pairs and
-then a greedy maximal induced matching of the rest, lowest degree first
-(`_matching_pairs`): p pendant pairs and k matched pairs.  Deleting a
-pendant vertex and its neighbour lowers the rank by exactly 2 (the
-paper's pendant lemma), and the matched pairs induce kK2, a principal
-submatrix of rank 2k on every signing.  So every signing has rank
->= 2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.
+failure of an "iff classified" check.  At girth 3 a graph is decided
+when some 4 vertices induce a graph H whose every signing has rank 4 (a
+witness): a principal submatrix never has larger rank, so every signing
+of the graph has rank >= 4 = g + 1.  `_witness_table` finds these H at
+first use by ranking every signing on 4 vertices, keyed by their in-set
+degree multisets: 2K2, P4, the paw and K4.  The dense stream looks up
+every 4-set of a whole chunk at once (`_dense_witness`), on the
+neighbour bitmasks its enumeration builds; so do graph6 records of order
+<= 7, grouped by order.  The sparse stream tests each core once: a core
+is an induced subgraph of every graph hung from it, so a witnessed core
+decides all of them.  The graphs of cores without a witness, and larger
+graph6 records, are tested on their own bitmasks (`_induced_witness`),
+which also find a triangle when no girth is given.  At girth >= 4 the
+rule takes the graph's iterated pendant pairs and then a greedy maximal
+induced matching of the rest, lowest degree first (`_matching_pairs`):
+p pendant pairs and k matched pairs.  Deleting a pendant vertex and its
+neighbour lowers the rank by exactly 2 (the paper's pendant lemma), and
+the matched pairs induce kK2, a principal submatrix of rank 2k on every
+signing.  So every signing has rank >= 2(p + k), and the rule decides a
+graph with 2(p + k) >= g + 1.  At girth 3 it would need p + k >= 2, and
+then the first two pairs already induce a witness (`_match_or_rank`), so
+it is not run there.
 A decided graph goes into running sums by (order, girth).  The case
 table runs on it only when `classify.case_shapes` says a case may fit,
 and it builds its spanning tree and keeps a record only when the case
@@ -265,7 +266,6 @@ class SweepReport:
     counterexamples: list = field(default_factory=list)
     skipped_graph6_records: int = 0
     decided_instances: int = 0
-    decided_by_forest: int = 0
     decided_by_witness: int = 0
     histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
     stages: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
@@ -283,7 +283,7 @@ class SweepReport:
             for name in sorted(self.config.checks)
         }
         return {
-            "schema": 2,
+            "schema": 3,
             "config": {
                 "max_n_dense": self.config.max_n_dense,
                 "max_n_sparse": self.config.max_n_sparse,
@@ -299,7 +299,6 @@ class SweepReport:
                 "failures": self.total_failures(),
                 "skipped_graph6_records": self.skipped_graph6_records,
                 "decided_instances": self.decided_instances,
-                "decided_by_forest": self.decided_by_forest,
                 "decided_by_witness": self.decided_by_witness,
             },
             "checks": checks,
@@ -488,13 +487,6 @@ def _girth_hints(n: int, nb: np.ndarray) -> np.ndarray:
     return np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
 
 
-# the kinds of 4-vertex witness in `_witness_table`, ordered so that the
-# larger one is kept: P4 or 2K2 (counted again in decided_by_forest), and
-# the paw or K4
-_FOREST = 2
-_OTHER = 1
-
-
 def _degree_code(degrees) -> int:
     """The code of a multiset of degrees below 8: the sum of 8^d."""
     return sum(1 << 3 * d for d in degrees)
@@ -502,47 +494,40 @@ def _degree_code(degrees) -> int:
 
 @lru_cache(maxsize=None)
 def _witness_table() -> np.ndarray:
-    """The witness kind of each in-set degree code of 4 vertices
-    (`_degree_code`), 0 for none.  A code is a witness when every signing
-    of every graph on 4 vertices with that degree multiset has rank 4:
-    then a graph of girth 3 in which 4 vertices induce it has rank >= 4 =
-    g + 1 on every signing, since a principal submatrix never has larger
-    rank.  Such a graph has no isolated vertex, so with fewer edges than
-    vertices it is a forest (_FOREST, P4 or 2K2); the others are _OTHER
-    (the paw and K4).  Built at first use, by ranking all 729 signings of
-    the 64 labeled graphs on 4 vertices."""
+    """Per in-set degree code of 4 vertices (`_degree_code`), whether it
+    is a witness: every signing of every graph on 4 vertices with that
+    degree multiset has rank 4.  Then a graph of girth 3 in which 4
+    vertices induce it has rank >= 4 = g + 1 on every signing, since a
+    principal submatrix never has larger rank.  The witnesses are 2K2,
+    P4, the paw and K4.  Built at first use, by ranking all 729 signings
+    of the 64 labeled graphs on 4 vertices; read-only."""
     # every signing of every labeled graph on 4 vertices: each of the 6
     # vertex pairs is a non-edge, a positive edge or a negative edge
     values = np.array((0, 1, -1), dtype=np.int8)[np.indices((3,) * 6).reshape(6, -1).T]
     matrices = np.zeros((len(values), 4, 4), dtype=np.int8)
     for e, (u, v) in enumerate(_edge_table(4)):
         matrices[:, u, v] = matrices[:, v, u] = values[:, e]
-    degrees = (matrices != 0).sum(axis=2)
-    codes = (1 << 3 * degrees).sum(axis=1)
+    codes = (1 << 3 * (matrices != 0).sum(axis=2)).sum(axis=1)
     lowest = np.full(_degree_code((3,) * 4) + 1, 5)
     np.minimum.at(lowest, codes, batch_ranks(matrices))
-    edge_counts = dict(zip(codes.tolist(), (degrees.sum(axis=1) // 2).tolist()))
-    kinds = np.zeros(len(lowest), dtype=np.uint8)
-    for code in np.flatnonzero(lowest == 4).tolist():
-        kinds[code] = _FOREST if edge_counts[code] < 4 else _OTHER
-    kinds.setflags(write=False)
-    return kinds
+    table = lowest == 4
+    table.setflags(write=False)
+    return table
 
 
 def _dense_witness(nb: np.ndarray) -> np.ndarray:
-    """Per row of neighbour bitmasks (one uint8 column per vertex), the
-    largest witness kind among the graphs that 4 of its vertices induce,
-    0 for none: each 4-set's in-set degree code looked up in
-    `_witness_table`.  The vectorized form of `_induced_witness`."""
-    kinds = _witness_table()
+    """Per row of neighbour bitmasks (one uint8 column per vertex),
+    whether 4 of its vertices induce a graph of `_witness_table`: each
+    4-set's in-set degree code looked up in the table.  The vectorized
+    form of `_induced_witness`."""
+    table = _witness_table()
     # 8^d for a vertex with d neighbours in the set; d <= 3
     terms = np.left_shift(1, 3 * np.minimum(_POPCOUNT, 3).astype(np.uint16))
     columns = np.ascontiguousarray(nb.T)
-    found = np.zeros(len(nb), dtype=np.uint8)
+    found = np.zeros(len(nb), dtype=bool)
     for quad in combinations(range(nb.shape[1]), 4):
         inside = sum(1 << v for v in quad)
-        code = sum(terms[columns[v] & inside] for v in quad)
-        np.maximum(found, kinds[code], out=found)
+        found |= table[sum(terms[columns[v] & inside] for v in quad)]
     return found
 
 
@@ -726,10 +711,11 @@ def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
 class _Core:
     """One subdivided core of the sparse stream: its order, sorted edges,
     adjacency lists (as `_adjacency` builds them from those edges), girth,
-    signings per graph, hangings, and its witness kind (`_induced_witness`,
-    0 unless the girth is 3).  Hung trees add no cycle and keep the core
-    an induced subgraph, so the girth and the witness hold for every graph
-    hung from it.  `hung_shape` is `case_shapes` of every graph with a
+    signings per graph, hangings, and whether it has a witness
+    (`_induced_witness`, False unless the girth is 3).  Hung trees add no
+    cycle and keep the core an induced subgraph, so the girth and a
+    witness hold for every graph hung from it, and a witnessed core
+    decides them all.  `hung_shape` is `case_shapes` of every graph with a
     non-empty hanging: the hanging adds a leaf and keeps m - n and the
     girth, and a connected graph with a cycle and a leaf is never complete
     multipartite (the leaf's non-neighbours would all see only its
@@ -747,9 +733,8 @@ class _Core:
         adj = _adjacency(n, self.edges)
         self.adj = tuple(map(tuple, adj))
         self.girth = girth_of_adjacency(adj)
-        self.witness = (
-            _induced_witness(_neighbour_masks(n, self.edges), self.edges)
-            if self.girth == 3 else 0
+        self.witness = self.girth == 3 and _induced_witness(
+            _neighbour_masks(n, self.edges), self.edges
         )
         self.signings = 1 << (len(edges) - n + 1)
         self.hung_shape = bool(could_have_case(len(edges) - n, False, False, self.girth))
@@ -856,12 +841,15 @@ class Graph6Error(ValueError):
 
 
 def parse_graph6(text: str) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Decode graph6 records, one per line.  The optional '>>graph6<<'
-    header and blank lines are skipped."""
+    """Decode graph6 records, one per line (ended by LF, CRLF or CR).  The
+    optional '>>graph6<<' header and blank lines are skipped.  A file is
+    read as latin-1 (`_plan_chunks`), so each of its bytes is one
+    character, and a byte outside the graph6 range is reported with its
+    record."""
     out = []
     index = 0
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        line = raw.strip(" \t\v\f")
         if not line:
             continue
         if line.startswith(">>graph6<<"):
@@ -987,44 +975,37 @@ def _has_triangle(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _partner_types() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Rules (kind, s, partners), _FOREST first, read off `_witness_table`
-    for the sets {a, b, c, d} with edges ab and cd.  A vertex's type says
-    which of a and b it sees (bit 0: a, bit 1: b).  The set has the kind
-    when c has type s and d a type in `partners`, all >= s since c and d
-    may swap."""
-    kinds = _witness_table()
-    rules: dict[tuple[int, int], list[int]] = {}
+def _partner_types() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Rules (s, partners) read off `_witness_table` for the sets
+    {a, b, c, d} with edges ab and cd.  A vertex's type says which of a
+    and b it sees (bit 0: a, bit 1: b).  The set induces a witness when c
+    has type s and d a type in `partners`, all >= s since c and d may
+    swap."""
+    table = _witness_table()
+    rules: dict[int, list[int]] = {}
     for s in range(4):
         for t in range(s, 4):
             degrees = (1 + (s & 1) + (t & 1), 1 + (s >> 1) + (t >> 1),
                        1 + s.bit_count(), 1 + t.bit_count())
-            kind = int(kinds[_degree_code(degrees)])
-            if kind:
-                rules.setdefault((kind, s), []).append(t)
-    return tuple(
-        (kind, s, tuple(ts)) for (kind, s), ts in sorted(rules.items(), reverse=True)
-    )
+            if table[_degree_code(degrees)]:
+                rules.setdefault(s, []).append(t)
+    return tuple((s, tuple(ts)) for s, ts in sorted(rules.items()))
 
 
-def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> int:
-    """The largest witness kind among the graphs that 4 vertices induce,
-    0 for none, from the neighbour bitmasks; it stops at the first
-    _FOREST.  Each graph of `_witness_table` has a perfect matching (on 4
-    vertices with a zero diagonal, a nonzero determinant needs one), so
-    only the sets with disjoint edges ab and cd are looked at: per edge
-    ab, each rule of `_partner_types` asks for an edge from a vertex of
-    type s to one of a partner type."""
+def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether 4 vertices induce a graph of `_witness_table`, from the
+    neighbour bitmasks.  Each graph of the table has a perfect matching
+    (on 4 vertices with a zero diagonal, a nonzero determinant needs
+    one), so only the sets with disjoint edges ab and cd are looked at:
+    per edge ab, each rule of `_partner_types` asks for an edge from a
+    vertex of type s to one of a partner type."""
     full = (1 << len(nb)) - 1
-    best = 0
     for a, b in edges:
         pair = (1 << a) | (1 << b)
         sees_a, sees_b = nb[a] & ~pair, nb[b] & ~pair
         types = (full & ~(sees_a | sees_b | pair), sees_a & ~sees_b,
                  sees_b & ~sees_a, sees_a & sees_b)
-        for kind, s, partners in _partner_types():
-            if kind <= best:
-                break
+        for s, partners in _partner_types():
             reach = 0
             for t in partners:
                 reach |= types[t]
@@ -1032,12 +1013,9 @@ def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> int:
             while rest:
                 c = rest & -rest
                 if nb[c.bit_length() - 1] & reach:
-                    best = kind
-                    break
+                    return True
                 rest ^= c
-        if best == _FOREST:
-            break
-    return best
+    return False
 
 
 def _matching_pairs(
@@ -1145,7 +1123,6 @@ class _ChunkResult:
         self.counterexamples: list[dict] = []
         self.skipped_graph6_records = 0
         self.decided_instances = 0
-        self.decided_by_forest = 0
         self.decided_by_witness = 0
         self.histogram: dict[tuple[int, int, int], int] = {}
         self.stages = dict.fromkeys(STAGES, 0.0)
@@ -1166,8 +1143,7 @@ class _Engine:
         ]
         self.result = _ChunkResult()
         # graphs decided at intake, summed by (order, girth) as [graphs,
-        # instances, instances with an induced P4 or 2K2, instances with
-        # any witness of `_witness_table`] until `finish`
+        # instances] until `finish`
         self.decided: dict[tuple[int, int], list[int]] = {}
         # the finest selected spot-check stride, 0 for none: a graph holds
         # a sample of either stride exactly when it holds one of this
@@ -1227,27 +1203,28 @@ class _Engine:
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
                   girth: int = 0, adj: Sequence[Sequence[int]] | None = None,
-                  witness: int = 0, shape: bool = True) -> None:
+                  witness: bool = False, shape: bool = True) -> None:
         """Intake of one connected graph with a cycle, at the next stream
         position, with its girth when the stream knows it (else 0), its
-        adjacency lists when the caller has built them, and `shape` False
-        when the caller knows that no case shape fits it (`case_shapes`).
-        A `witness` of _FOREST is taken as known; below that, at girth 3,
-        the neighbour bitmasks look for the largest witness
-        (`_induced_witness`), and they find a triangle when no girth is
+        adjacency lists when the caller has built them, `witness` True
+        when the caller knows that 4 of its vertices induce a graph of
+        `_witness_table`, and `shape` False when the caller knows that no
+        case shape fits it (`case_shapes`).  Given no witness, a graph of
+        girth 3 is searched for one on its neighbour bitmasks
+        (`_induced_witness`), which find a triangle when no girth is
         given."""
         start = self.position
         self.position += 1 << (len(edges) - n + 1)
         if adj is None:
             adj = _adjacency(n, edges)
-        if girth in (0, 3) and witness != _FOREST:
+        if girth in (0, 3) and not witness:
             nb = _neighbour_masks(n, edges)
             if not girth:
                 girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
             if girth == 3 and self.capped:
                 witness = _induced_witness(nb, edges)
         if self.capped and witness:
-            self._decide(source, key, n, edges, adj, girth, witness, shape, start)
+            self._decide(source, key, n, edges, adj, girth, shape, start)
         else:
             self._match_or_rank(source, key, n, edges, adj, girth, shape, start)
 
@@ -1263,48 +1240,52 @@ class _Engine:
         counts = np.left_shift(1, m - n + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
-        kinds = np.zeros(len(m), dtype=np.uint8)
+        witness = np.zeros(len(m), dtype=bool)
         if self.capped:
             tri = np.flatnonzero(hints == 3)
-            kinds[tri] = _dense_witness(nb[tri])
+            witness[tri] = _dense_witness(nb[tri])
         shape = case_shapes(n, m, nb, hints)
-        bulk = (kinds > 0) & ~shape & ~_holds_sample(starts, counts, self.stride)
+        bulk = witness & ~shape & ~_holds_sample(starts, counts, self.stride)
         if bulk.any():
-            instances = int(counts[bulk].sum())
-            self._sum_decided(n, 3, int(bulk.sum()), instances,
-                              int(counts[bulk & (kinds == _FOREST)].sum()), instances)
+            self._sum_decided(n, 3, int(bulk.sum()), int(counts[bulk].sum()))
         rest = np.flatnonzero(~bulk)
         rows = nb.tobytes()
-        for i, key, kind, hint, fits, start in zip(
-            rest.tolist(), keys[rest].tolist(), kinds[rest].tolist(),
+        for i, key, found, hint, fits, start in zip(
+            rest.tolist(), keys[rest].tolist(), witness[rest].tolist(),
             hints[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
         ):
             adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
-            if kind:
-                self._decide(source, key, n, edges_of(key), adj, 3, kind, fits, start)
+            if found:
+                self._decide(source, key, n, edges_of(key), adj, 3, fits, start)
             else:
                 girth = hint or girth_of_adjacency(adj)
                 self._match_or_rank(source, key, n, edges_of(key), adj, girth, fits, start)
 
     def add_uncased(self, n: int, count: int) -> bool:
-        """Count a graph of girth 3 with an induced P4 or 2K2 and no case
-        shape, of order n and with `count` instances, at the next stream
+        """Count a graph of girth 3 with a witness and no case shape, of
+        order n and with `count` instances, at the next stream
         position, and return True; unless a spot stride samples one of its
         instances: then return False, and the caller passes it to
         `add_graph`."""
         if _holds_sample(self.position, count, self.stride):
             return False
-        self._sum_decided(n, 3, 1, count, count, count)
+        self._sum_decided(n, 3, 1, count)
         self.position += count
         return True
 
     def _match_or_rank(self, source, key, n, edges, adj, girth, shape, start):
-        """Decide a graph by its pendant pairs and induced matching, or
-        buffer its signing blocks."""
-        if self.capped:
+        """Decide a graph of girth >= 4 by its pendant pairs and induced
+        matching, or buffer its signing blocks.  A capped sweep sends a
+        graph of girth 3 here only when it has no witness, and then the
+        matching could not decide it: that takes p + k >= 2, and then the
+        first two pairs induce 2K2, P4 or the paw.  Two matched pairs
+        induce 2K2.  Otherwise the first is a pendant pair, whose pendant
+        vertex sees only its partner y1, so at most the edges from y1 to
+        the other pair join the two."""
+        if self.capped and girth > 3:
             pendant, matched = _matching_pairs(adj)
             if 2 * (len(pendant) + len(matched)) > girth:
-                self._decide(source, key, n, edges, adj, girth, 0, shape, start)
+                self._decide(source, key, n, edges, adj, girth, shape, start)
                 return
         cotree = _spanning_cotree(n, edges)
         accepted = (
@@ -1320,15 +1301,14 @@ class _Engine:
                 (n, girth), meta, j0, _signing_block(n, edges, cotree, j0), start + j0
             )
 
-    def _decide(self, source, key, n, edges, adj, girth, witness, shape, start):
+    def _decide(self, source, key, n, edges, adj, girth, shape, start):
         """Check all signings of a graph without ranking any, when each of
         them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
-        Either the girth is 3 and 4 vertices induce a graph of
-        `_witness_table` (`witness`, its largest kind), every signing of
-        which has rank 4, and a principal submatrix never has larger rank
-        than the matrix; or (witness 0) 2(p + k) >= girth + 1 for the p
-        pendant pairs and k matched pairs of `_matching_pairs`, which
-        give every signing rank >= 2(p + k).
+        At girth 3, 4 vertices induce a graph of `_witness_table`, every
+        signing of which has rank 4, and a principal submatrix never has
+        larger rank than the matrix.  At girth >= 4, 2(p + k) >= girth + 1
+        for the p pendant pairs and k matched pairs of `_matching_pairs`,
+        which give every signing rank >= 2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
         into the result by `finish`.  When a case shape may fit it
@@ -1338,8 +1318,7 @@ class _Engine:
         instance that a spot-check stride samples, builds its spanning
         tree and record.  `start` is the graph's stream position."""
         total = 1 << (len(edges) - n + 1)
-        self._sum_decided(n, girth, 1, total, total if witness == _FOREST else 0,
-                          total if witness else 0)
+        self._sum_decided(n, girth, 1, total)
         accepted = (
             accepted_cotree_patterns(
                 adj, lambda: [edges[i] for i in _spanning_cotree(n, edges)]
@@ -1357,12 +1336,10 @@ class _Engine:
             self._spot_checks([_Segment(meta, 0, total, start)], (0, total), None)
             _lap(self.result.stages, "spot_checks", clock)
 
-    def _sum_decided(self, n, girth, graphs, instances, by_forest, by_witness):
-        sums = self.decided.setdefault((n, girth), [0, 0, 0, 0])
+    def _sum_decided(self, n, girth, graphs, instances):
+        sums = self.decided.setdefault((n, girth), [0, 0])
         sums[0] += graphs
         sums[1] += instances
-        sums[2] += by_forest
-        sums[3] += by_witness
 
     def _append_block(
         self, key: tuple[int, int], meta: _GraphMeta, j0: int, block: np.ndarray,
@@ -1384,12 +1361,12 @@ class _Engine:
         for key in sorted(self.buffers):
             self._flush(key)
         res = self.result
-        for (n, girth), (graphs, instances, by_forest, by_witness) in self.decided.items():
+        for (n, girth), (graphs, instances) in self.decided.items():
             res.graphs += graphs
             res.instances += instances
             res.decided_instances += instances
-            res.decided_by_forest += by_forest
-            res.decided_by_witness += by_witness
+            if girth == 3:  # only a witness decides at girth 3
+                res.decided_by_witness += instances
             self._tally(n, girth, girth + 1, instances)
             for name in self.per_instance:
                 self._count(name, instances)
@@ -1632,7 +1609,7 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
         for lo in range(0, stream_len, _SPARSE_CHUNK_GRAPHS):
             chunks.append(("sparse", lo, min(lo + _SPARSE_CHUNK_GRAPHS, stream_len)))
     for pi, path in enumerate(config.graph6_paths):
-        with open(path) as fh:
+        with open(path, encoding="latin-1") as fh:
             records = parse_graph6(fh.read())
         # checked here, in the main process, before any chunk runs.
         # Disconnected records are skipped later.
@@ -1667,7 +1644,7 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
             # a bare core always meets the case table
             shape = core.hung_shape if hang.extra else True
             if not (
-                engine.capped and core.witness == _FOREST and not shape
+                engine.capped and core.witness and not shape
                 and engine.add_uncased(n, core.signings)
             ):
                 engine.add_graph(
@@ -1741,7 +1718,6 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
     report.instances += res.instances
     report.skipped_graph6_records += res.skipped_graph6_records
     report.decided_instances += res.decided_instances
-    report.decided_by_forest += res.decided_by_forest
     report.decided_by_witness += res.decided_by_witness
     for key, count in res.histogram.items():
         report.histogram[key] = report.histogram.get(key, 0) + count

@@ -54,6 +54,18 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in err
 
+    def test_directory_is_a_usage_error(self, tmp_path):
+        code, out, err = cli("analyze", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "latin.sgr"
+        path.write_bytes(b"# caf\xe9\n0 0\n")
+        code, _, err = cli("analyze", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
 
 class TestClassify:
     def test_balanced_c8_is_case_b(self, tmp_path):
@@ -70,6 +82,13 @@ class TestClassify:
         code, _, err = cli("classify", str(path))
         assert code == 2
         assert err
+
+    def test_empty_graph_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "empty.sgr"
+        path.write_text("0 0\n")
+        code, _, err = cli("classify", str(path))
+        assert code == 2
+        assert "needs a connected graph containing a cycle" in err
 
 
 class TestGenerate:
@@ -159,7 +178,7 @@ class TestVerify:
                            "--json", "-")
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == 2
+        assert data["schema"] == 3
 
     def test_graph6_input(self, tmp_path):
         path = tmp_path / "in.g6"
@@ -177,6 +196,20 @@ class TestVerify:
         assert code == 2
         assert "graph6 record 0" in err and str(path) in err
         assert "36 co-tree edges" in err
+
+    def test_graph6_directory_is_usage_error(self, tmp_path):
+        code, _, err = cli("verify", "--max-n", "0", "--sparse-max-n", "0",
+                           "--graph6", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_graph6_byte_outside_the_range_is_usage_error(self, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\xffC~\n")
+        code, _, err = cli("verify", "--max-n", "0", "--sparse-max-n", "0",
+                           "--graph6", str(path))
+        assert code == 2
+        assert "graph6 record 0: byte outside the printable graph6 range" in err
 
     def test_negative_max_counterexamples_is_usage_error(self):
         code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",

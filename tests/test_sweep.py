@@ -43,8 +43,7 @@ from sgrank.classify import case_shapes
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     STAGES,
-    _FOREST,
-    _OTHER,
+    _BITS,
     _SIGNING_BLOCK,
     _SPOT_CLASSIFY_STRIDE,
     _SPOT_RANK_STRIDE,
@@ -430,6 +429,52 @@ class TestInducedMatching:
         assert k_seen == {0, 1, 2, 3}
 
 
+class TestGirthThreeSkipsTheMatching:
+    """At girth 3, p + k >= 2 pairs of `_matching_pairs` always come with
+    a witness: the first two pairs induce 2K2, P4 or the paw.  So the
+    matching bound decides no girth-3 graph that the witness leaves, and
+    the sweep runs it only above girth 3."""
+
+    @staticmethod
+    def _pairs(adj):
+        return sum(map(len, _matching_pairs(adj)))
+
+    def test_two_pairs_give_a_witness(self):
+        graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
+        graphs += [(n, e) for n, e, girth in _sparse_records(10, 3) if girth == 3]
+        two_pairs = 0
+        for n, edges in graphs:
+            nb = _neighbour_masks(n, edges)
+            if _has_triangle(nb, edges) and self._pairs(_adjacency(n, edges)) >= 2:
+                assert _induced_witness(nb, edges), (n, edges)
+                two_pairs += 1
+        assert two_pairs == 129_981
+
+    def test_two_pairs_give_a_dense_witness_at_order_seven(self):
+        _, _, hints, nb = _dense_chunk(7, 0, sweep_module._DENSE_CHUNK_MASKS)
+        nb = nb[hints == 3]
+        witness = _dense_witness(nb)
+        two_pairs = 0
+        for row, found in zip(nb.tolist(), witness.tolist()):
+            if self._pairs([_BITS[b] for b in row]) >= 2:
+                assert found, row
+                two_pairs += 1
+        assert two_pairs == 153_475
+
+    def test_matching_never_sees_girth_three(self, monkeypatch):
+        girths = []
+        real = sweep_module._matching_pairs
+
+        def spy(adj):
+            girths.append(girth_of_adjacency(adj))
+            return real(adj)
+
+        monkeypatch.setattr(sweep_module, "_matching_pairs", spy)
+        rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
+        assert rep.total_failures() == 0
+        assert girths and min(girths) == 4
+
+
 def _graph(n, edges):
     g = nx.Graph()
     g.add_nodes_from(range(n))
@@ -438,32 +483,27 @@ def _graph(n, edges):
 
 
 @lru_cache(maxsize=None)
-def _quad_kind(quad_edges):
+def _quad_witness(quad_edges):
     """Brute force on one 4-vertex induced subgraph, given by its edges:
-    _FOREST or _OTHER when every signing has rank 4 (by `rank_oracle`),
-    as it is a forest or not, else 0."""
-    low = min(
+    whether every signing has rank 4 (by `rank_oracle`)."""
+    return min(
         rank_oracle(adjacency_matrix(SignedGraph(4, [
             (u, v, -1 if (signs >> i) & 1 else 1) for i, (u, v) in enumerate(quad_edges)
         ])))
         for signs in range(1 << len(quad_edges))
-    )
-    if low < 4:
-        return 0
-    return _FOREST if nx.is_forest(_graph(4, quad_edges)) else _OTHER
+    ) == 4
 
 
 def _brute_force_witness(n, edges):
     present = {frozenset(e) for e in edges}
-    best = 0
-    for quad in combinations(range(n), 4):
-        quad_edges = tuple(
+    return any(
+        _quad_witness(tuple(
             (i, j)
             for (i, u), (j, v) in combinations(enumerate(quad), 2)
             if frozenset((u, v)) in present
-        )
-        best = max(best, _quad_kind(quad_edges))
-    return best
+        ))
+        for quad in combinations(range(n), 4)
+    )
 
 
 def _witness(n, edges):
@@ -472,7 +512,7 @@ def _witness(n, edges):
 
 def _dense_witness_of(n, edges):
     nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
-    return int(_dense_witness(nb)[0])
+    return bool(_dense_witness(nb)[0])
 
 
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]
@@ -483,20 +523,20 @@ class TestWitnessTable:
     `rank_oracle` and the networkx atlas."""
 
     def test_every_labeled_graph_on_four_vertices(self):
-        kinds = _witness_table()
+        table = _witness_table()
+        assert table.dtype == bool and not table.flags.writeable
         for mask in range(1 << 6):
             edges = [e for i, e in enumerate(_edge_table(4)) if (mask >> i) & 1]
             code = _degree_code(sum(v in e for e in edges) for v in range(4))
-            assert kinds[code] == _quad_kind(tuple(edges)), edges
+            assert table[code] == _quad_witness(tuple(edges)), edges
 
     def test_exactly_2k2_p4_the_paw_and_k4(self):
         graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 4]
         assert len(graphs) == 11
         codes = [_degree_code(d for _, d in g.degree()) for g in graphs]
         assert len(set(codes)) == 11  # the degree multiset names the graph
-        kinds = _witness_table()
-        found = {code: kinds[code] for code in codes if kinds[code]}
-        assert sorted(found.values()) == [_OTHER, _OTHER, _FOREST, _FOREST]
+        table = _witness_table()
+        found = {code for code in codes if table[code]}
         want = {
             _degree_code((1, 1, 1, 1)): nx.Graph([(0, 1), (2, 3)]),
             _degree_code((1, 1, 2, 2)): nx.path_graph(4),
@@ -507,7 +547,7 @@ class TestWitnessTable:
         for g, code in zip(graphs, codes):
             if code in want:
                 assert nx.is_isomorphic(g, want[code])
-        assert int(np.count_nonzero(kinds)) == 4
+        assert int(np.count_nonzero(table)) == 4
 
 
 class TestInducedForestWitness:
@@ -527,9 +567,7 @@ class TestInducedForestWitness:
             girth = girth_of_adjacency(_adjacency(n, edges))
             assert _has_triangle(nb, edges) == (girth == 3), edges
             seen.add((girth, got))
-        assert {
-            (3, _FOREST), (3, _OTHER), (3, 0), (4, _FOREST), (4, 0), (None, _FOREST)
-        } <= seen
+        assert {(3, True), (3, False), (4, True), (4, False), (None, True)} <= seen
 
     def test_labeled_dense_graphs(self):
         found = 0
@@ -537,7 +575,7 @@ class TestInducedForestWitness:
             for _, edges in dense_graphs(n):
                 got = _witness(n, edges)
                 assert got == _brute_force_witness(n, edges), (n, edges)
-                found += got == _OTHER
+                found += got
         assert found > 0
 
     @pytest.mark.parametrize(
@@ -549,25 +587,18 @@ class TestInducedForestWitness:
             (4, K4_EDGES, True),
             (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], False),  # K_{2,3}
             (4, PAW_EDGES, True),  # the paw
+            (5, PAW_EDGES + [(3, 4)], True),  # a paw and a P4
         ],
     )
     def test_hand_cases(self, n, edges, want):
-        assert bool(_witness(n, edges)) == want
-        assert _dense_witness_of(n, edges) == _witness(n, edges)
-
-    def test_kinds_of_the_hand_cases(self):
-        assert _witness(4, [(0, 1), (1, 2), (2, 3)]) == _FOREST
-        assert _witness(4, [(0, 1), (2, 3)]) == _FOREST
-        assert _witness(4, PAW_EDGES) == _OTHER
-        assert _witness(4, K4_EDGES) == _OTHER
-        # a paw and a P4 in one graph: the forest is the kind reported
-        assert _witness(5, PAW_EDGES + [(3, 4)]) == _FOREST
+        assert _witness(n, edges) is want
+        assert _dense_witness_of(n, edges) is want
 
     def test_paw_is_decided_by_its_pendant_pairs(self):
         # a triangle with a pendant vertex: no induced P4 or 2K2, only
         # the paw itself; two pendant pairs also give 2(p + k) = 4 =
         # girth + 1
-        assert _witness(4, PAW_EDGES) == _OTHER
+        assert _witness(4, PAW_EDGES)
         pendant, matched = _matching_pairs(_adjacency(4, PAW_EDGES))
         assert 2 * (len(pendant) + len(matched)) == 4
 
@@ -580,25 +611,24 @@ class TestDenseWitness:
     def test_equals_the_scalar_witness_on_every_dense_graph(self, n):
         table = _edge_table(n)
         total = 1 << len(table)
-        found = {_FOREST: 0, _OTHER: 0}
+        found = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
             masks, _, _, nb = _dense_chunk(n, lo, hi)
-            got = _dense_witness(nb).tolist()
-            for mask, row, witness in zip(masks.tolist(), nb.tolist(), got):
+            got = _dense_witness(nb)
+            assert got.dtype == bool
+            for mask, row, witness in zip(masks.tolist(), nb.tolist(), got.tolist()):
                 edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
-                assert witness == _induced_witness(row, edges), (n, edges)
-                if witness:
-                    found[witness] += 1
-        assert (found[_FOREST] > 0) == (n >= 5)  # P4 plus a vertex closing a cycle
-        assert (found[_OTHER] > 0) == (n >= 4)  # the paw and K4
+                assert witness is _induced_witness(row, edges), (n, edges)
+                found += witness
+        assert (found > 0) == (n >= 4)  # the paw and K4 from n = 4 on
 
     def test_two_cross_edges_are_too_many(self):
         # disjoint edges 01 and 23 with two edges between them: C4, or the
-        # paw when the two share an end; never a forest
+        # paw when the two share an end
         for cross in combinations([(0, 2), (0, 3), (1, 2), (1, 3)], 2):
             edges = [(0, 1), (2, 3), *cross]
-            want = _OTHER if set(cross[0]) & set(cross[1]) else 0
+            want = bool(set(cross[0]) & set(cross[1]))
             assert _dense_witness_of(4, edges) == want, edges
             assert _witness(4, edges) == want, edges
 
@@ -696,9 +726,17 @@ class TestDecidedAtIntake:
         monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", count)
         def all_pendant(adj):
             # n pendant pairs: 2(p + k) >= girth + 1 decides every graph
+            # of girth >= 4
             return [(v, v) for v in range(len(adj))], []
 
         monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
+        # and a witness every graph of girth 3.  The sparse cores keep
+        # their own witnesses: their table is built before the patch, and
+        # the graphs of cores without one are searched again
+        sweep_module._core_table(7, 3)
+        monkeypatch.setattr(sweep_module, "_induced_witness", lambda nb, edges: True)
+        monkeypatch.setattr(sweep_module, "_dense_witness",
+                            lambda nb: np.ones(len(nb), dtype=bool))
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
@@ -717,10 +755,9 @@ class TestDecidedAtIntake:
         rep, decided = _quick_sweep()
         assert sum(g.instances for g in decided) == rep.decided_instances > 0
         assert any(g.counted for g in decided)
-        # the paw and K4 decide graphs that the other rules leave
+        # a witness decides graphs that the matching bound would leave
         assert any(
-            g.witness == _OTHER
-            and 2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
+            g.witness and 2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
             for g in decided
         )
         by_order = {}
@@ -735,22 +772,28 @@ class TestDecidedAtIntake:
             girths = np.repeat([g for _, g in items], [len(block) for block, _ in items])
             assert (batch_ranks(stack) > girths).all()
 
-    def test_forest_witness_decides_beyond_the_matching_bound(self):
+    def test_witness_decides_beyond_the_matching_bound(self):
         rep, decided = _quick_sweep()
-        by_forest = [g for g in decided if g.by_forest]
-        assert sum(g.instances for g in by_forest) == rep.decided_by_forest
-        assert 0 < rep.decided_by_forest < rep.decided_by_witness < rep.decided_instances
+        assert 0 < rep.decided_by_witness < rep.decided_instances
         witnessed = [g for g in decided if g.witness]
         assert sum(g.instances for g in witnessed) == rep.decided_by_witness
-        assert {g.girth for g in witnessed} == {3}
-        # some of them have 2(p + k) <= girth: the matching rule misses them
+        # each rule decides where it holds: a witness at girth 3, the
+        # matching bound 2(p + k) >= girth + 1 above it
+        for g in decided:
+            if g.witness:
+                assert _witness(g.n, list(g.edges)), g
+            else:
+                pairs = _matching_pairs(_adjacency(g.n, g.edges))
+                assert 2 * sum(map(len, pairs)) > g.girth > 3, g
+        # some witnessed graphs have 2(p + k) <= girth: the matching
+        # bound misses them
         assert any(
             2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
-            for g in by_forest
+            for g in witnessed
         )
         totals = rep.to_json_dict()["totals"]
-        assert totals["decided_by_forest"] == rep.decided_by_forest
         assert totals["decided_by_witness"] == rep.decided_by_witness
+        assert "decided_by_forest" not in totals
 
     def test_cotree_and_record_only_where_needed(self, monkeypatch):
         # on the quick config, the spanning tree is built only for graphs
@@ -876,32 +919,29 @@ class _Decided:
     n: int
     edges: tuple
     girth: int
-    witness: int  # the largest witness kind, 0 when decided by 2(p + k)
+    witness: bool  # decided by a witness (at girth 3), else by 2(p + k)
     counted: bool  # only counted, with no per-graph intake
 
     @property
     def instances(self):
         return 1 << (len(self.edges) - self.n + 1)
 
-    @property
-    def by_forest(self):
-        return self.witness == _FOREST
-
 
 @lru_cache(maxsize=None)
 def _quick_sweep():
-    """The quick config's report, and the graphs it decided at intake,
-    each with its witness kind: the graphs `_Engine._decide` took, and
-    the ones it only counted, which are the girth-3 graphs of the quick
-    config's streams with a witness that `_decide` did not see."""
+    """The quick config's report, and the graphs it decided at intake:
+    the graphs `_Engine._decide` took, each marked as decided by a
+    witness when its girth is 3, and the ones it only counted, which are
+    the girth-3 graphs of the quick config's streams with a witness that
+    `_decide` did not see."""
     decided = []
     seen = set()
     decide = sweep_module._Engine._decide
 
-    def spy(self, source, key, n, edges, adj, girth, witness, shape, start):
-        decided.append(_Decided(n, tuple(edges), girth, witness, False))
+    def spy(self, source, key, n, edges, adj, girth, shape, start):
+        decided.append(_Decided(n, tuple(edges), girth, girth == 3, False))
         seen.add((source, n, key))  # a dense key is a mask: it needs n
-        decide(self, source, key, n, edges, adj, girth, witness, shape, start)
+        decide(self, source, key, n, edges, adj, girth, shape, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
@@ -914,9 +954,8 @@ def _quick_sweep():
     ]
     for source, key, n, edges in graphs:
         if (source, n, key) not in seen and _has_triangle(_neighbour_masks(n, edges), edges):
-            witness = _witness(n, edges)
-            if witness:
-                decided.append(_Decided(n, tuple(edges), 3, witness, True))
+            if _witness(n, edges):
+                decided.append(_Decided(n, tuple(edges), 3, True, True))
     return rep, decided
 
 
@@ -1008,14 +1047,13 @@ class TestSparseChunks:
             if core.witness:
                 n = core.n + hang.extra
                 edges = _hung_edges(core, hang)
-                assert _witness(n, edges) >= core.witness, edges
+                assert _witness(n, edges), edges
                 witnessed += 1
         cores = sweep_module._core_table(9, 3)
         assert any(core.girth == 3 and not core.witness for core in cores)
-        assert {core.witness for core in cores} == {0, _OTHER, _FOREST}
+        assert {core.witness for core in cores} == {False, True}
         assert witnessed > 0
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=9))
-        assert rep.decided_by_forest == 199_330  # the induced P4 or 2K2
         assert rep.decided_by_witness == 199_958
 
 
@@ -1175,6 +1213,16 @@ class TestSweepRuns:
                               graph6_paths=(str(path),)))
         assert (rep.graphs, rep.skipped_graph6_records) == (0, 1)
 
+    @pytest.mark.parametrize("data", [b"\xffC~\n", b"Bw\x85\nC~\n"])
+    def test_graph6_byte_outside_the_range_is_located(self, tmp_path, data):
+        # records split on line ends only, so no byte is taken as one
+        path = tmp_path / "in.g6"
+        path.write_bytes(data)
+        cfg = SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(str(path),))
+        with pytest.raises(Graph6Error, match="printable graph6 range") as err:
+            run(cfg)
+        assert err.value.record == 0
+
     def test_graph6_file_is_reread_by_each_run(self, tmp_path):
         path = tmp_path / "in.g6"
         cfg = SweepConfig(max_n_dense=0, max_n_sparse=0,
@@ -1187,7 +1235,7 @@ class TestSweepRuns:
     def test_json_report_shape(self):
         rep = run(SweepConfig(max_n_dense=4, max_n_sparse=4))
         data = json.loads(rep.to_json())
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["totals"]["graphs"] == rep.graphs
         assert data["totals"]["decided_by_witness"] == rep.decided_by_witness
         assert list(data["stages"]) == sorted(STAGES)
