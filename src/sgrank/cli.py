@@ -41,15 +41,26 @@ _CASE_NAMES = {
 }
 
 
+def _path_error(path: str, reason) -> None:
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path: str):
     try:
         return load_sgr(path)
     except OSError as exc:  # missing, a directory, unreadable
-        reason = exc.strerror or exc
+        _path_error(path, exc.strerror or exc)
     except (UnicodeDecodeError, SgrParseError) as exc:
-        reason = exc
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    raise SystemExit(2)
+        _path_error(path, exc)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, a missing parent, read-only
+        _path_error(path, exc.strerror or exc)
 
 
 def _signs_arg(text: str, m: int, what: str) -> tuple[int, ...]:
@@ -235,8 +246,7 @@ def _cmd_generate(args) -> int:
         comments.append(f"expected rank: {expected}")
     text = write_sgr(g, comments=comments)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     if args.rank:
@@ -300,10 +310,12 @@ def _cmd_verify(args) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.json, text + "\n")
     if args.counterexamples:
-        write_counterexamples_csv(report, args.counterexamples)
+        try:
+            write_counterexamples_csv(report, args.counterexamples)
+        except OSError as exc:
+            _path_error(args.counterexamples, exc.strerror or exc)
         print(f"counterexamples written to {args.counterexamples}", file=human)
     return 1 if report.total_failures() else 0
 

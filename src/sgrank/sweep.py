@@ -32,11 +32,14 @@ first use by ranking every signing on 4 vertices, keyed by their in-set
 degree multisets: 2K2, P4, the paw and K4.  The dense stream looks up
 every 4-set of a whole chunk at once (`_dense_witness`), on the
 neighbour bitmasks its enumeration builds; so do graph6 records of order
-<= 7, grouped by order.  The sparse stream tests each core once: a core
-is an induced subgraph of every graph hung from it, so a witnessed core
-decides all of them.  The graphs of cores without a witness, and larger
-graph6 records, are tested on their own bitmasks (`_induced_witness`),
-which also find a triangle when no girth is given.  At girth >= 4 the
+<= 7, grouped by order.  The sparse stream tests each core once
+(`_induced_witness`): a core is an induced subgraph of every graph hung
+from it, and a connected graph with a triangle and a leaf always induces
+the paw or P4 (`_Core`), so a graph on a core of girth 3 has a witness
+when its hanging is non-empty or its core has one.  Larger graph6
+records look for a triangle on their own bitmasks, and at girth 3 for a
+witness.  Every stream hands `add_graph` the girth and the witness, so
+the engine searches for neither.  At girth >= 4 the
 rule takes the graph's iterated pendant pairs and then a greedy maximal
 induced matching of the rest, lowest degree first (`_matching_pairs`):
 p pendant pairs and k matched pairs.  Deleting a pendant vertex and its
@@ -69,9 +72,8 @@ exactly and marked `rank_capped`.  The report counts instances by
 (order, girth, min(rank, girth + 1)), and the seconds spent planning
 and in each stage of the chunks (`STAGES`).
 The sparse stream computes each subdivided core's girth once and passes
-it on, since hung trees add no cycle, with adjacency lists joined from
-the core's and the hanging's.  Checks are vectorized across instance
-buffers.
+it on, since hung trees add no cycle.  Checks are vectorized across
+instance buffers.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
 table of `classify.py`, once per underlying graph.  Sampled instances,
@@ -86,7 +88,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -676,12 +677,9 @@ def _tree_assignments(k: int, budget: int) -> Iterator[tuple[tuple, ...]]:
 class _Hanging:
     """Rooted trees of the given shapes hung on vertices 0, 1, ... of a
     core of order `core_n`, with the hung vertices numbered from core_n in
-    preorder, root by root: `extra` hung vertices; per root with
-    children, (root, its children, the edges to them); the edges among
-    hung vertices, sorted; and the hung vertices' adjacency lists, parent
-    first, then children."""
+    preorder, root by root: `extra` hung vertices and the edges to them."""
 
-    __slots__ = ("extra", "roots", "inner", "adj")
+    __slots__ = ("extra", "edges")
 
     def __init__(self, core_n: int, shapes: tuple[tuple, ...]):
         edges: list[tuple[int, int]] = []
@@ -689,15 +687,7 @@ class _Hanging:
         for root, shape in enumerate(shapes):
             nxt = _attach_tree(edges, root, shape, nxt)
         self.extra = nxt - core_n
-        kids: dict[int, list[int]] = {}
-        for u, w in edges:
-            if u < core_n:
-                kids.setdefault(u, []).append(w)
-        self.roots = tuple(
-            (v, tuple(ws), tuple((v, w) for w in ws)) for v, ws in sorted(kids.items())
-        )
-        self.inner = tuple(sorted(e for e in edges if e[0] >= core_n))
-        self.adj = tuple(map(tuple, _adjacency(nxt, edges)[core_n:]))
+        self.edges = tuple(edges)
 
 
 @lru_cache(maxsize=None)
@@ -710,40 +700,36 @@ def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
 
 class _Core:
     """One subdivided core of the sparse stream: its order, sorted edges,
-    adjacency lists (as `_adjacency` builds them from those edges), girth,
-    signings per graph, hangings, and whether it has a witness
+    girth, signings per graph, hangings, and whether it has a witness
     (`_induced_witness`, False unless the girth is 3).  Hung trees add no
-    cycle and keep the core an induced subgraph, so the girth and a
-    witness hold for every graph hung from it, and a witnessed core
-    decides them all.  `hung_shape` is `case_shapes` of every graph with a
-    non-empty hanging: the hanging adds a leaf and keeps m - n and the
-    girth, and a connected graph with a cycle and a leaf is never complete
-    multipartite (the leaf's non-neighbours would all see only its
-    neighbour).  `cut[v]` is the number of edges that start at or below
-    v, and `split[v]` the length of the part of adj[v] that those edges
-    give: the places where the edges to v's hung children and the children
-    themselves go."""
+    cycle, so every graph hung from the core has its girth.
 
-    __slots__ = ("n", "edges", "adj", "girth", "witness", "signings", "hung_shape",
-                 "cut", "split", "hangings")
+    A graph hung from a core of girth 3 has a witness whenever its
+    hanging is non-empty.  Lemma: a connected graph with a triangle T and
+    a leaf p on v has an induced paw or P4.  If v is on T, {p} and T
+    induce the paw.  Otherwise let v, x1, x2, ... be a shortest path from
+    v to T, with x2 the next vertex of T after x1 when x1 is already on
+    T.  v does not see x2 unless x1 is on T, and p sees only v, so {p, v,
+    x1, x2} induces P4, or the paw when v sees x2.  So a graph's witness
+    is `girth == 3 and (hang.extra or core.witness)`: a bare core is the
+    graph itself.
+
+    `hung_shape` is `case_shapes` of every graph with a non-empty hanging:
+    the hanging adds a leaf and keeps m - n and the girth, and a connected
+    graph with a cycle and a leaf is never complete multipartite (the
+    leaf's non-neighbours would all see only its neighbour)."""
+
+    __slots__ = ("n", "edges", "girth", "witness", "signings", "hung_shape", "hangings")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
         self.n = n
         self.edges = tuple(sorted(edges))
-        adj = _adjacency(n, self.edges)
-        self.adj = tuple(map(tuple, adj))
-        self.girth = girth_of_adjacency(adj)
+        self.girth = girth_of_adjacency(_adjacency(n, self.edges))
         self.witness = self.girth == 3 and _induced_witness(
             _neighbour_masks(n, self.edges), self.edges
         )
         self.signings = 1 << (len(edges) - n + 1)
         self.hung_shape = bool(could_have_case(len(edges) - n, False, False, self.girth))
-        self.cut = tuple(bisect_left(self.edges, (v + 1,)) for v in range(n))
-        split = [len(nb) for nb in adj]
-        for u, v in self.edges:
-            if u > v:
-                split[v] -= 1
-        self.split = tuple(split)
         self.hangings = _hangings(n, max_n - n)
 
 
@@ -778,50 +764,16 @@ def _sparse_pieces(
         start += count
 
 
-def _hung_edges(core: _Core, hang: _Hanging) -> list[tuple[int, int]]:
-    """The sorted edge list: each root's edges to its children follow the
-    core edges that start at or below it, and the edges among hung
-    vertices start above every core vertex."""
-    edges: list[tuple[int, int]] = []
-    at = 0
-    for v, _, links in hang.roots:
-        edges += core.edges[at:core.cut[v]]
-        edges += links
-        at = core.cut[v]
-    edges += core.edges[at:]
-    edges += hang.inner
-    return edges
-
-
-def _hung_adjacency(core: _Core, hang: _Hanging) -> list[tuple[int, ...]]:
-    """`_adjacency(n, _hung_edges(core, hang))`, from the two templates."""
-    adj = list(core.adj)
-    for v, kids, _ in hang.roots:
-        nb, s = core.adj[v], core.split[v]
-        adj[v] = nb[:s] + kids + nb[s:]
-    adj += hang.adj
-    return adj
-
-
-def _sparse_records(
-    max_n: int, max_cyclomatic: int, lo: int = 0, hi: int | None = None
-) -> Iterator[tuple[int, list[tuple[int, int]], int]]:
-    """The graphs of `sparse_graphs` at stream positions [lo, hi) (to the
-    end for hi None), in the same order, as (n, sorted edge list, girth).
-    Each is built from its core's row in `_core_table` and a hanging that
-    `_hangings` caches per core order, so no list of the stream is held."""
-    for core, hang in _sparse_pieces(max_n, max_cyclomatic, lo, hi):
-        yield core.n + hang.extra, _hung_edges(core, hang), core.girth
-
-
 def sparse_graphs(
     max_n: int, max_cyclomatic: int
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Connected graphs with a cycle, cyclomatic number <= max_cyclomatic
     and at most max_n vertices: every isomorphism class at least once
-    (labeled duplicates possible).  Yields (n, sorted edge list)."""
-    for n, edges, _ in _sparse_records(max_n, max_cyclomatic):
-        yield n, edges
+    (labeled duplicates possible).  Yields (n, sorted edge list), each
+    built from its core's row in `_core_table` and a hanging that
+    `_hangings` caches per core order, so no list of the stream is held."""
+    for core, hang in _sparse_pieces(max_n, max_cyclomatic):
+        yield core.n + hang.extra, sorted(core.edges + hang.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -829,15 +781,18 @@ def sparse_graphs(
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 data; `record` is the failing record's index."""
+    """Malformed graph6 data; `record` is the failing record's index and
+    `path` the file's, when it came from one."""
 
-    def __init__(self, message: str, record: int):
-        super().__init__(f"graph6 record {record}: {message}")
+    def __init__(self, message: str, record: int, path: str | None = None):
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}graph6 record {record}: {message}")
         self.message = message
         self.record = record
+        self.path = path
 
     def __reduce__(self):
-        return type(self), (self.message, self.record)
+        return type(self), (self.message, self.record, self.path)
 
 
 def parse_graph6(text: str) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -968,10 +923,6 @@ def _neighbour_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     return nb
-
-
-def _has_triangle(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
-    return any(nb[u] & nb[v] for u, v in edges)
 
 
 @lru_cache(maxsize=None)
@@ -1202,27 +1153,15 @@ class _Engine:
     # -- graph intake
 
     def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
-                  girth: int = 0, adj: Sequence[Sequence[int]] | None = None,
-                  witness: bool = False, shape: bool = True) -> None:
+                  adj: Sequence[Sequence[int]], girth: int, witness: bool,
+                  shape: bool) -> None:
         """Intake of one connected graph with a cycle, at the next stream
-        position, with its girth when the stream knows it (else 0), its
-        adjacency lists when the caller has built them, `witness` True
-        when the caller knows that 4 of its vertices induce a graph of
-        `_witness_table`, and `shape` False when the caller knows that no
-        case shape fits it (`case_shapes`).  Given no witness, a graph of
-        girth 3 is searched for one on its neighbour bitmasks
-        (`_induced_witness`), which find a triangle when no girth is
-        given."""
+        position, with its adjacency lists and girth as the stream states
+        them: `witness` says whether 4 of its vertices induce a graph of
+        `_witness_table`, and `shape` whether a case shape may fit it
+        (`case_shapes`)."""
         start = self.position
         self.position += 1 << (len(edges) - n + 1)
-        if adj is None:
-            adj = _adjacency(n, edges)
-        if girth in (0, 3) and not witness:
-            nb = _neighbour_masks(n, edges)
-            if not girth:
-                girth = 3 if _has_triangle(nb, edges) else girth_of_adjacency(adj)
-            if girth == 3 and self.capped:
-                witness = _induced_witness(nb, edges)
         if self.capped and witness:
             self._decide(source, key, n, edges, adj, girth, shape, start)
         else:
@@ -1610,16 +1549,21 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
             chunks.append(("sparse", lo, min(lo + _SPARSE_CHUNK_GRAPHS, stream_len)))
     for pi, path in enumerate(config.graph6_paths):
         with open(path, encoding="latin-1") as fh:
-            records = parse_graph6(fh.read())
+            text = fh.read()
+        try:
+            records = parse_graph6(text)
+        except Graph6Error as exc:
+            raise Graph6Error(exc.message, exc.record, path) from None
         # checked here, in the main process, before any chunk runs.
         # Disconnected records are skipped later.
         for key, (n, edges) in enumerate(records):
             bits = len(edges) - n + 1
             if bits > _MAX_COTREE_BITS and _connected(n, edges):
                 raise Graph6Error(
-                    f"{path}: {bits} co-tree edges ({len(edges)} edges on {n} "
+                    f"{bits} co-tree edges ({len(edges)} edges on {n} "
                     f"vertices) exceed the limit of {_MAX_COTREE_BITS}",
                     key,
+                    path,
                 )
         for lo in range(0, len(records), _GRAPH6_CHUNK_RECORDS):
             chunks.append(
@@ -1641,16 +1585,17 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
         pieces = _sparse_pieces(config.max_n_sparse, config.max_cyclomatic, lo, hi)
         for key, (core, hang) in enumerate(pieces, lo):
             n = core.n + hang.extra
-            # a bare core always meets the case table
+            # a bare core always meets the case table; a hung leaf gives a
+            # witness at girth 3 (`_Core`)
             shape = core.hung_shape if hang.extra else True
+            witness = core.girth == 3 and (hang.extra > 0 or core.witness)
             if not (
-                engine.capped and core.witness and not shape
+                engine.capped and witness and not shape
                 and engine.add_uncased(n, core.signings)
             ):
-                engine.add_graph(
-                    "sparse", key, n, _hung_edges(core, hang), core.girth,
-                    _hung_adjacency(core, hang), core.witness, shape,
-                )
+                edges = sorted(core.edges + hang.edges)
+                engine.add_graph("sparse", key, n, edges, _adjacency(n, edges),
+                                 core.girth, witness, shape)
     else:
         _, pi, lo, records = desc
         source = f"graph6[{pi}]"
@@ -1677,7 +1622,12 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
             if len(edges) < n or len(connected_components(adj)) != 1:
                 engine.result.skipped_graph6_records += 1
                 continue
-            engine.add_graph(source, key, n, edges, adj=adj)
+            # a triangle on the bitmasks spares girth 3 its search
+            nb = _neighbour_masks(n, edges)
+            triangle = any(nb[u] & nb[v] for u, v in edges)
+            girth = 3 if triangle else girth_of_adjacency(adj)
+            witness = triangle and engine.capped and _induced_witness(nb, edges)
+            engine.add_graph(source, key, n, edges, adj, girth, witness, True)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
     return res

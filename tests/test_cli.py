@@ -133,6 +133,11 @@ class TestGenerate:
         assert code == 2
         assert err
 
+    def test_output_directory_is_a_usage_error(self, tmp_path):
+        code, out, err = cli("generate", "cycle", "--n", "5", "-o", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
     def test_theta_signs_argument(self):
         # leading '-' needs the = form, as usual with argparse
         code, out, _ = cli("generate", "theta", "--orders", "5", "3", "5",
@@ -210,6 +215,28 @@ class TestVerify:
                            "--graph6", str(path))
         assert code == 2
         assert "graph6 record 0: byte outside the printable graph6 range" in err
+
+    def test_graph6_parse_error_names_its_file(self, tmp_path):
+        good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+        good.write_text("Bw\n")
+        bad.write_bytes(b"Bw\n\xffC~\n")
+        code, _, err = cli("verify", "--max-n", "0", "--sparse-max-n", "0",
+                           "--graph6", str(good), "--graph6", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: graph6 record 1: byte outside")
+        assert "Traceback" not in err
+
+    def test_json_directory_is_usage_error(self, tmp_path):
+        code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                           "--json", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+    def test_counterexamples_directory_is_usage_error(self, tmp_path):
+        code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                           "--counterexamples", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
 
     def test_negative_max_counterexamples_is_usage_error(self):
         code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",

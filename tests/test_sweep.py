@@ -52,17 +52,13 @@ from sgrank.sweep import (
     _dense_chunk,
     _dense_witness,
     _edge_table,
-    _has_triangle,
     _induced_witness,
     _matching_pairs,
     _neighbour_masks,
     _run_chunk,
-    _hung_adjacency,
-    _hung_edges,
     _signing_block,
     _sparse_length,
     _sparse_pieces,
-    _sparse_records,
     _witness_table,
 )
 
@@ -347,7 +343,7 @@ class TestCaseShapes:
         for core, hang in _sparse_pieces(10, 3):
             n = core.n + hang.extra
             fits = core.hung_shape if hang.extra else True
-            by_order.setdefault(n, []).append((_hung_edges(core, hang), fits))
+            by_order.setdefault(n, []).append((_hung_graph(core, hang)[1], fits))
         verdicts = set()
         for n, items in by_order.items():
             got = _shapes(n, [edges for edges, _ in items])
@@ -441,12 +437,14 @@ class TestGirthThreeSkipsTheMatching:
 
     def test_two_pairs_give_a_witness(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
-        graphs += [(n, e) for n, e, girth in _sparse_records(10, 3) if girth == 3]
+        graphs += [
+            _hung_graph(core, hang) for core, hang in _sparse_pieces(10, 3)
+            if core.girth == 3
+        ]
         two_pairs = 0
         for n, edges in graphs:
-            nb = _neighbour_masks(n, edges)
-            if _has_triangle(nb, edges) and self._pairs(_adjacency(n, edges)) >= 2:
-                assert _induced_witness(nb, edges), (n, edges)
+            if _has_triangle(n, edges) and self._pairs(_adjacency(n, edges)) >= 2:
+                assert _witness(n, edges), (n, edges)
                 two_pairs += 1
         assert two_pairs == 129_981
 
@@ -510,6 +508,17 @@ def _witness(n, edges):
     return _induced_witness(_neighbour_masks(n, edges), edges)
 
 
+def _has_triangle(n, edges):
+    nb = _neighbour_masks(n, edges)
+    return any(nb[u] & nb[v] for u, v in edges)
+
+
+def _hung_graph(core, hang):
+    """The sparse stream's graph of a core and a hanging, as (n, sorted
+    edges)."""
+    return core.n + hang.extra, sorted(core.edges + hang.edges)
+
+
 def _dense_witness_of(n, edges):
     nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
     return bool(_dense_witness(nb)[0])
@@ -563,9 +572,8 @@ class TestInducedForestWitness:
             n, edges = g.number_of_nodes(), sorted(g.edges())
             got = _witness(n, edges)
             assert got == _brute_force_witness(n, edges), edges
-            nb = _neighbour_masks(n, edges)
             girth = girth_of_adjacency(_adjacency(n, edges))
-            assert _has_triangle(nb, edges) == (girth == 3), edges
+            assert _has_triangle(n, edges) == (girth == 3), edges
             seen.add((girth, got))
         assert {(3, True), (3, False), (4, True), (4, False), (None, True)} <= seen
 
@@ -730,11 +738,12 @@ class TestDecidedAtIntake:
             return [(v, v) for v in range(len(adj))], []
 
         monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
-        # and a witness every graph of girth 3.  The sparse cores keep
-        # their own witnesses: their table is built before the patch, and
-        # the graphs of cores without one are searched again
-        sweep_module._core_table(7, 3)
+        # and a witness every graph of girth 3.  The sparse stream takes
+        # its witnesses from the core table, so a fresh table is built
+        # under the patch, and the cached one comes back afterwards
         monkeypatch.setattr(sweep_module, "_induced_witness", lambda nb, edges: True)
+        monkeypatch.setattr(sweep_module, "_core_table",
+                            lru_cache(maxsize=4)(sweep_module._core_table.__wrapped__))
         monkeypatch.setattr(sweep_module, "_dense_witness",
                             lambda nb: np.ones(len(nb), dtype=bool))
         rep = _iff_sweep()
@@ -953,7 +962,7 @@ def _quick_sweep():
         ("sparse", key, n, edges) for key, (n, edges) in enumerate(sparse_graphs(9, 3))
     ]
     for source, key, n, edges in graphs:
-        if (source, n, key) not in seen and _has_triangle(_neighbour_masks(n, edges), edges):
+        if (source, n, key) not in seen and _has_triangle(n, edges):
             if _witness(n, edges):
                 decided.append(_Decided(n, tuple(edges), 3, True, True))
     return rep, decided
@@ -991,6 +1000,8 @@ class TestGraph6:
         err = pickle.loads(pickle.dumps(Graph6Error("bad", 3)))
         assert type(err) is Graph6Error
         assert (str(err), err.record) == ("graph6 record 3: bad", 3)
+        err = pickle.loads(pickle.dumps(Graph6Error("bad", 3, "in.g6")))
+        assert (str(err), err.path) == ("in.g6: graph6 record 3: bad", "in.g6")
 
     def test_order_cap(self):
         assert parse_graph6(nx.to_graph6_bytes(nx.path_graph(16)).decode())[0][0] == 16
@@ -1001,10 +1012,33 @@ class TestGraph6:
 
 class TestSparseGirthHint:
     def test_hint_is_the_girth(self):
-        records = list(_sparse_records(10, 3))
-        assert [(n, e) for n, e, _ in records] == list(sparse_graphs(10, 3))
-        for n, edges, girth in records:
-            assert girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
+        graphs = []
+        for core, hang in _sparse_pieces(10, 3):
+            n, edges = _hung_graph(core, hang)
+            assert core.girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
+            graphs.append((n, edges))
+        assert graphs == list(sparse_graphs(10, 3))
+
+
+class TestLeafLemma:
+    """A connected graph with a triangle and a leaf induces the paw or P4
+    (`_Core`), so the sparse stream states a witness for every graph hung
+    from a core of girth 3 without searching it."""
+
+    def test_every_hung_graph_of_girth_three_has_a_witness(self):
+        hung = 0
+        for core, hang in _sparse_pieces(10, 3):
+            if core.girth == 3 and hang.extra:
+                assert _witness(*_hung_graph(core, hang)), (core.edges, hang.edges)
+                hung += 1
+        assert hung == 112_137
+
+    def test_every_dense_row_of_girth_three_with_a_leaf_has_a_witness(self):
+        _, _, hints, nb = _dense_chunk(7, 0, sweep_module._DENSE_CHUNK_MASKS)
+        nb = nb[hints == 3]
+        leaf = (sweep_module._POPCOUNT[nb] == 1).any(axis=1)
+        assert leaf.sum() > 10_000
+        assert _dense_witness(nb[leaf]).all()
 
 
 class TestSparseChunks:
@@ -1013,22 +1047,17 @@ class TestSparseChunks:
 
     @pytest.mark.parametrize("max_n", [8, 10])
     def test_slices_join_to_the_full_stream(self, max_n):
-        full = list(_sparse_records(max_n, 3))
+        full = list(_sparse_pieces(max_n, 3))
         assert _sparse_length(max_n, 3) == len(full)
-        assert all(edges == sorted(edges) for _, edges, _ in full)
+        graphs = [_hung_graph(core, hang) for core, hang in full]
+        assert graphs == list(sparse_graphs(max_n, 3))
+        assert all(edges == sorted(edges) for _, edges in graphs)
         # a step of 97 puts slice boundaries inside cores
         joined = []
         for lo in range(0, len(full) + 97, 97):
-            joined += _sparse_records(max_n, 3, lo, lo + 97)
+            joined += _sparse_pieces(max_n, 3, lo, lo + 97)
         assert joined == full
-        assert list(_sparse_records(max_n, 3, 97)) == full[97:]
-
-    def test_template_adjacency_is_the_edge_adjacency(self):
-        for core, hang in _sparse_pieces(10, 3):
-            n = core.n + hang.extra
-            edges = _hung_edges(core, hang)
-            want = _adjacency(n, edges)
-            assert [list(nb) for nb in _hung_adjacency(core, hang)] == want, edges
+        assert list(_sparse_pieces(max_n, 3, 97)) == full[97:]
 
     def test_small_chunks_report_the_same_failures(self, monkeypatch):
         cfg = SweepConfig(max_n_dense=0, max_n_sparse=8,
@@ -1045,9 +1074,7 @@ class TestSparseChunks:
         witnessed = 0
         for core, hang in _sparse_pieces(9, 3):
             if core.witness:
-                n = core.n + hang.extra
-                edges = _hung_edges(core, hang)
-                assert _witness(n, edges), edges
+                assert _witness(*_hung_graph(core, hang)), hang.edges
                 witnessed += 1
         cores = sweep_module._core_table(9, 3)
         assert any(core.girth == 3 and not core.witness for core in cores)
@@ -1204,6 +1231,30 @@ class TestSweepRuns:
                               graph6_paths=(str(path),), jobs=jobs)
             with pytest.raises(Graph6Error, match="record 1: .*36 co-tree edges"):
                 run(cfg)
+
+    def test_large_graph6_records_state_girth_and_witness(self, tmp_path, monkeypatch):
+        # records of order > 7 find their own girth and witness before
+        # `add_graph`: a triangle on the bitmasks, else the girth search
+        rng = random.Random(29)
+        graphs = [
+            nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
+            for n in range(8, 12) for _ in range(25)
+        ]
+        graphs += [nx.complete_multipartite_graph(1, 1, 6), nx.cycle_graph(9)]
+        path = _graph6_file(tmp_path / "large.g6", graphs)
+        stated = set()
+        add = sweep_module._Engine.add_graph
+
+        def spy(self, source, key, n, edges, adj, girth, witness, shape):
+            assert girth == girth_of_adjacency(_adjacency(n, edges)), edges
+            assert witness == (girth == 3 and _witness(n, edges)), edges
+            stated.add((girth, witness))
+            add(self, source, key, n, edges, adj, girth, witness, shape)
+
+        monkeypatch.setattr(sweep_module._Engine, "add_graph", spy)
+        rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,)))
+        assert rep.total_failures() == 0
+        assert {(3, True), (3, False), (4, False), (9, False)} <= stated
 
     def test_disconnected_graph6_record_is_skipped_whatever_its_size(self, tmp_path):
         path = tmp_path / "in.g6"
