@@ -23,7 +23,10 @@ per underlying graph, for the verification sweep; the classifiers find
 the pattern of the signing at hand and return the first case whose set
 holds it.  `case_shapes` widens those shapes to a test on edge counts
 and neighbour bitmasks that numpy runs over many graphs at once: a graph
-that fails it has no case, so the sweep skips its table.
+that fails it has no case, so the sweep skips its table.  It reads the
+part counts of `multipartite_parts`, which the sweep also takes for its
+girth-3 witness: a graph with a triangle that is not complete
+tripartite.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -329,13 +332,33 @@ def _cases(adj: Sequence[Sequence[int]], cotree: _Cotree):
         }, _negative_on(cotree(), six_cycles)
 
 
-def case_shapes(n: int, m, nb, girth) -> np.ndarray:
+def multipartite_parts(n: int, nb) -> np.ndarray:
+    """Per graph on n vertices, given by neighbour bitmasks nb (one row
+    per graph, one integer column per vertex, bit w of nb[i, v] set when
+    w is a neighbour of v): its number of parts when it is complete
+    multipartite, else 0.  The vectorized form of
+    `_complete_multipartite_parts`: a graph is complete multipartite iff
+    non-adjacent vertices have equal masks, and then a part's lowest
+    vertex is the one that sees every vertex below it."""
+    nb = np.asarray(nb)
+    multipartite = np.ones(len(nb), dtype=bool)
+    parts = np.zeros(len(nb), dtype=np.int64)
+    for u in range(n):
+        col = nb[:, u]
+        below = (1 << u) - 1
+        parts += (col & below) == below
+        for v in range(u + 1, n):
+            multipartite &= (((col >> v) & 1) == 1) | (col == nb[:, v])
+    return np.where(multipartite, parts, 0)
+
+
+def case_shapes(n: int, m, nb, girth, parts) -> np.ndarray:
     """Per graph, whether `_cases` may yield anything for it: a necessary
     condition, vectorized over connected graphs with a cycle on n
-    vertices, with edge counts m, neighbour bitmasks nb (one row per
-    graph, one integer column per vertex, bit w of nb[i, v] set when w is
-    a neighbour of v) and girth hints (3 exactly for a graph with a
-    triangle).  It widens each shape `_cases` tests:
+    vertices, with edge counts m, neighbour bitmasks nb (as
+    `multipartite_parts` takes them), girth hints (3 exactly for a graph
+    with a triangle) and the part counts of `multipartite_parts`.  It
+    widens each shape `_cases` tests:
 
     * cycles and the graphs of cases (d) and (e) are unicyclic: m == n.
       Apart from C3, no unicyclic graph of girth 3 has a case: case (d)
@@ -345,18 +368,14 @@ def case_shapes(n: int, m, nb, girth) -> np.ndarray:
       graph;
     * case (g)'s theta graphs and case (h)'s subdivided K4 have degrees 2
       and 3, and m == n + 1 and m == n + 2;
-    * the graphs of cases (A) and (c) are complete multipartite:
-      non-adjacent vertices have equal neighbour masks."""
+    * the graphs of cases (A) and (c) are complete multipartite."""
     nb = np.asarray(nb)
     min_degree_two = np.ones(len(nb), dtype=bool)
-    multipartite = np.ones(len(nb), dtype=bool)
     for u in range(n):
         col = nb[:, u]
         min_degree_two &= (col & (col - 1)) != 0  # two bits or more
-        for v in range(u + 1, n):
-            multipartite &= (((col >> v) & 1) == 1) | (col == nb[:, v])
     return could_have_case(
-        np.asarray(m) - n, min_degree_two, multipartite, np.asarray(girth)
+        np.asarray(m) - n, min_degree_two, np.asarray(parts) > 0, np.asarray(girth)
     )
 
 

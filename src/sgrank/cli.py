@@ -63,6 +63,16 @@ def _write(path: str, text: str) -> None:
         _path_error(path, exc.strerror or exc)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output target before the sweep rather than after it.
+    Opening it for appending creates it when missing and truncates
+    nothing."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        _path_error(path, exc.strerror or exc)
+
+
 def _signs_arg(text: str, m: int, what: str) -> tuple[int, ...]:
     cleaned = text.replace(",", "").replace(" ", "")
     if len(cleaned) != m or any(ch not in "+-" for ch in cleaned):
@@ -282,6 +292,10 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json and args.json != "-":
+        _check_writable(args.json)
+    if args.counterexamples:
+        _check_writable(args.counterexamples)
     try:
         report = run(config)
     except (Graph6Error, OSError) as exc:

@@ -25,30 +25,33 @@ sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
 with no signing block built: its instances count as checked at rank
 g + 1, and each co-tree pattern that the case table accepts for it is a
 failure of an "iff classified" check.  At girth 3 a graph is decided
-when some 4 vertices induce a graph H whose every signing has rank 4 (a
-witness): a principal submatrix never has larger rank, so every signing
-of the graph has rank >= 4 = g + 1.  `_witness_table` finds these H at
-first use by ranking every signing on 4 vertices, keyed by their in-set
-degree multisets: 2K2, P4, the paw and K4.  The dense stream looks up
-every 4-set of a whole chunk at once (`_dense_witness`), on the
-neighbour bitmasks its enumeration builds; so do graph6 records of order
-<= 7, grouped by order.  The sparse stream tests each core once
-(`_induced_witness`): a core is an induced subgraph of every graph hung
-from it, and a connected graph with a triangle and a leaf always induces
-the paw or P4 (`_Core`), so a graph on a core of girth 3 has a witness
+when it has a witness: it is not complete tripartite.  A connected
+paw-free graph with a triangle is complete multipartite (Olariu,
+"Paw-free graphs", IPL 28, 1988), and with 4 parts or more it holds a
+K4.  So a connected graph with a triangle that is not complete
+tripartite induces the paw or K4, every signing of which has rank 4;
+a principal submatrix never has larger rank, so every signing of the
+graph has rank >= 4 = g + 1.  A complete tripartite graph has signings
+of rank 3 (case (c)), so no rule could decide it.  The dense stream
+counts the parts of every row of a chunk at once
+(`classify.multipartite_parts`), on the neighbour bitmasks its
+enumeration builds, and `case_shapes` reads the same counts; so do
+graph6 records of order <= 7, grouped by order.  The sparse stream tests
+each core once: a graph with a leaf and a cycle is never complete
+multipartite (`_Core`), so a graph on a core of girth 3 has a witness
 when its hanging is non-empty or its core has one.  Larger graph6
-records look for a triangle on their own bitmasks, and at girth 3 for a
-witness.  Every stream hands `add_graph` the girth and the witness, so
-the engine searches for neither.  At girth >= 4 the
-rule takes the graph's iterated pendant pairs and then a greedy maximal
-induced matching of the rest, lowest degree first (`_matching_pairs`):
-p pendant pairs and k matched pairs.  Deleting a pendant vertex and its
-neighbour lowers the rank by exactly 2 (the paper's pendant lemma), and
-the matched pairs induce kK2, a principal submatrix of rank 2k on every
-signing.  So every signing has rank >= 2(p + k), and the rule decides a
-graph with 2(p + k) >= g + 1.  At girth 3 it would need p + k >= 2, and
-then the first two pairs already induce a witness (`_match_or_rank`), so
-it is not run there.
+records look for a triangle on their own bitmasks, and at girth 3 count
+their parts (`_complete_tripartite`).  Every stream hands `add_graph`
+the girth and the witness, so the engine searches for neither.  At
+girth >= 4 the rule takes the graph's iterated pendant pairs and then a
+greedy maximal induced matching of the rest, lowest degree first
+(`_matching_pairs`): p pendant pairs and k matched pairs.  Deleting a
+pendant vertex and its neighbour lowers the rank by exactly 2 (the
+paper's pendant lemma), and the matched pairs induce kK2, a principal
+submatrix of rank 2k on every signing.  So every signing has rank >=
+2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.  It is
+not run at girth 3, where it finds p + k = 1 on every graph without a
+witness (`_match_or_rank`).
 A decided graph goes into running sums by (order, girth).  The case
 table runs on it only when `classify.case_shapes` says a case may fit,
 and it builds its spanning tree and keeps a record only when the case
@@ -105,6 +108,8 @@ from .core import (
     switch,
     write_sgr,
 )
+# batch_ranks is not called here: perfbench's tracer wraps it under this
+# module's name, and tests/test_benchmark_contract.py checks that it is here
 from .exact import _MAX_ORDER, batch_ranks, capped_ranks, rank as exact_rank
 from .invariants import (
     _cotree_pattern,
@@ -115,11 +120,13 @@ from .invariants import (
     shortest_cycle,
 )
 from .classify import (
+    _complete_multipartite_parts,
     accepted_cotree_patterns,
     case_shapes,
     classify_equals_g,
     classify_gminus2,
     could_have_case,
+    multipartite_parts,
 )
 
 _BUFFER_INSTANCES = 1 << 17
@@ -219,10 +226,10 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # chunk's flushes time the kernel (stacking the blocks and ranking them)
 # and the checks, and the spot checks of decided graphs count as
 # spot_checks; intake is the rest of the chunk: enumeration, girth, the
-# witness table (built at first use) and its lookups, the case-shape
-# test, the pendant pairs and matching, the case table, block build and
-# the decided graphs' sums, whole chunks at a time where numpy takes
-# them.  With jobs > 1 the chunk stages add up the workers' time.
+# part counts behind the witness and the case-shape test, the pendant
+# pairs and matching, the case table, block build and the decided
+# graphs' sums, whole chunks at a time where numpy takes them.  With
+# jobs > 1 the chunk stages add up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
@@ -488,50 +495,6 @@ def _girth_hints(n: int, nb: np.ndarray) -> np.ndarray:
     return np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
 
 
-def _degree_code(degrees) -> int:
-    """The code of a multiset of degrees below 8: the sum of 8^d."""
-    return sum(1 << 3 * d for d in degrees)
-
-
-@lru_cache(maxsize=None)
-def _witness_table() -> np.ndarray:
-    """Per in-set degree code of 4 vertices (`_degree_code`), whether it
-    is a witness: every signing of every graph on 4 vertices with that
-    degree multiset has rank 4.  Then a graph of girth 3 in which 4
-    vertices induce it has rank >= 4 = g + 1 on every signing, since a
-    principal submatrix never has larger rank.  The witnesses are 2K2,
-    P4, the paw and K4.  Built at first use, by ranking all 729 signings
-    of the 64 labeled graphs on 4 vertices; read-only."""
-    # every signing of every labeled graph on 4 vertices: each of the 6
-    # vertex pairs is a non-edge, a positive edge or a negative edge
-    values = np.array((0, 1, -1), dtype=np.int8)[np.indices((3,) * 6).reshape(6, -1).T]
-    matrices = np.zeros((len(values), 4, 4), dtype=np.int8)
-    for e, (u, v) in enumerate(_edge_table(4)):
-        matrices[:, u, v] = matrices[:, v, u] = values[:, e]
-    codes = (1 << 3 * (matrices != 0).sum(axis=2)).sum(axis=1)
-    lowest = np.full(_degree_code((3,) * 4) + 1, 5)
-    np.minimum.at(lowest, codes, batch_ranks(matrices))
-    table = lowest == 4
-    table.setflags(write=False)
-    return table
-
-
-def _dense_witness(nb: np.ndarray) -> np.ndarray:
-    """Per row of neighbour bitmasks (one uint8 column per vertex),
-    whether 4 of its vertices induce a graph of `_witness_table`: each
-    4-set's in-set degree code looked up in the table.  The vectorized
-    form of `_induced_witness`."""
-    table = _witness_table()
-    # 8^d for a vertex with d neighbours in the set; d <= 3
-    terms = np.left_shift(1, 3 * np.minimum(_POPCOUNT, 3).astype(np.uint16))
-    columns = np.ascontiguousarray(nb.T)
-    found = np.zeros(len(nb), dtype=bool)
-    for quad in combinations(range(nb.shape[1]), 4):
-        inside = sum(1 << v for v in quad)
-        found |= table[sum(terms[columns[v] & inside] for v in quad)]
-    return found
-
-
 def _mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
     table = _edge_table(n)
     return [table[i] for i in range(len(table)) if (mask >> i) & 1]
@@ -701,33 +664,25 @@ def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
 class _Core:
     """One subdivided core of the sparse stream: its order, sorted edges,
     girth, signings per graph, hangings, and whether it has a witness
-    (`_induced_witness`, False unless the girth is 3).  Hung trees add no
-    cycle, so every graph hung from the core has its girth.
+    (girth 3 and not `_complete_tripartite`).  Hung trees add no cycle,
+    so every graph hung from the core has its girth.
 
-    A graph hung from a core of girth 3 has a witness whenever its
-    hanging is non-empty.  Lemma: a connected graph with a triangle T and
-    a leaf p on v has an induced paw or P4.  If v is on T, {p} and T
-    induce the paw.  Otherwise let v, x1, x2, ... be a shortest path from
-    v to T, with x2 the next vertex of T after x1 when x1 is already on
-    T.  v does not see x2 unless x1 is on T, and p sees only v, so {p, v,
-    x1, x2} induces P4, or the paw when v sees x2.  So a graph's witness
-    is `girth == 3 and (hang.extra or core.witness)`: a bare core is the
-    graph itself.
-
-    `hung_shape` is `case_shapes` of every graph with a non-empty hanging:
-    the hanging adds a leaf and keeps m - n and the girth, and a connected
-    graph with a cycle and a leaf is never complete multipartite (the
-    leaf's non-neighbours would all see only its neighbour)."""
+    A connected graph with a cycle and a leaf is never complete
+    multipartite: the leaf's non-neighbours would all see only its
+    neighbour, and the graph would be a star.  So a graph with a
+    non-empty hanging, which adds a leaf and keeps m - n and the girth,
+    has a witness when the core has girth 3, and `hung_shape` is its
+    `case_shapes`.  A graph's witness is `girth == 3 and (hang.extra or
+    core.witness)`: a bare core is the graph itself."""
 
     __slots__ = ("n", "edges", "girth", "witness", "signings", "hung_shape", "hangings")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
         self.n = n
         self.edges = tuple(sorted(edges))
-        self.girth = girth_of_adjacency(_adjacency(n, self.edges))
-        self.witness = self.girth == 3 and _induced_witness(
-            _neighbour_masks(n, self.edges), self.edges
-        )
+        adj = _adjacency(n, self.edges)
+        self.girth = girth_of_adjacency(adj)
+        self.witness = self.girth == 3 and not _complete_tripartite(adj)
         self.signings = 1 << (len(edges) - n + 1)
         self.hung_shape = bool(could_have_case(len(edges) - n, False, False, self.girth))
         self.hangings = _hangings(n, max_n - n)
@@ -925,48 +880,11 @@ def _neighbour_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     return nb
 
 
-@lru_cache(maxsize=None)
-def _partner_types() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Rules (s, partners) read off `_witness_table` for the sets
-    {a, b, c, d} with edges ab and cd.  A vertex's type says which of a
-    and b it sees (bit 0: a, bit 1: b).  The set induces a witness when c
-    has type s and d a type in `partners`, all >= s since c and d may
-    swap."""
-    table = _witness_table()
-    rules: dict[int, list[int]] = {}
-    for s in range(4):
-        for t in range(s, 4):
-            degrees = (1 + (s & 1) + (t & 1), 1 + (s >> 1) + (t >> 1),
-                       1 + s.bit_count(), 1 + t.bit_count())
-            if table[_degree_code(degrees)]:
-                rules.setdefault(s, []).append(t)
-    return tuple((s, tuple(ts)) for s, ts in sorted(rules.items()))
-
-
-def _induced_witness(nb: list[int], edges: Sequence[tuple[int, int]]) -> bool:
-    """Whether 4 vertices induce a graph of `_witness_table`, from the
-    neighbour bitmasks.  Each graph of the table has a perfect matching
-    (on 4 vertices with a zero diagonal, a nonzero determinant needs
-    one), so only the sets with disjoint edges ab and cd are looked at:
-    per edge ab, each rule of `_partner_types` asks for an edge from a
-    vertex of type s to one of a partner type."""
-    full = (1 << len(nb)) - 1
-    for a, b in edges:
-        pair = (1 << a) | (1 << b)
-        sees_a, sees_b = nb[a] & ~pair, nb[b] & ~pair
-        types = (full & ~(sees_a | sees_b | pair), sees_a & ~sees_b,
-                 sees_b & ~sees_a, sees_a & sees_b)
-        for s, partners in _partner_types():
-            reach = 0
-            for t in partners:
-                reach |= types[t]
-            rest = types[s] if reach else 0
-            while rest:
-                c = rest & -rest
-                if nb[c.bit_length() - 1] & reach:
-                    return True
-                rest ^= c
-    return False
+def _complete_tripartite(adj: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph is complete tripartite: the one kind of
+    connected graph with a triangle that has no witness."""
+    parts = _complete_multipartite_parts(adj)
+    return parts is not None and len(parts) == 3
 
 
 def _matching_pairs(
@@ -1157,8 +1075,8 @@ class _Engine:
                   shape: bool) -> None:
         """Intake of one connected graph with a cycle, at the next stream
         position, with its adjacency lists and girth as the stream states
-        them: `witness` says whether 4 of its vertices induce a graph of
-        `_witness_table`, and `shape` whether a case shape may fit it
+        them: `witness` says whether it has girth 3 and is not complete
+        tripartite, and `shape` whether a case shape may fit it
         (`case_shapes`)."""
         start = self.position
         self.position += 1 << (len(edges) - n + 1)
@@ -1172,18 +1090,17 @@ class _Engine:
         """Intake of connected graphs with a cycle on n <= _MASK_ORDER
         vertices, one row each, in stream order: keys, edge counts, girth
         hints and uint8 neighbour bitmasks as `_dense_chunk` gives them,
-        and edges_of(key) the graph's edge list.  Girth-3 rows are looked
-        up in the witness table together (`_dense_witness`).  Rows with a
-        witness, no case shape (`case_shapes`) and no spot sample are only
-        counted, in numpy; the other rows take the per-graph path."""
+        and edges_of(key) the graph's edge list.  A row has a witness when
+        its hint is 3 and it does not have 3 parts (`multipartite_parts`,
+        which `case_shapes` reads too).  Rows with a witness, no case
+        shape and no spot sample are only counted, in numpy; the other
+        rows take the per-graph path."""
         counts = np.left_shift(1, m - n + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
-        witness = np.zeros(len(m), dtype=bool)
-        if self.capped:
-            tri = np.flatnonzero(hints == 3)
-            witness[tri] = _dense_witness(nb[tri])
-        shape = case_shapes(n, m, nb, hints)
+        parts = multipartite_parts(n, nb)
+        witness = (hints == 3) & (parts != 3) & self.capped
+        shape = case_shapes(n, m, nb, hints, parts)
         bulk = witness & ~shape & ~_holds_sample(starts, counts, self.stride)
         if bulk.any():
             self._sum_decided(n, 3, int(bulk.sum()), int(counts[bulk].sum()))
@@ -1215,12 +1132,10 @@ class _Engine:
     def _match_or_rank(self, source, key, n, edges, adj, girth, shape, start):
         """Decide a graph of girth >= 4 by its pendant pairs and induced
         matching, or buffer its signing blocks.  A capped sweep sends a
-        graph of girth 3 here only when it has no witness, and then the
-        matching could not decide it: that takes p + k >= 2, and then the
-        first two pairs induce 2K2, P4 or the paw.  Two matched pairs
-        induce 2K2.  Otherwise the first is a pendant pair, whose pendant
-        vertex sees only its partner y1, so at most the edges from y1 to
-        the other pair join the two."""
+        graph of girth 3 here only when it has no witness, so when it is
+        complete tripartite.  Its minimum degree is at least 2 and it has
+        no induced 2K2, so the matching gives p = 0 and k = 1, and could
+        not decide it."""
         if self.capped and girth > 3:
             pendant, matched = _matching_pairs(adj)
             if 2 * (len(pendant) + len(matched)) > girth:
@@ -1243,11 +1158,12 @@ class _Engine:
     def _decide(self, source, key, n, edges, adj, girth, shape, start):
         """Check all signings of a graph without ranking any, when each of
         them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
-        At girth 3, 4 vertices induce a graph of `_witness_table`, every
-        signing of which has rank 4, and a principal submatrix never has
-        larger rank than the matrix.  At girth >= 4, 2(p + k) >= girth + 1
-        for the p pendant pairs and k matched pairs of `_matching_pairs`,
-        which give every signing rank >= 2(p + k).
+        At girth 3 the graph has a witness: it is not complete tripartite,
+        so it induces the paw or K4, every signing of which has rank 4, and
+        a principal submatrix never has larger rank than the matrix.  At
+        girth >= 4, 2(p + k) >= girth + 1 for the p pendant pairs and k
+        matched pairs of `_matching_pairs`, which give every signing rank
+        >= 2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
         into the result by `finish`.  When a case shape may fit it
@@ -1626,7 +1542,7 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
             nb = _neighbour_masks(n, edges)
             triangle = any(nb[u] & nb[v] for u, v in edges)
             girth = 3 if triangle else girth_of_adjacency(adj)
-            witness = triangle and engine.capped and _induced_witness(nb, edges)
+            witness = triangle and not _complete_tripartite(adj)
             engine.add_graph(source, key, n, edges, adj, girth, witness, True)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())

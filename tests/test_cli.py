@@ -227,16 +227,19 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_json_directory_is_usage_error(self, tmp_path):
-        code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
-                           "--json", str(tmp_path))
+        # refused before the sweep runs: no summary is printed
+        code, out, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                             "--json", str(tmp_path))
         assert code == 2
         assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+        assert "graphs:" not in out
 
     def test_counterexamples_directory_is_usage_error(self, tmp_path):
-        code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
-                           "--counterexamples", str(tmp_path))
+        code, out, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                             "--counterexamples", str(tmp_path))
         assert code == 2
         assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+        assert "graphs:" not in out
 
     def test_negative_max_counterexamples_is_usage_error(self):
         code, _, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",

@@ -5,7 +5,7 @@ import dataclasses
 import json
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import networkx as nx
 import numpy as np
@@ -39,7 +39,7 @@ from sgrank import (
 )
 import sgrank.classify as classify_module
 import sgrank.sweep as sweep_module
-from sgrank.classify import case_shapes
+from sgrank.classify import _complete_multipartite_parts, case_shapes, multipartite_parts
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     STAGES,
@@ -47,19 +47,17 @@ from sgrank.sweep import (
     _SIGNING_BLOCK,
     _SPOT_CLASSIFY_STRIDE,
     _SPOT_RANK_STRIDE,
+    _complete_tripartite,
     _cotree_signing,
-    _degree_code,
     _dense_chunk,
-    _dense_witness,
     _edge_table,
-    _induced_witness,
+    _girth_hints,
     _matching_pairs,
     _neighbour_masks,
     _run_chunk,
     _signing_block,
     _sparse_length,
     _sparse_pieces,
-    _witness_table,
 )
 
 
@@ -279,7 +277,8 @@ def _yields_a_case(n, edges):
 def _shapes(n, edge_lists):
     nb = [_neighbour_masks(n, edges) for edges in edge_lists]
     girth = [girth_of_adjacency(_adjacency(n, edges)) for edges in edge_lists]
-    return case_shapes(n, [len(edges) for edges in edge_lists], nb, girth).tolist()
+    m = [len(edges) for edges in edge_lists]
+    return case_shapes(n, m, nb, girth, multipartite_parts(n, nb)).tolist()
 
 
 class TestCaseShapes:
@@ -303,7 +302,7 @@ class TestCaseShapes:
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
             masks, m, hints, nb = _dense_chunk(n, lo, hi)
-            fits = case_shapes(n, m, nb, hints).tolist()
+            fits = case_shapes(n, m, nb, hints, multipartite_parts(n, nb)).tolist()
             for mask, fit in zip(masks.tolist(), fits):
                 if not fit:
                     edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
@@ -323,7 +322,8 @@ class TestCaseShapes:
         assert _shapes(5, [c4_leaf]) == [True]
         # the hint decides: the paw without a girth-3 hint passes
         paw_nb = [_neighbour_masks(4, PAW_EDGES)]
-        assert case_shapes(4, [4], paw_nb, [0]).tolist() == [True]
+        paw_parts = multipartite_parts(4, paw_nb)
+        assert case_shapes(4, [4], paw_nb, [0], paw_parts).tolist() == [True]
 
     def test_sparse_graphs_and_the_g_and_h_shapes(self):
         by_order = {}
@@ -426,10 +426,11 @@ class TestInducedMatching:
 
 
 class TestGirthThreeSkipsTheMatching:
-    """At girth 3, p + k >= 2 pairs of `_matching_pairs` always come with
-    a witness: the first two pairs induce 2K2, P4 or the paw.  So the
-    matching bound decides no girth-3 graph that the witness leaves, and
-    the sweep runs it only above girth 3."""
+    """At girth 3 a graph without a witness is complete tripartite: its
+    minimum degree is at least 2 and it has no induced 2K2, so
+    `_matching_pairs` gives p = 0 and k = 1.  So the matching bound
+    decides no girth-3 graph that the witness leaves, and the sweep runs
+    it only above girth 3."""
 
     @staticmethod
     def _pairs(adj):
@@ -448,16 +449,27 @@ class TestGirthThreeSkipsTheMatching:
                 two_pairs += 1
         assert two_pairs == 129_981
 
-    def test_two_pairs_give_a_dense_witness_at_order_seven(self):
-        _, _, hints, nb = _dense_chunk(7, 0, sweep_module._DENSE_CHUNK_MASKS)
-        nb = nb[hints == 3]
-        witness = _dense_witness(nb)
-        two_pairs = 0
-        for row, found in zip(nb.tolist(), witness.tolist()):
-            if self._pairs([_BITS[b] for b in row]) >= 2:
-                assert found, row
-                two_pairs += 1
-        assert two_pairs == 153_475
+    def test_complete_tripartite_graphs_have_one_matched_pair(self):
+        # every complete tripartite graph on 3..7 labeled vertices: one per
+        # partition of the vertices into 3 parts, S(n, 3) of them
+        graphs = 0
+        for n in range(3, 8):
+            for labels in product(range(3), repeat=n):
+                # each partition once: parts numbered by their lowest vertex
+                if set(labels) != {0, 1, 2} or not (
+                    labels[0] == 0 and labels.index(1) < labels.index(2)
+                ):
+                    continue
+                edges = [(u, v) for u, v in combinations(range(n), 2)
+                         if labels[u] != labels[v]]
+                adj = _adjacency(n, edges)
+                assert _complete_tripartite(adj), edges
+                nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
+                assert multipartite_parts(n, nb).tolist() == [3]
+                pendant, matched = _matching_pairs(adj)
+                assert (len(pendant), len(matched)) == (0, 1), edges
+                graphs += 1
+        assert graphs == 1 + 6 + 25 + 90 + 301
 
     def test_matching_never_sees_girth_three(self, monkeypatch):
         girths = []
@@ -493,6 +505,8 @@ def _quad_witness(quad_edges):
 
 
 def _brute_force_witness(n, edges):
+    """Whether some 4 vertices induce a graph whose every signing has
+    rank 4, searched over every 4-set."""
     present = {frozenset(e) for e in edges}
     return any(
         _quad_witness(tuple(
@@ -504,13 +518,14 @@ def _brute_force_witness(n, edges):
     )
 
 
-def _witness(n, edges):
-    return _induced_witness(_neighbour_masks(n, edges), edges)
-
-
 def _has_triangle(n, edges):
     nb = _neighbour_masks(n, edges)
     return any(nb[u] & nb[v] for u, v in edges)
+
+
+def _witness(n, edges):
+    """The sweep's witness: a triangle, and not complete tripartite."""
+    return _has_triangle(n, edges) and not _complete_tripartite(_adjacency(n, edges))
 
 
 def _hung_graph(core, hang):
@@ -519,49 +534,68 @@ def _hung_graph(core, hang):
     return core.n + hang.extra, sorted(core.edges + hang.edges)
 
 
+def _row_witness(n, nb):
+    """The witness of rows of neighbour bitmasks, as `add_batch` takes it:
+    a girth hint of 3, and not 3 parts."""
+    return (_girth_hints(n, nb) == 3) & (multipartite_parts(n, nb) != 3)
+
+
 def _dense_witness_of(n, edges):
     nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
-    return bool(_dense_witness(nb)[0])
+    return bool(_row_witness(n, nb)[0])
 
 
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]
 
 
 class TestWitnessTable:
-    """The 4-vertex witness table, derived with the batch kernel, against
-    `rank_oracle` and the networkx atlas."""
+    """The graphs on 4 vertices whose every signing has rank 4, by
+    `rank_oracle`: 2K2, P4, the paw and K4.  The paw and K4 are the ones
+    with a triangle, and no complete tripartite graph induces any of
+    them."""
+
+    WITNESSES = (
+        nx.Graph([(0, 1), (2, 3)]), nx.path_graph(4), nx.Graph(PAW_EDGES),
+        nx.complete_graph(4),
+    )
 
     def test_every_labeled_graph_on_four_vertices(self):
-        table = _witness_table()
-        assert table.dtype == bool and not table.flags.writeable
+        triangles = 0
         for mask in range(1 << 6):
             edges = [e for i, e in enumerate(_edge_table(4)) if (mask >> i) & 1]
-            code = _degree_code(sum(v in e for e in edges) for v in range(4))
-            assert table[code] == _quad_witness(tuple(edges)), edges
+            g = _graph(4, edges)
+            found = _quad_witness(tuple(edges))
+            assert found == any(nx.is_isomorphic(g, h) for h in self.WITNESSES), edges
+            if nx.is_connected(g) and _has_triangle(4, edges):
+                assert _witness(4, edges) == found, edges
+                triangles += 1
+        assert triangles == 12 + 6 + 1  # paws, diamonds and K4
 
     def test_exactly_2k2_p4_the_paw_and_k4(self):
         graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 4]
         assert len(graphs) == 11
-        codes = [_degree_code(d for _, d in g.degree()) for g in graphs]
-        assert len(set(codes)) == 11  # the degree multiset names the graph
-        table = _witness_table()
-        found = {code for code in codes if table[code]}
-        want = {
-            _degree_code((1, 1, 1, 1)): nx.Graph([(0, 1), (2, 3)]),
-            _degree_code((1, 1, 2, 2)): nx.path_graph(4),
-            _degree_code((1, 2, 2, 3)): nx.Graph(PAW_EDGES),
-            _degree_code((3, 3, 3, 3)): nx.complete_graph(4),
-        }
-        assert set(found) == set(want)
-        for g, code in zip(graphs, codes):
-            if code in want:
-                assert nx.is_isomorphic(g, want[code])
-        assert int(np.count_nonzero(table)) == 4
+        found = [
+            g for g in graphs
+            if _quad_witness(tuple(sorted(tuple(sorted(e)) for e in g.edges())))
+        ]
+        assert len(found) == 4
+        for h in self.WITNESSES:
+            assert sum(nx.is_isomorphic(g, h) for g in found) == 1
+        with_triangle = [g for g in found if any(nx.triangles(g).values())]
+        assert sorted(g.number_of_edges() for g in with_triangle) == [4, 6]
+
+    def test_no_witness_in_complete_tripartite_graphs(self):
+        for sizes in combinations_with_replacement(range(1, 4), 3):
+            g = nx.complete_multipartite_graph(*sizes)
+            n, edges = g.number_of_nodes(), sorted(g.edges())
+            assert not _brute_force_witness(n, edges), sizes
+            assert not _witness(n, edges)
+            assert n > 7 or not _dense_witness_of(n, edges)  # uint8 masks
 
 
 class TestInducedForestWitness:
-    """The intake search for an induced graph of the witness table,
-    against a brute-force search over 4-vertex subsets with networkx and
+    """The sweep's girth-3 witness, a triangle and not complete
+    tripartite, against a brute-force search over 4-vertex subsets with
     `rank_oracle`."""
 
     def test_atlas_graphs(self):
@@ -570,20 +604,22 @@ class TestInducedForestWitness:
             if not nx.is_connected(g):
                 continue
             n, edges = g.number_of_nodes(), sorted(g.edges())
-            got = _witness(n, edges)
-            assert got == _brute_force_witness(n, edges), edges
             girth = girth_of_adjacency(_adjacency(n, edges))
             assert _has_triangle(n, edges) == (girth == 3), edges
-            seen.add((girth, got))
-        assert {(3, True), (3, False), (4, True), (4, False), (None, True)} <= seen
+            if girth == 3:
+                got = _witness(n, edges)
+                assert got == _brute_force_witness(n, edges), edges
+                seen.add(got)
+        assert seen == {True, False}
 
     def test_labeled_dense_graphs(self):
         found = 0
         for n in range(3, 7):
             for _, edges in dense_graphs(n):
-                got = _witness(n, edges)
-                assert got == _brute_force_witness(n, edges), (n, edges)
-                found += got
+                if _has_triangle(n, edges):
+                    got = _witness(n, edges)
+                    assert got == _brute_force_witness(n, edges), (n, edges)
+                    found += got
         assert found > 0
 
     @pytest.mark.parametrize(
@@ -596,11 +632,19 @@ class TestInducedForestWitness:
             (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], False),  # K_{2,3}
             (4, PAW_EDGES, True),  # the paw
             (5, PAW_EDGES + [(3, 4)], True),  # a paw and a P4
+            (3, [(0, 1), (0, 2), (1, 2)], False),  # K3
+            (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], False),  # K_{1,1,2}
+            (5, [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (1, 4)],
+             False),  # the wheel W4, K_{1,2,2}
+            (5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)],
+             True),  # K5 minus an edge, K_{1,1,1,2}
         ],
     )
     def test_hand_cases(self, n, edges, want):
-        assert _witness(n, edges) is want
-        assert _dense_witness_of(n, edges) is want
+        assert _brute_force_witness(n, edges) is want
+        if _has_triangle(n, edges):  # the sweep's witness is for girth 3
+            assert _witness(n, edges) is want
+            assert _dense_witness_of(n, edges) is want
 
     def test_paw_is_decided_by_its_pendant_pairs(self):
         # a triangle with a pendant vertex: no induced P4 or 2K2, only
@@ -612,33 +656,30 @@ class TestInducedForestWitness:
 
 
 class TestDenseWitness:
-    """`_dense_witness`, the witness table looked up on a whole chunk of
-    neighbour bitmasks, against the per-graph `_induced_witness`."""
+    """The witness of a whole chunk of rows, from the part counts of
+    `multipartite_parts`, against the per-graph witness, from
+    `_complete_multipartite_parts`."""
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_equals_the_scalar_witness_on_every_dense_graph(self, n):
-        table = _edge_table(n)
-        total = 1 << len(table)
+        total = 1 << len(_edge_table(n))
         found = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
-            masks, _, _, nb = _dense_chunk(n, lo, hi)
-            got = _dense_witness(nb)
+            _, _, hints, nb = _dense_chunk(n, lo, hi)
+            parts = multipartite_parts(n, nb)
+            got = _row_witness(n, nb)
             assert got.dtype == bool
-            for mask, row, witness in zip(masks.tolist(), nb.tolist(), got.tolist()):
-                edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
-                assert witness is _induced_witness(row, edges), (n, edges)
-                found += witness
+            rows = nb.tobytes()
+            for i, (hint, count, witness) in enumerate(
+                zip(hints.tolist(), parts.tolist(), got.tolist())
+            ):
+                adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
+                scalar = _complete_multipartite_parts(adj)
+                assert count == (0 if scalar is None else len(scalar)), (n, i)
+                assert witness == (hint == 3 and count != 3), (n, i)
+            found += int(got.sum())
         assert (found > 0) == (n >= 4)  # the paw and K4 from n = 4 on
-
-    def test_two_cross_edges_are_too_many(self):
-        # disjoint edges 01 and 23 with two edges between them: C4, or the
-        # paw when the two share an end
-        for cross in combinations([(0, 2), (0, 3), (1, 2), (1, 3)], 2):
-            edges = [(0, 1), (2, 3), *cross]
-            want = bool(set(cross[0]) & set(cross[1]))
-            assert _dense_witness_of(4, edges) == want, edges
-            assert _witness(4, edges) == want, edges
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
@@ -738,14 +779,21 @@ class TestDecidedAtIntake:
             return [(v, v) for v in range(len(adj))], []
 
         monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
-        # and a witness every graph of girth 3.  The sparse stream takes
-        # its witnesses from the core table, so a fresh table is built
-        # under the patch, and the cached one comes back afterwards
-        monkeypatch.setattr(sweep_module, "_induced_witness", lambda nb, edges: True)
+        # and a witness every graph of girth 3: no graph is complete
+        # tripartite to the witness, while `case_shapes` still sees the
+        # complete multipartite graphs.  The sparse stream takes its
+        # witnesses from the core table, so a fresh table is built under
+        # the patch, and the cached one comes back afterwards
+        real_parts = sweep_module.multipartite_parts
+
+        def four_parts(n, nb):
+            parts = real_parts(n, nb)
+            return np.where(parts == 3, 4, parts)
+
+        monkeypatch.setattr(sweep_module, "multipartite_parts", four_parts)
+        monkeypatch.setattr(sweep_module, "_complete_tripartite", lambda adj: False)
         monkeypatch.setattr(sweep_module, "_core_table",
                             lru_cache(maxsize=4)(sweep_module._core_table.__wrapped__))
-        monkeypatch.setattr(sweep_module, "_dense_witness",
-                            lambda nb: np.ones(len(nb), dtype=bool))
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
@@ -1021,15 +1069,16 @@ class TestSparseGirthHint:
 
 
 class TestLeafLemma:
-    """A connected graph with a triangle and a leaf induces the paw or P4
-    (`_Core`), so the sparse stream states a witness for every graph hung
-    from a core of girth 3 without searching it."""
+    """A connected graph with a cycle and a leaf is never complete
+    multipartite (`_Core`), so the sparse stream states a witness for
+    every graph hung from a core of girth 3 without testing it."""
 
     def test_every_hung_graph_of_girth_three_has_a_witness(self):
         hung = 0
         for core, hang in _sparse_pieces(10, 3):
             if core.girth == 3 and hang.extra:
-                assert _witness(*_hung_graph(core, hang)), (core.edges, hang.edges)
+                n, edges = _hung_graph(core, hang)
+                assert _complete_multipartite_parts(_adjacency(n, edges)) is None, edges
                 hung += 1
         assert hung == 112_137
 
@@ -1038,7 +1087,8 @@ class TestLeafLemma:
         nb = nb[hints == 3]
         leaf = (sweep_module._POPCOUNT[nb] == 1).any(axis=1)
         assert leaf.sum() > 10_000
-        assert _dense_witness(nb[leaf]).all()
+        assert (multipartite_parts(7, nb[leaf]) == 0).all()
+        assert _row_witness(7, nb[leaf]).all()
 
 
 class TestSparseChunks:
@@ -1234,7 +1284,8 @@ class TestSweepRuns:
 
     def test_large_graph6_records_state_girth_and_witness(self, tmp_path, monkeypatch):
         # records of order > 7 find their own girth and witness before
-        # `add_graph`: a triangle on the bitmasks, else the girth search
+        # `add_graph`: a triangle on the bitmasks, else the girth search;
+        # the witness is checked against the brute-force search
         rng = random.Random(29)
         graphs = [
             nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
@@ -1247,7 +1298,7 @@ class TestSweepRuns:
 
         def spy(self, source, key, n, edges, adj, girth, witness, shape):
             assert girth == girth_of_adjacency(_adjacency(n, edges)), edges
-            assert witness == (girth == 3 and _witness(n, edges)), edges
+            assert witness == (girth == 3 and _brute_force_witness(n, edges)), edges
             stated.add((girth, witness))
             add(self, source, key, n, edges, adj, girth, witness, shape)
 
@@ -1255,6 +1306,26 @@ class TestSweepRuns:
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,)))
         assert rep.total_failures() == 0
         assert {(3, True), (3, False), (4, False), (9, False)} <= stated
+
+    def test_complete_tripartite_records_reach_the_kernel(self, tmp_path):
+        # no witness, and two switching classes of rank 3 (case (c)): every
+        # record of order 8 to 10 is ranked, capped or not
+        sizes = [(1, 1, 6), (2, 2, 4), (2, 3, 3), (1, 1, 7), (1, 2, 6), (1, 1, 8)]
+        graphs = [nx.complete_multipartite_graph(*s) for s in sizes]
+        path = _graph6_file(tmp_path / "tripartite.g6", graphs)
+        instances = sum(1 << (g.number_of_edges() - len(g) + 1) for g in graphs)
+        # an instance check needs full ranks, so the second run is uncapped
+        for checks in (DEFAULT_CHECKS, DEFAULT_CHECKS + ("nullity_cyclomatic_bound",)):
+            rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0,
+                                  graph6_paths=(path,), checks=checks))
+            assert rep.total_failures() == 0
+            assert (rep.graphs, rep.instances) == (len(graphs), instances)
+            assert rep.decided_instances == rep.decided_by_witness == 0
+            histogram = rep.to_json_dict()["rank_histogram"]
+            assert {n for n, _, _, _ in histogram} == {8, 9, 10}
+            assert {(n, girth) for n, girth, _, _ in histogram} == {(8, 3), (9, 3), (10, 3)}
+            rank_three = {n: count for n, _, rank, count in histogram if rank == 3}
+            assert rank_three == {8: 2 * 3, 9: 2 * 2, 10: 2 * 1}
 
     def test_disconnected_graph6_record_is_skipped_whatever_its_size(self, tmp_path):
         path = tmp_path / "in.g6"
