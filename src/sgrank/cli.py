@@ -292,17 +292,20 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json and args.json != "-":
-        _check_writable(args.json)
-    if args.counterexamples:
-        _check_writable(args.counterexamples)
+    if args.json == "-" and args.counterexamples == "-":
+        print("error: --json and --counterexamples cannot both be '-' (stdout)",
+              file=sys.stderr)
+        return 2
+    for path in (args.json, args.counterexamples):
+        if path and path != "-":
+            _check_writable(path)
     try:
         report = run(config)
     except (Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # keep stdout pure JSON under `--json -`
-    human = sys.stderr if args.json == "-" else sys.stdout
+    # keep stdout pure JSON or CSV when either goes there
+    human = sys.stderr if "-" in (args.json, args.counterexamples) else sys.stdout
     print(
         f"graphs: {report.graphs}  instances: {report.instances}  "
         f"elapsed: {report.elapsed_seconds:.1f}s",
@@ -325,7 +328,9 @@ def _cmd_verify(args) -> int:
             print(text)
         else:
             _write(args.json, text + "\n")
-    if args.counterexamples:
+    if args.counterexamples == "-":
+        write_counterexamples_csv(report, sys.stdout)
+    elif args.counterexamples:
         try:
             write_counterexamples_csv(report, args.counterexamples)
         except OSError as exc:
@@ -425,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-checks", action="store_true")
     p.add_argument("--json", metavar="PATH", help="write the JSON report ('-' = stdout)")
     p.add_argument(
-        "--counterexamples", metavar="PATH", help="write counterexamples as CSV"
+        "--counterexamples", metavar="PATH",
+        help="write counterexamples as CSV ('-' = stdout)",
     )
     p.add_argument("--max-counterexamples", type=int, default=50)
     p.set_defaults(func=_cmd_verify)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -172,14 +174,39 @@ def delete_vertices(g: SignedGraph, drop: Iterable[int]) -> SignedGraph:
     return induced_subgraph(g, (v for v in range(g.n) if v not in gone))
 
 
+def reduced_vertices(matrices: np.ndarray) -> np.ndarray:
+    """The vertices that `reduced_graph` keeps, for a batch of signed
+    adjacency matrices of shape (batch, n, n): a bool array (batch, n),
+    False at vertex y exactly when some lower vertex x has row x equal to
+    +-row y.  Those are y's twins: the rows agree up to sign on every
+    vertex, and a twin x is never adjacent to y, since row y is 0 at y.
+
+    Each row is named by a base-3 code of its entries, taken with the
+    sign that makes its first nonzero entry positive, accumulated column
+    by column into (batch, n) int64; a code of 39 columns stays below
+    2^63, and wider rows compare one such code per 39 columns."""
+    batch, n = matrices.shape[:2]
+    first = (matrices != 0).argmax(axis=2)[..., None]
+    lead = np.take_along_axis(matrices, first, axis=2)[..., 0]
+    same = np.ones((batch, n, n), dtype=bool)
+    for lo in range(0, n, 39):
+        code = np.zeros((batch, n), dtype=np.int64)
+        for w in range(lo, min(n, lo + 39)):
+            code *= 3
+            code += matrices[:, :, w] * lead + 1
+        same &= code[:, :, None] == code[:, None, :]
+    return ~np.tril(same, -1).any(axis=2)
+
+
 def reduced_graph(g: SignedGraph) -> SignedGraph:
     """Delete one vertex of a twin pair until no twins remain, taking the
     higher vertex y of the lexicographically first pair (x, y) each time,
     then reindex densely.  Twin deletion preserves the rank of the
     adjacency matrix, so the reduced graph has the same rank as the input.
 
-    One `find_twins` pass gives the same graph, keeping the lowest vertex
-    of each twin class:
+    One pass gives the same graph: `reduced_vertices` keeps exactly the
+    vertices with no twin below them, the lowest vertex of each twin
+    class.
 
     * the signed twin relation is an equivalence: twins have equal
       neighbour sets, and along a chain of twins the sign ratios multiply;
@@ -192,8 +219,9 @@ def reduced_graph(g: SignedGraph) -> SignedGraph:
     step deletes a vertex above the lowest of its class until one vertex
     per class is left.
     """
-    drop = {pair.y for pair in find_twins(g)}
-    return delete_vertices(g, drop) if drop else g
+    matrix = np.array(adjacency_matrix(g), dtype=np.int8).reshape(1, g.n, g.n)
+    keep = reduced_vertices(matrix)[0]
+    return g if keep.all() else induced_subgraph(g, np.flatnonzero(keep).tolist())
 
 
 class SgrParseError(ValueError):

@@ -76,7 +76,11 @@ exactly and marked `rank_capped`.  The report counts instances by
 and in each stage of the chunks (`STAGES`).
 The sparse stream computes each subdivided core's girth once and passes
 it on, since hung trees add no cycle.  Checks are vectorized across
-instance buffers.
+instance buffers.  The girth-4 consequence check takes a flush's
+girth-4 rank-4 instances together: it tests each underlying graph for a
+bipartition once, twin-reduces the int8 matrices the kernel ranked in
+one numpy pass (`core.reduced_vertices`), and ranks each distinct
+reduced matrix once per chunk with `exact.rank`, apart from the kernel.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
 table of `classify.py`, once per underlying graph.  Sampled instances,
@@ -91,6 +95,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -105,6 +110,7 @@ from .core import (
     find_twins,
     induced_subgraph,
     reduced_graph,
+    reduced_vertices,
     switch,
     write_sgr,
 )
@@ -323,10 +329,15 @@ class SweepReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def write_counterexamples_csv(report: SweepReport, path: str) -> None:
+def write_counterexamples_csv(report: SweepReport, target) -> None:
+    """Write the counterexamples as CSV to `target`, a path or an open
+    text stream."""
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with (
+        nullcontext(target) if hasattr(target, "write")
+        else open(target, "w", newline="")
+    ) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -1029,6 +1040,9 @@ class _Engine:
         # the chunk-local stream position of the next graph's first
         # instance: the spot strides sample by it
         self.position = 0
+        # exact rank of each twin-reduced girth-4 rank-4 matrix met so
+        # far, keyed by its bytes
+        self.reduced_ranks: dict[bytes, int] = {}
 
     # -- accounting helpers
 
@@ -1289,35 +1303,56 @@ class _Engine:
                 )
 
         clock = _lap(stages, "vector_checks", clock)
+        # the instances case (f) accepted on their rank alone, checked on
+        # the matrices just ranked
         if "girth_four_consequences" in sel:
-            hits = np.nonzero((ranks == 4) & (girth == 4))[0]
-            self._count("girth_four_consequences", len(hits))
-            bipartite: dict[_GraphMeta, bool] = {}  # one test per underlying graph
-            for pos in hits.tolist():
-                seg, signing = _locate(segments, starts, pos)
-                meta = seg.meta
-                if meta not in bipartite:
-                    adj = _adjacency(meta.n, meta.edges)
-                    bipartite[meta] = bipartition(adj) is not None
-                if not bipartite[meta]:
-                    report(
-                        "girth_four_consequences", pos, "underlying graph not bipartite"
-                    )
-                    continue
-                reduced = reduced_graph(_instance_graph(meta, signing))
-                r_red = exact_rank(adjacency_matrix(reduced)).rank
-                if r_red != 4:
-                    report(
-                        "girth_four_consequences",
-                        pos,
-                        f"twin-reduced rank {r_red} != 4",
-                    )
-
+            self._girth_four_consequences(stack, ranks, girth, segments, starts, report)
         clock = _lap(stages, "girth_four_consequences", clock)
         self._spot_checks(segments, starts.tolist(), ranks)
         clock = _lap(stages, "spot_checks", clock)
         self._instance_checks(segments, starts, ranks, total)
         _lap(stages, "instance_checks", clock)
+
+    def _girth_four_consequences(self, stack, ranks, girth, segments, starts, report):
+        """Check each girth-4 rank-4 instance of a flush: its underlying
+        graph is bipartite, tested once per graph, and its twin-reduced
+        graph has rank 4.  The hits' matrices are twin-reduced together
+        (`reduced_vertices`), and each distinct reduced matrix is ranked
+        once per engine by `exact.rank`, apart from the kernel.  Failures
+        are reported in ascending buffer position."""
+        hits = np.flatnonzero(ranks == 4) if girth == 4 else ()
+        self._count("girth_four_consequences", len(hits))
+        if not len(hits):
+            return
+        metas = [segments[i].meta for i in
+                 (np.searchsorted(starts, hits, side="right") - 1).tolist()]
+        bipartite: dict[_GraphMeta, bool] = {}
+        for meta in metas:
+            if meta not in bipartite:
+                bipartite[meta] = bipartition(_adjacency(meta.n, meta.edges)) is not None
+        mats = stack[hits]
+        keep = reduced_vertices(mats)
+        order = keep.sum(axis=1)
+        # kept vertices first, in their order: the reduced matrix of a hit
+        # is the leading order x order block
+        perm = np.argsort(~keep, axis=1, kind="stable")
+        mats = np.take_along_axis(mats, perm[:, :, None], axis=1)
+        mats = np.take_along_axis(mats, perm[:, None, :], axis=2)
+        reduced_rank = np.empty(len(hits), dtype=np.int64)
+        cache = self.reduced_ranks
+        for k in np.flatnonzero(np.bincount(order)).tolist():
+            rows = np.flatnonzero(order == k)
+            blocks = np.ascontiguousarray(mats[rows, :k, :k])
+            for row, block in zip(rows.tolist(), blocks):
+                key = block.tobytes()  # k * k bytes: the order is implied
+                if key not in cache:
+                    cache[key] = exact_rank(block.tolist()).rank
+                reduced_rank[row] = cache[key]
+        for pos, meta, r_red in zip(hits.tolist(), metas, reduced_rank.tolist()):
+            if not bipartite[meta]:
+                report("girth_four_consequences", pos, "underlying graph not bipartite")
+            elif r_red != 4:
+                report("girth_four_consequences", pos, f"twin-reduced rank {r_red} != 4")
 
     def _spot_checks(self, segments, starts, ranks):
         """Sampled instances through the slow paths: those whose stream

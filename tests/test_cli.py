@@ -1,21 +1,31 @@
 """Command line interface, exercised through real subprocesses."""
 
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 
 from sgrank import SignedGraph, parse_sgr, save_sgr
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-def cli(*args):
+
+def cli(*args, cwd=None):
+    """Run `python -m sgrank.cli ARGS`, from `cwd` if given, with this
+    checkout's sources first on the path."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "sgrank.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -184,6 +194,37 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["schema"] == 3
+
+    def test_counterexamples_to_stdout(self, tmp_path):
+        # '-' is stdout, not a file of that name; the summary goes to stderr
+        code, out, err = cli("verify", "--max-n", "4", "--sparse-max-n", "4",
+                             "--checks", "rank_ge_girth_minus_1",
+                             "--counterexamples", "-", cwd=tmp_path)
+        assert code == 1
+        assert not (tmp_path / "-").exists()
+        assert "FAIL rank_ge_girth_minus_1" in err and "graphs:" in err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0][0] == "check" and len(rows) > 1
+        assert all(row[0] == "rank_ge_girth_minus_1" for row in rows[1:])
+        assert parse_sgr(rows[1][-1]).n == int(rows[1][2])
+
+    def test_counterexamples_to_stdout_beside_a_json_file(self, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = cli("verify", "--max-n", "4", "--sparse-max-n", "4",
+                             "--checks", "rank_ge_girth_minus_1",
+                             "--json", str(report), "--counterexamples", "-")
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        data = json.loads(report.read_text())
+        assert len(rows) - 1 == len(data["counterexamples"]) > 0
+        assert "graphs:" in err
+
+    def test_json_and_counterexamples_both_to_stdout_is_usage_error(self):
+        code, out, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                             "--json", "-", "--counterexamples", "-")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == "" and "graphs:" not in err
 
     def test_graph6_input(self, tmp_path):
         path = tmp_path / "in.g6"

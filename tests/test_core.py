@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from sgrank import (
     load_sgr,
     parse_sgr,
     reduced_graph,
+    reduced_vertices,
     save_sgr,
     switch,
     write_sgr,
@@ -154,6 +156,69 @@ class TestTwins:
                     assert reduced_graph(g) == want, g
                     reduced += want.n < n
         assert reduced > 10_000
+
+    def test_batched_mask_equals_deleting_pair_by_pair(self):
+        # planted chains of twins (each a copy of the one before, ratio
+        # +-1) on random bases up to order 16, randomly relabeled, and
+        # signed K_{8,8}s.  Rows of 40 or more entries need two base-3
+        # codes: K_{20,20}, and a graph whose rows 0 and 1 differ only in
+        # column 40
+        def kept_pair_by_pair(g):
+            labels = list(range(g.n))
+            while True:
+                pairs = find_twins(g)
+                if not pairs:
+                    return labels
+                g = delete_vertices(g, [pairs[0].y])
+                del labels[pairs[0].y]
+
+        def planted(rng):
+            g = random_connected_graph(rng, rng.randint(2, 8))
+            n, edges = g.n, list(g.edges)
+            for _ in range(rng.randint(1, 3)):
+                v = rng.randrange(n)
+                for _ in range(rng.randint(2, 4)):
+                    if n == 16:
+                        break
+                    ratio = rng.choice((1, -1))
+                    edges += [(u if w == v else w, n, ratio * s)
+                              for u, w, s in edges if v in (u, w)]
+                    v, n = n, n + 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            return SignedGraph(n, [(perm[u], perm[w], s) for u, w, s in edges])
+
+        def bipartite(a, b, sign):
+            return SignedGraph(a + b, [(u, v, sign(u, v)) for u in range(a)
+                                       for v in range(a, a + b)])
+
+        rng = random.Random(31)
+        graphs = [planted(rng) for _ in range(300)]
+        patterns = [[rng.choice((1, -1)) for _ in range(8)] for _ in range(3)]
+        rows = [rng.randrange(3) for _ in range(8)]
+        graphs += [
+            bipartite(8, 8, lambda u, v: 1),
+            bipartite(8, 8, lambda u, v: rng.choice((1, -1))),
+            bipartite(8, 8, lambda u, v: (-1) ** u * patterns[rows[u]][v - 8]),
+            bipartite(20, 20, lambda u, v: (-1) ** (u * v)),
+            SignedGraph(41, [(u, v, 1) for u in (0, 1) for v in range(2, 41)
+                             if (u, v) != (1, 40)]),
+        ]
+        by_order = {}
+        for g in graphs:
+            by_order.setdefault(g.n, []).append(g)
+        deleted = 0
+        for n, group in by_order.items():
+            mats = np.array([adjacency_matrix(g) for g in group], dtype=np.int8)
+            keep = reduced_vertices(mats.reshape(len(group), n, n))
+            for g, row in zip(group, keep):
+                want = kept_pair_by_pair(g)
+                assert np.flatnonzero(row).tolist() == want, g
+                deleted += g.n - len(want)
+        assert deleted > 600
+        assert len(kept_pair_by_pair(graphs[-5])) == 2
+        assert len(kept_pair_by_pair(graphs[-2])) == 4
+        assert kept_pair_by_pair(graphs[-1]) == [0, 1, 2, 40]
 
     def test_induced_subgraph_relabels(self):
         g = SignedGraph(5, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, -1)])

@@ -31,7 +31,9 @@ from sgrank import (
     parse_graph6,
     parse_sgr,
     profile,
+    rank as exact_rank,
     rank_oracle,
+    reduced_graph,
     run,
     sparse_graphs,
     switch,
@@ -755,6 +757,65 @@ class TestIffChecksAreLive:
             assert (ce["girth"], ce["signing_index"]) == (4, 0)
             assert ce["rank"] != 4
             assert classify_equals_g(g, rank=ce["rank"]) is None
+
+
+def _girth_four_sweep():
+    return run(SweepConfig(max_n_dense=6, max_n_sparse=0,
+                           checks=("girth_four_consequences",),
+                           max_counterexamples=10**6))
+
+
+@lru_cache(maxsize=None)
+def _girth_four_hits():
+    """The reduced order of every girth-4 rank-4 instance of dense n <= 6,
+    found apart from the sweep: every co-tree signing, ranked by
+    `batch_ranks` and twin-reduced by `reduced_graph`."""
+    orders = []
+    for n in range(4, 7):
+        for _, edges in dense_graphs(n):
+            if girth_of_adjacency(_adjacency(n, edges)) != 4:
+                continue
+            signings = list(enumerate_signings(n, edges))
+            mats = np.array([adjacency_matrix(g) for g in signings], dtype=np.int8)
+            for g, r in zip(signings, batch_ranks(mats).tolist()):
+                if r == 4:
+                    orders.append(reduced_graph(g).n)
+    return orders
+
+
+class TestGirthFourConsequencesAreLive:
+    def test_every_hit_is_checked(self):
+        rep = _girth_four_sweep()
+        assert rep.checked["girth_four_consequences"] == len(_girth_four_hits()) > 0
+        assert rep.total_failures() == 0
+
+    def test_non_bipartite_graphs_are_reported(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "bipartition", lambda adj: None)
+        rep = _girth_four_sweep()
+        checked = rep.checked["girth_four_consequences"]
+        assert rep.failures["girth_four_consequences"] == checked > 0
+        assert len(rep.counterexamples) == checked
+        for ce in rep.counterexamples:
+            assert (ce["check"], ce["girth"], ce["rank"]) == ("girth_four_consequences", 4, 4)
+            assert "(underlying graph not bipartite)" in ce["sgr"]
+
+    def test_wrong_reduced_rank_is_reported(self, monkeypatch):
+        orders = _girth_four_hits()
+        order = max(set(orders), key=orders.count)
+
+        def wrong_at_one_order(matrix):
+            report = exact_rank(matrix)
+            if len(matrix) != order:
+                return report
+            return dataclasses.replace(report, rank=report.rank + 1)
+
+        monkeypatch.setattr(sweep_module, "exact_rank", wrong_at_one_order)
+        rep = _girth_four_sweep()
+        assert rep.failures["girth_four_consequences"] == orders.count(order) > 0
+        assert len(rep.counterexamples) == orders.count(order)
+        for ce in rep.counterexamples:
+            assert "(twin-reduced rank 5 != 4)" in ce["sgr"]
+            assert reduced_graph(parse_sgr(ce["sgr"])).n == order
 
 
 class TestDecidedAtIntake:
