@@ -332,33 +332,37 @@ def _cases(adj: Sequence[Sequence[int]], cotree: _Cotree):
         }, _negative_on(cotree(), six_cycles)
 
 
-def multipartite_parts(n: int, nb) -> np.ndarray:
-    """Per graph on n vertices, given by neighbour bitmasks nb (one row
-    per graph, one integer column per vertex, bit w of nb[i, v] set when
-    w is a neighbour of v): its number of parts when it is complete
-    multipartite, else 0.  The vectorized form of
-    `_complete_multipartite_parts`: a graph is complete multipartite iff
-    non-adjacent vertices have equal masks, and then a part's lowest
-    vertex is the one that sees every vertex below it."""
-    nb = np.asarray(nb)
-    multipartite = np.ones(len(nb), dtype=bool)
-    parts = np.zeros(len(nb), dtype=np.int64)
-    for u in range(n):
-        col = nb[:, u]
+def multipartite_parts(n, nb) -> np.ndarray:
+    """Per graph, given by neighbour bitmasks nb (one row per graph, one
+    integer column per vertex, bit w of nb[i, v] set when w is a
+    neighbour of v) and its order n (per row, or one for all): its number
+    of parts when it is complete multipartite, else 0.  A row may be
+    zero-padded past its order, and a padded column counts as no vertex.
+    The vectorized form of `_complete_multipartite_parts`: a graph is
+    complete multipartite iff non-adjacent vertices have equal masks, and
+    then a part's lowest vertex is the one that sees every vertex below
+    it."""
+    cols = np.ascontiguousarray(np.asarray(nb).T)  # one array per vertex
+    multipartite = np.ones(cols.shape[1], dtype=bool)
+    parts = np.zeros(cols.shape[1], dtype=np.int64)
+    for u, col in enumerate(cols):
+        if not multipartite.any():
+            break  # every count is 0
         below = (1 << u) - 1
-        parts += (col & below) == below
-        for v in range(u + 1, n):
-            multipartite &= (((col >> v) & 1) == 1) | (col == nb[:, v])
+        parts += (col & below) == below  # False on a padded column, all 0
+        for v in range(u + 1, len(cols)):
+            multipartite &= ((col & (1 << v)) != 0) | (col == cols[v]) | (v >= n)
     return np.where(multipartite, parts, 0)
 
 
-def case_shapes(n: int, m, nb, girth, parts) -> np.ndarray:
+def case_shapes(n, m, nb, girth, parts) -> np.ndarray:
     """Per graph, whether `_cases` may yield anything for it: a necessary
-    condition, vectorized over connected graphs with a cycle on n
-    vertices, with edge counts m, neighbour bitmasks nb (as
-    `multipartite_parts` takes them), girth hints (3 exactly for a graph
-    with a triangle) and the part counts of `multipartite_parts`.  It
-    widens each shape `_cases` tests:
+    condition, vectorized over connected graphs with a cycle, with orders
+    n, edge counts m, neighbour bitmasks nb (as `multipartite_parts` takes
+    them, padding included), girth hints (3 exactly for a graph with a
+    triangle) and the part counts of `multipartite_parts`; element by
+    element, and n, m and girth may be one value for all rows.  It widens
+    each shape `_cases` tests:
 
     * cycles and the graphs of cases (d) and (e) are unicyclic: m == n.
       Apart from C3, no unicyclic graph of girth 3 has a case: case (d)
@@ -371,22 +375,14 @@ def case_shapes(n: int, m, nb, girth, parts) -> np.ndarray:
     * the graphs of cases (A) and (c) are complete multipartite."""
     nb = np.asarray(nb)
     min_degree_two = np.ones(len(nb), dtype=bool)
-    for u in range(n):
+    for u in range(nb.shape[1]):
         col = nb[:, u]
-        min_degree_two &= (col & (col - 1)) != 0  # two bits or more
-    return could_have_case(
-        np.asarray(m) - n, min_degree_two, np.asarray(parts) > 0, np.asarray(girth)
-    )
-
-
-def could_have_case(excess, min_degree_two, multipartite, girth):
-    """The test of `case_shapes` on m - n, on whether every degree is at
-    least 2, on whether the graph is complete multipartite and on its
-    girth hint; element by element on arrays."""
+        min_degree_two &= ((col & (col - 1)) != 0) | (u >= n)  # two bits or more
+    excess = np.asarray(m) - n
     return (
-        ((excess == 0) & (girth != 3))
+        ((excess == 0) & (np.asarray(girth) != 3))
         | (((excess == 1) | (excess == 2)) & min_degree_two)
-        | multipartite
+        | (np.asarray(parts) > 0)
     )
 
 

@@ -32,19 +32,19 @@ K4.  So a connected graph with a triangle that is not complete
 tripartite induces the paw or K4, every signing of which has rank 4;
 a principal submatrix never has larger rank, so every signing of the
 graph has rank >= 4 = g + 1.  A complete tripartite graph has signings
-of rank 3 (case (c)), so no rule could decide it.  The dense stream
-counts the parts of every row of a chunk at once
-(`classify.multipartite_parts`), on the neighbour bitmasks its
-enumeration builds, and `case_shapes` reads the same counts; so do
-graph6 records of order <= 7, grouped by order.  The sparse stream tests
-each core once: a graph with a leaf and a cycle is never complete
-multipartite (`_Core`), so a graph on a core of girth 3 has a witness
-when its hanging is non-empty or its core has one.  Larger graph6
-records look for a triangle on their own bitmasks, and at girth 3 count
-their parts (`_complete_tripartite`).  Every stream hands `add_graph`
-the girth and the witness, so the engine searches for neither.  At
-girth >= 4 the rule takes the graph's iterated pendant pairs and then a
-greedy maximal induced matching of the rest, lowest degree first
+of rank 3 (case (c)), so no rule could decide it.
+Every stream hands `_Engine.add_batch` one chunk of rows: per graph its
+order, key, edge count, girth hint and neighbour bitmasks, zero-padded
+to a common width; a padded column counts as no vertex.  The sparse
+stream ORs each core's masks into those of its hangings
+(`_hanging_rows`), and its hint is the core's girth, since hung trees
+add no cycle; the others' is 3 with a triangle, 4 with a 4-cycle and
+else 0 (`_girth_hints`).  One loop over vertex pairs counts the parts of
+every complete multipartite row (`classify.multipartite_parts`): a row
+has a witness when its hint is 3 and it does not have 3 parts, and
+`case_shapes` reads the same counts.  At girth >= 4 the rule takes the
+graph's iterated pendant pairs and then a greedy maximal induced
+matching of the rest, lowest degree first
 (`_matching_pairs`): p pendant pairs and k matched pairs.  Deleting a
 pendant vertex and its neighbour lowers the rank by exactly 2 (the
 paper's pendant lemma), and the matched pairs induce kK2, a principal
@@ -57,12 +57,11 @@ table runs on it only when `classify.case_shapes` says a case may fit,
 and it builds its spanning tree and keeps a record only when the case
 table accepts a pattern for it or a spot-check stride samples one of its
 instances.  A graph decided by a witness that neither holds costs no
-Python of its own: the dense and graph6 chunks sum such rows in numpy,
-and the sparse stream counts them from the core's row, which holds the
-verdict of `case_shapes` for the core and for all its non-empty
-hangings.  Spot checks sample by chunk-local stream position: every
-graph takes the next 2^(m - n + 1) positions, and an instance is sampled
-when its position is a multiple of the stride.
+Python of its own: `add_batch` sums such rows in numpy.  The other rows
+read their adjacency lists off the bitmasks, and search for their girth
+where the hint is 0.  Spot checks sample by chunk-local stream position:
+every graph takes the next 2^(m - n + 1) positions, and an instance is
+sampled when its position is a multiple of the stride.
 The other graphs' signing blocks are built on the graph's own labels and
 buffered by (order, g).  Before a block would bring all buffers together
 to one cap, the fullest is flushed, so no batch exceeds it.
@@ -74,13 +73,12 @@ counterexample whose rank the sweep knew only as g + 1 is re-ranked
 exactly and marked `rank_capped`.  The report counts instances by
 (order, girth, min(rank, girth + 1)), and the seconds spent planning
 and in each stage of the chunks (`STAGES`).
-The sparse stream computes each subdivided core's girth once and passes
-it on, since hung trees add no cycle.  Checks are vectorized across
-instance buffers.  The girth-4 consequence check takes a flush's
-girth-4 rank-4 instances together: it tests each underlying graph for a
-bipartition once, twin-reduces the int8 matrices the kernel ranked in
-one numpy pass (`core.reduced_vertices`), and ranks each distinct
-reduced matrix once per chunk with `exact.rank`, apart from the kernel.
+Checks are vectorized across instance buffers.  The girth-4
+consequence check takes a flush's girth-4 rank-4 instances together: it
+tests each underlying graph for a bipartition once, twin-reduces the
+int8 matrices the kernel ranked in one numpy pass
+(`core.reduced_vertices`), and ranks each distinct reduced matrix once
+per chunk with `exact.rank`, apart from the kernel.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns that `accepted_cotree_patterns` takes from the case
 table of `classify.py`, once per underlying graph.  Sampled instances,
@@ -126,12 +124,10 @@ from .invariants import (
     shortest_cycle,
 )
 from .classify import (
-    _complete_multipartite_parts,
     accepted_cotree_patterns,
     case_shapes,
     classify_equals_g,
     classify_gminus2,
-    could_have_case,
     multipartite_parts,
 )
 
@@ -268,6 +264,9 @@ class SweepConfig:
             raise ValueError(
                 f"unknown checks {unknown}; known: {sorted(CHECKS)}"
             )
+        duplicates = sorted({name for name in self.checks if self.checks.count(name) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate checks {duplicates}")
 
 
 @dataclass
@@ -453,13 +452,10 @@ def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
 def _edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-# the largest order whose neighbour bitmasks fit uint8 columns; _BITS
-# holds the set bits of each such mask, ascending: its adjacency list
-_MASK_ORDER = 7
-_BITS = tuple(
-    tuple(v for v in range(_MASK_ORDER) if (b >> v) & 1) for b in range(1 << _MASK_ORDER)
-)
+
+def _mask_dtype(width: int):
+    """The column dtype of neighbour bitmasks over `width` vertices."""
+    return np.uint8 if width <= 8 else np.uint16
 
 
 def _dense_chunk(n: int, lo: int, hi: int):
@@ -479,31 +475,37 @@ def _dense_chunk(n: int, lo: int, hi: int):
         nb[:, v] |= bits[:, e] << u
     keep = _connected_cyclic(n, m, nb)
     nb = nb[keep]
-    return masks[keep], m[keep], _girth_hints(n, nb), nb
+    return masks[keep], m[keep], _girth_hints(nb), nb
 
 
-def _connected_cyclic(n: int, m: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """Per row of uint8 neighbour bitmasks with m edges, whether the
-    graph is connected and has a cycle."""
-    reach = np.ones(len(nb), dtype=np.uint8)
-    for _ in range(n):
-        for v in range(n):
-            sel = (reach >> v) & 1
-            reach |= nb[:, v] * sel
-    return (m >= n) & (reach == (1 << n) - 1)
+def _connected_cyclic(n, m: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Per row of neighbour bitmasks of a graph on n vertices (per row, or
+    one for all) with m edges, zero-padded past n: whether the graph is
+    connected and has a cycle.  Vertex 0 reaches the neighbours of what
+    it reaches until no row grows."""
+    cols = np.ascontiguousarray(nb.T)
+    reach = np.ones(len(nb), dtype=nb.dtype)
+    while True:
+        before = reach.copy()
+        for v, col in enumerate(cols):
+            reach |= col * ((reach >> v) & 1)
+        if (reach == before).all():
+            return (m >= n) & (reach == (1 << np.asarray(n)) - 1)
 
 
-def _girth_hints(n: int, nb: np.ndarray) -> np.ndarray:
-    """Per row of uint8 neighbour bitmasks: 3 with a triangle, else 4 when
-    two vertices have two common neighbours, else 0."""
-    tri = np.zeros(len(nb), dtype=bool)
-    sq = np.zeros(len(nb), dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = nb[:, u] & nb[:, v]
-            tri |= (((nb[:, u] >> v) & 1) == 1) & (common != 0)
-            sq |= _POPCOUNT[common] >= 2
-    return np.where(tri, 3, np.where(sq, 4, 0)).astype(np.int64)
+def _girth_hints(nb: np.ndarray) -> np.ndarray:
+    """Per row of neighbour bitmasks, zero-padded or not: 3 with a
+    triangle, else 4 when two vertices have two common neighbours, else
+    0."""
+    cols = np.ascontiguousarray(nb.T)  # one contiguous array per vertex
+    tri = np.zeros(len(nb), dtype=nb.dtype)
+    sq = np.zeros(len(nb), dtype=nb.dtype)
+    for u, col in enumerate(cols):
+        for v in range(u + 1, len(cols)):
+            common = col & cols[v]
+            tri |= common * ((col >> v) & 1)  # common neighbours of an edge
+            sq |= common & (common - 1)  # two bits or more
+    return np.where(tri != 0, 3, np.where(sq != 0, 4, 0)).astype(np.int64)
 
 
 def _mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
@@ -674,28 +676,17 @@ def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
 
 class _Core:
     """One subdivided core of the sparse stream: its order, sorted edges,
-    girth, signings per graph, hangings, and whether it has a witness
-    (girth 3 and not `_complete_tripartite`).  Hung trees add no cycle,
-    so every graph hung from the core has its girth.
+    girth, neighbour bitmasks over max_n columns and hangings.  Hung
+    trees add no cycle, so every graph hung from the core has its
+    girth."""
 
-    A connected graph with a cycle and a leaf is never complete
-    multipartite: the leaf's non-neighbours would all see only its
-    neighbour, and the graph would be a star.  So a graph with a
-    non-empty hanging, which adds a leaf and keeps m - n and the girth,
-    has a witness when the core has girth 3, and `hung_shape` is its
-    `case_shapes`.  A graph's witness is `girth == 3 and (hang.extra or
-    core.witness)`: a bare core is the graph itself."""
-
-    __slots__ = ("n", "edges", "girth", "witness", "signings", "hung_shape", "hangings")
+    __slots__ = ("n", "edges", "girth", "nb", "hangings")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
         self.n = n
         self.edges = tuple(sorted(edges))
-        adj = _adjacency(n, self.edges)
-        self.girth = girth_of_adjacency(adj)
-        self.witness = self.girth == 3 and not _complete_tripartite(adj)
-        self.signings = 1 << (len(edges) - n + 1)
-        self.hung_shape = bool(could_have_case(len(edges) - n, False, False, self.girth))
+        self.girth = girth_of_adjacency(_adjacency(n, self.edges))
+        self.nb = _neighbour_masks(max_n, self.edges)
         self.hangings = _hangings(n, max_n - n)
 
 
@@ -715,19 +706,63 @@ def _sparse_length(max_n: int, max_cyclomatic: int) -> int:
 
 def _sparse_pieces(
     max_n: int, max_cyclomatic: int, lo: int = 0, hi: int | None = None
-) -> Iterator[tuple[_Core, _Hanging]]:
-    """The (core, hanging) pairs at stream positions [lo, hi), skipping
-    whole cores before lo by their hanging counts."""
+) -> Iterator[tuple[_Core, int, int]]:
+    """(core, a, b) for each core whose hangings core.hangings[a:b] are at
+    stream positions [lo, hi), skipping whole cores before lo by their
+    hanging counts."""
     start = 0
     for core in _core_table(max_n, max_cyclomatic):
         if hi is not None and start >= hi:
             return
         count = len(core.hangings)
         if start + count > lo:
-            stop = None if hi is None else hi - start
-            for hang in core.hangings[max(lo - start, 0):stop]:
-                yield core, hang
+            yield core, max(lo - start, 0), count if hi is None else min(count, hi - start)
         start += count
+
+
+@lru_cache(maxsize=4)
+def _hanging_rows(max_n: int, max_cyclomatic: int):
+    """The hangings of each core order of `_core_table(max_n,
+    max_cyclomatic)`, one row each, order by order: the first row of each
+    order, and per row the hung vertex count and the neighbour bitmasks
+    of the hanging's edges alone, over max_n columns."""
+    first, extra, nb = {}, [], []
+    for n in sorted({core.n for core in _core_table(max_n, max_cyclomatic)}):
+        first[n] = len(extra)
+        for hang in _hangings(n, max_n - n):
+            extra.append(hang.extra)
+            nb.append(_neighbour_masks(max_n, hang.edges))
+    return first, np.array(extra, dtype=np.int64), np.array(nb, dtype=_mask_dtype(max_n))
+
+
+def _sparse_chunk(max_n: int, max_cyclomatic: int, lo: int, hi: int):
+    """The graphs at sparse stream positions [lo, hi), one row each, as
+    `add_batch` takes them: (orders, keys, edge counts, girths, neighbour
+    bitmasks over max_n columns, edges_of).  A row ORs its core's masks
+    into its hanging's, and its girth is its core's."""
+    first, extra, hanging_nb = _hanging_rows(max_n, max_cyclomatic)
+    cores, counts, rows = [], [], []
+    for core, a, b in _sparse_pieces(max_n, max_cyclomatic, lo, hi):
+        cores.append(core)
+        counts.append(b - a)
+        rows.extend(range(first[core.n] + a, first[core.n] + b))
+    which = np.repeat(np.arange(len(cores)), counts)  # each row's core
+
+    def per_row(values, dtype=np.int64):
+        return np.array(values, dtype=dtype)[which]
+
+    hung = extra[rows]
+    order = per_row([core.n for core in cores]) + hung
+    m = per_row([len(core.edges) for core in cores]) + hung
+    girth = per_row([core.girth for core in cores])
+    nb = hanging_nb[rows] | per_row([core.nb for core in cores], hanging_nb.dtype)
+
+    def edges_of(key: int) -> list[tuple[int, int]]:
+        i = key - lo
+        core = cores[which[i]]
+        return sorted(core.edges + core.hangings[rows[i] - first[core.n]].edges)
+
+    return order, np.arange(lo, lo + len(rows)), m, girth, nb, edges_of
 
 
 def sparse_graphs(
@@ -738,8 +773,9 @@ def sparse_graphs(
     (labeled duplicates possible).  Yields (n, sorted edge list), each
     built from its core's row in `_core_table` and a hanging that
     `_hangings` caches per core order, so no list of the stream is held."""
-    for core, hang in _sparse_pieces(max_n, max_cyclomatic):
-        yield core.n + hang.extra, sorted(core.edges + hang.edges)
+    for core in _core_table(max_n, max_cyclomatic):
+        for hang in core.hangings:
+            yield core.n + hang.extra, sorted(core.edges + hang.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +876,21 @@ def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for v in range(1, n) for u in range(v))[::-1]
 
 
+def _graph6_chunk(lo: int, records: list[tuple[int, list[tuple[int, int]]]]):
+    """The connected records with a cycle of a graph6 chunk that starts
+    at record `lo`, one row each, in record order: (orders, keys, edge
+    counts, neighbour bitmasks zero-padded to the chunk's widest order),
+    and how many records were skipped."""
+    width = max(n for n, _ in records)
+    order = np.array([n for n, _ in records], dtype=np.int64)
+    m = np.array([len(edges) for _, edges in records], dtype=np.int64)
+    nb = np.array([_neighbour_masks(width, edges) for _, edges in records],
+                  dtype=_mask_dtype(width)).reshape(len(records), width)
+    keep = _connected_cyclic(order, m, nb)
+    keys = np.arange(lo, lo + len(records))
+    return order[keep], keys[keep], m[keep], nb[keep], len(records) - int(keep.sum())
+
+
 # ---------------------------------------------------------------------------
 # per-chunk engine
 
@@ -868,9 +919,7 @@ class _GraphMeta:
 
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Neighbours of each vertex, in the order of `edges`: ascending for
-    the dense stream, not always for the sparse one, whose subdivided
-    links end in pairs (u, v) with u > v."""
+    """Neighbours of each vertex, in the order of `edges`."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -891,11 +940,19 @@ def _neighbour_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     return nb
 
 
-def _complete_tripartite(adj: Sequence[Sequence[int]]) -> bool:
-    """Whether the graph is complete tripartite: the one kind of
-    connected graph with a triangle that has no witness."""
-    parts = _complete_multipartite_parts(adj)
-    return parts is not None and len(parts) == 3
+class _SetBits(dict):
+    """The set bits of each neighbour bitmask looked up, ascending: its
+    adjacency list, computed at first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            bits.append(low.bit_length() - 1)
+            rest ^= low
+        self[mask] = bits = tuple(bits)
+        return bits
 
 
 def _matching_pairs(
@@ -1043,6 +1100,7 @@ class _Engine:
         # exact rank of each twin-reduced girth-4 rank-4 matrix met so
         # far, keyed by its bytes
         self.reduced_ranks: dict[bytes, int] = {}
+        self.set_bits = _SetBits()
 
     # -- accounting helpers
 
@@ -1084,64 +1142,41 @@ class _Engine:
 
     # -- graph intake
 
-    def add_graph(self, source: str, key: int, n: int, edges: list[tuple[int, int]],
-                  adj: Sequence[Sequence[int]], girth: int, witness: bool,
-                  shape: bool) -> None:
-        """Intake of one connected graph with a cycle, at the next stream
-        position, with its adjacency lists and girth as the stream states
-        them: `witness` says whether it has girth 3 and is not complete
-        tripartite, and `shape` whether a case shape may fit it
-        (`case_shapes`)."""
-        start = self.position
-        self.position += 1 << (len(edges) - n + 1)
-        if self.capped and witness:
-            self._decide(source, key, n, edges, adj, girth, shape, start)
-        else:
-            self._match_or_rank(source, key, n, edges, adj, girth, shape, start)
-
-    def add_batch(self, source: str, n: int, keys: np.ndarray, m: np.ndarray,
-                  hints: np.ndarray, nb: np.ndarray, edges_of) -> None:
-        """Intake of connected graphs with a cycle on n <= _MASK_ORDER
-        vertices, one row each, in stream order: keys, edge counts, girth
-        hints and uint8 neighbour bitmasks as `_dense_chunk` gives them,
-        and edges_of(key) the graph's edge list.  A row has a witness when
-        its hint is 3 and it does not have 3 parts (`multipartite_parts`,
+    def add_batch(self, source: str, order: np.ndarray, keys: np.ndarray,
+                  m: np.ndarray, hints: np.ndarray, nb: np.ndarray, edges_of) -> None:
+        """Intake of one chunk of connected graphs with a cycle, one row
+        each, in stream order: orders, keys, edge counts, girth hints
+        (the girth, or 3, 4 and 0 as `_girth_hints` gives them) and
+        neighbour bitmasks zero-padded to a common width, and
+        edges_of(key) the graph's edge list.  A row has a witness when its
+        hint is 3 and it does not have 3 parts (`multipartite_parts`,
         which `case_shapes` reads too).  Rows with a witness, no case
         shape and no spot sample are only counted, in numpy; the other
-        rows take the per-graph path."""
-        counts = np.left_shift(1, m - n + 1)
+        rows take the per-graph path, with their adjacency lists read off
+        the bitmasks and the girth searched for where the hint is 0."""
+        counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
-        parts = multipartite_parts(n, nb)
+        parts = multipartite_parts(order, nb)
         witness = (hints == 3) & (parts != 3) & self.capped
-        shape = case_shapes(n, m, nb, hints, parts)
+        shape = case_shapes(order, m, nb, hints, parts)
         bulk = witness & ~shape & ~_holds_sample(starts, counts, self.stride)
-        if bulk.any():
-            self._sum_decided(n, 3, int(bulk.sum()), int(counts[bulk].sum()))
+        for n in np.flatnonzero(np.bincount(order[bulk])).tolist():
+            rows = bulk & (order == n)
+            self._sum_decided(n, 3, int(rows.sum()), int(counts[rows].sum()))
         rest = np.flatnonzero(~bulk)
-        rows = nb.tobytes()
-        for i, key, found, hint, fits, start in zip(
-            rest.tolist(), keys[rest].tolist(), witness[rest].tolist(),
-            hints[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
+        bits = self.set_bits
+        for n, row, key, found, hint, fits, start in zip(
+            order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
+            witness[rest].tolist(), hints[rest].tolist(), shape[rest].tolist(),
+            starts[rest].tolist(),
         ):
-            adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
+            adj = [bits[b] for b in row[:n]]
             if found:
                 self._decide(source, key, n, edges_of(key), adj, 3, fits, start)
             else:
                 girth = hint or girth_of_adjacency(adj)
                 self._match_or_rank(source, key, n, edges_of(key), adj, girth, fits, start)
-
-    def add_uncased(self, n: int, count: int) -> bool:
-        """Count a graph of girth 3 with a witness and no case shape, of
-        order n and with `count` instances, at the next stream
-        position, and return True; unless a spot stride samples one of its
-        instances: then return False, and the caller passes it to
-        `add_graph`."""
-        if _holds_sample(self.position, count, self.stride):
-            return False
-        self._sum_decided(n, 3, 1, count)
-        self.position += count
-        return True
 
     def _match_or_rank(self, source, key, n, edges, adj, girth, shape, start):
         """Decide a graph of girth >= 4 by its pendant pairs and induced
@@ -1526,59 +1561,26 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
 def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
     clock = time.perf_counter()
     engine = _Engine(config)
-    if desc[0] == "dense":
+    source = desc[0]
+    if source == "dense":
         _, n, lo, hi = desc
-        masks, m, hints, nb = _dense_chunk(n, lo, hi)
+        keys, m, hints, nb = _dense_chunk(n, lo, hi)
+        order = np.full(len(keys), n)
         # the edge table's own pairs: the buffered records share them
-        engine.add_batch("dense", n, masks, m, hints, nb, lambda mask: _mask_edges(n, mask))
-    elif desc[0] == "sparse":
+        edges_of = lambda mask: _mask_edges(n, mask)
+    elif source == "sparse":
         _, lo, hi = desc
-        pieces = _sparse_pieces(config.max_n_sparse, config.max_cyclomatic, lo, hi)
-        for key, (core, hang) in enumerate(pieces, lo):
-            n = core.n + hang.extra
-            # a bare core always meets the case table; a hung leaf gives a
-            # witness at girth 3 (`_Core`)
-            shape = core.hung_shape if hang.extra else True
-            witness = core.girth == 3 and (hang.extra > 0 or core.witness)
-            if not (
-                engine.capped and witness and not shape
-                and engine.add_uncased(n, core.signings)
-            ):
-                edges = sorted(core.edges + hang.edges)
-                engine.add_graph("sparse", key, n, edges, _adjacency(n, edges),
-                                 core.girth, witness, shape)
+        order, keys, m, hints, nb, edges_of = _sparse_chunk(
+            config.max_n_sparse, config.max_cyclomatic, lo, hi
+        )
     else:
         _, pi, lo, records = desc
         source = f"graph6[{pi}]"
-        # records of order 3 .. _MASK_ORDER go through numpy by order
-        by_order: dict[int, list[int]] = {}
-        for key, (n, _) in enumerate(records, lo):
-            if 3 <= n <= _MASK_ORDER:
-                by_order.setdefault(n, []).append(key)
-        for n, keys in sorted(by_order.items()):
-            edge_lists = [records[key - lo][1] for key in keys]
-            nb = np.array([_neighbour_masks(n, e) for e in edge_lists], dtype=np.uint8)
-            m = np.array([len(e) for e in edge_lists], dtype=np.int64)
-            keep = _connected_cyclic(n, m, nb)
-            engine.result.skipped_graph6_records += len(keys) - int(keep.sum())
-            nb = nb[keep]
-            engine.add_batch(
-                source, n, np.array(keys, dtype=np.int64)[keep], m[keep],
-                _girth_hints(n, nb), nb, lambda key: records[key - lo][1],
-            )
-        for key, (n, edges) in enumerate(records, lo):
-            if 3 <= n <= _MASK_ORDER:
-                continue
-            adj = _adjacency(n, edges)
-            if len(edges) < n or len(connected_components(adj)) != 1:
-                engine.result.skipped_graph6_records += 1
-                continue
-            # a triangle on the bitmasks spares girth 3 its search
-            nb = _neighbour_masks(n, edges)
-            triangle = any(nb[u] & nb[v] for u, v in edges)
-            girth = 3 if triangle else girth_of_adjacency(adj)
-            witness = triangle and not _complete_tripartite(adj)
-            engine.add_graph(source, key, n, edges, adj, girth, witness, True)
+        order, keys, m, nb, skipped = _graph6_chunk(lo, records)
+        engine.result.skipped_graph6_records += skipped
+        hints = _girth_hints(nb)
+        edges_of = lambda key: records[key - lo][1]
+    engine.add_batch(source, order, keys, m, hints, nb, edges_of)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
     return res

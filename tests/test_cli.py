@@ -293,6 +293,13 @@ class TestVerify:
         assert code == 2
         assert "unknown" in err.lower()
 
+    def test_duplicate_check_is_usage_error(self):
+        code, out, err = cli("verify", "--max-n", "3", "--sparse-max-n", "3",
+                             "--checks", "rank_ge_girth_minus_2,rank_ge_girth_minus_2")
+        assert code == 2
+        assert err == "error: duplicate checks ['rank_ge_girth_minus_2']\n"
+        assert "graphs:" not in out
+
 
 def test_no_arguments_shows_usage():
     code, _, err = cli()

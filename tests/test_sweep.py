@@ -45,19 +45,21 @@ from sgrank.classify import _complete_multipartite_parts, case_shapes, multipart
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     STAGES,
-    _BITS,
     _SIGNING_BLOCK,
     _SPOT_CLASSIFY_STRIDE,
     _SPOT_RANK_STRIDE,
-    _complete_tripartite,
+    _connected_cyclic,
     _cotree_signing,
     _dense_chunk,
     _edge_table,
     _girth_hints,
+    _mask_dtype,
+    _mask_edges,
     _matching_pairs,
     _neighbour_masks,
     _run_chunk,
     _signing_block,
+    _sparse_chunk,
     _sparse_length,
     _sparse_pieces,
 )
@@ -193,6 +195,24 @@ class TestDenseStream:
 class TestSparseStream:
     def test_stream_is_stable(self):
         assert sum(1 for _ in sparse_graphs(6, 3)) == 346
+
+    @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+    def test_holds_every_atlas_class(self):
+        # every connected graph on 3..7 vertices with cyclomatic number
+        # 1..3 in networkx's atlas is isomorphic to a member of the stream
+        stream = {}
+        for n, edges in sparse_graphs(7, 3):
+            g = _graph(n, edges)
+            stream.setdefault(nx.weisfeiler_lehman_graph_hash(g), []).append(g)
+        classes = 0
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if 3 <= n and 1 <= g.number_of_edges() - n + 1 <= 3 and nx.is_connected(g):
+                same_hash = stream.get(nx.weisfeiler_lehman_graph_hash(g), ())
+                assert any(nx.is_isomorphic(g, h) for h in same_hash), sorted(g.edges())
+                classes += 1
+        assert classes == 280
+        assert sum(map(len, stream.values())) == 1742
 
     def test_members_are_well_formed(self):
         for n, edges in sparse_graphs(7, 2):
@@ -339,19 +359,17 @@ class TestCaseShapes:
         assert sum(self._cases(n, graphs) for n, graphs in by_order.items()) > 0
 
     def test_sparse_verdicts_per_core_and_hanging(self):
-        # the sweep takes one verdict for all non-empty hangings of a core,
-        # and runs the case table on the bare core
+        # the sweep runs `case_shapes` on the sparse stream's rows, over
+        # max_n columns: each row's verdict is that of its own graph,
+        # unpadded, with the girth searched for
+        order, _, m, girth, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        got = case_shapes(order, m, nb, girth, multipartite_parts(order, nb)).tolist()
         by_order = {}
-        for core, hang in _sparse_pieces(10, 3):
-            n = core.n + hang.extra
-            fits = core.hung_shape if hang.extra else True
-            by_order.setdefault(n, []).append((_hung_graph(core, hang)[1], fits))
-        verdicts = set()
+        for i, (n, edges) in enumerate(sparse_graphs(10, 3)):
+            by_order.setdefault(n, []).append((i, edges))
         for n, items in by_order.items():
-            got = _shapes(n, [edges for edges, _ in items])
-            assert got == [fits for _, fits in items], n
-            verdicts |= set(got)
-        assert verdicts == {True, False}
+            assert [got[i] for i, _ in items] == _shapes(n, [e for _, e in items]), n
+        assert set(got) == {True, False}
 
 
 def _k7_plus_vertex():
@@ -441,7 +459,7 @@ class TestGirthThreeSkipsTheMatching:
     def test_two_pairs_give_a_witness(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
         graphs += [
-            _hung_graph(core, hang) for core, hang in _sparse_pieces(10, 3)
+            _hung_graph(core, hang) for core, hang in _pieces(10, 3)
             if core.girth == 3
         ]
         two_pairs = 0
@@ -464,11 +482,9 @@ class TestGirthThreeSkipsTheMatching:
                     continue
                 edges = [(u, v) for u, v in combinations(range(n), 2)
                          if labels[u] != labels[v]]
-                adj = _adjacency(n, edges)
-                assert _complete_tripartite(adj), edges
-                nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
-                assert multipartite_parts(n, nb).tolist() == [3]
-                pendant, matched = _matching_pairs(adj)
+                assert _tripartite(n, edges), edges
+                assert multipartite_parts(n, _masks(n, edges)).tolist() == [3]
+                pendant, matched = _matching_pairs(_adjacency(n, edges))
                 assert (len(pendant), len(matched)) == (0, 1), edges
                 graphs += 1
         assert graphs == 1 + 6 + 25 + 90 + 301
@@ -525,9 +541,15 @@ def _has_triangle(n, edges):
     return any(nb[u] & nb[v] for u, v in edges)
 
 
+def _tripartite(n, edges):
+    """Whether the graph is complete tripartite, by the scalar test."""
+    parts = _complete_multipartite_parts(_adjacency(n, edges))
+    return parts is not None and len(parts) == 3
+
+
 def _witness(n, edges):
     """The sweep's witness: a triangle, and not complete tripartite."""
-    return _has_triangle(n, edges) and not _complete_tripartite(_adjacency(n, edges))
+    return _has_triangle(n, edges) and not _tripartite(n, edges)
 
 
 def _hung_graph(core, hang):
@@ -536,15 +558,32 @@ def _hung_graph(core, hang):
     return core.n + hang.extra, sorted(core.edges + hang.edges)
 
 
+def _pieces(max_n, max_cyclomatic, lo=0, hi=None):
+    """The (core, hanging) pairs at sparse stream positions [lo, hi)."""
+    return [(core, hang) for core, a, b in _sparse_pieces(max_n, max_cyclomatic, lo, hi)
+            for hang in core.hangings[a:b]]
+
+
 def _row_witness(n, nb):
     """The witness of rows of neighbour bitmasks, as `add_batch` takes it:
     a girth hint of 3, and not 3 parts."""
-    return (_girth_hints(n, nb) == 3) & (multipartite_parts(n, nb) != 3)
+    return (_girth_hints(nb) == 3) & (multipartite_parts(n, nb) != 3)
+
+
+def _masks(n, edges, width=None):
+    """One row of neighbour bitmasks, zero-padded to `width` columns, in
+    the sweep's dtype for that width."""
+    width = n if width is None else width
+    return np.array([_neighbour_masks(width, edges)], dtype=_mask_dtype(width))
 
 
 def _dense_witness_of(n, edges):
-    nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint8)
-    return bool(_row_witness(n, nb)[0])
+    return bool(_row_witness(n, _masks(n, edges))[0])
+
+
+def _adjacency_of_row(row):
+    """Adjacency lists, ascending, from one row of neighbour bitmasks."""
+    return [[w for w in range(len(row)) if (b >> w) & 1] for b in row]
 
 
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]
@@ -592,7 +631,7 @@ class TestWitnessTable:
             n, edges = g.number_of_nodes(), sorted(g.edges())
             assert not _brute_force_witness(n, edges), sizes
             assert not _witness(n, edges)
-            assert n > 7 or not _dense_witness_of(n, edges)  # uint8 masks
+            assert not _dense_witness_of(n, edges)  # uint16 masks from n = 9
 
 
 class TestInducedForestWitness:
@@ -672,16 +711,53 @@ class TestDenseWitness:
             parts = multipartite_parts(n, nb)
             got = _row_witness(n, nb)
             assert got.dtype == bool
-            rows = nb.tobytes()
-            for i, (hint, count, witness) in enumerate(
-                zip(hints.tolist(), parts.tolist(), got.tolist())
+            for i, (row, hint, count, witness) in enumerate(
+                zip(nb.tolist(), hints.tolist(), parts.tolist(), got.tolist())
             ):
-                adj = [_BITS[b] for b in rows[i * n:(i + 1) * n]]
-                scalar = _complete_multipartite_parts(adj)
+                scalar = _complete_multipartite_parts(_adjacency_of_row(row))
                 assert count == (0 if scalar is None else len(scalar)), (n, i)
                 assert witness == (hint == 3 and count != 3), (n, i)
             found += int(got.sum())
         assert (found > 0) == (n >= 4)  # the paw and K4 from n = 4 on
+
+
+class TestPaddedRows:
+    """A row may be zero-padded past its graph's order: a padded column
+    counts as no vertex."""
+
+    def test_padded_dense_rows_give_the_same_results(self):
+        rows = multipartite = by_degree = 0
+        for n in range(3, 7):
+            total = 1 << len(_edge_table(n))
+            masks, m, hints, nb = _dense_chunk(n, 0, total)
+            parts = multipartite_parts(n, nb)
+            shapes = case_shapes(n, m, nb, hints, parts)
+            # every labeled graph on n vertices, for the connectivity test
+            every = np.array(
+                [_neighbour_masks(n, _mask_edges(n, mask)) for mask in range(total)],
+                dtype=np.uint8,
+            )
+            every_m = np.array([bin(mask).count("1") for mask in range(total)])
+            for width in (8, 9, 16):
+                padded = np.zeros((len(nb), width), dtype=_mask_dtype(width))
+                padded[:, :n] = nb
+                order = np.full(len(nb), n)
+                got = multipartite_parts(order, padded)
+                assert (got == parts).all(), (n, width)
+                assert (case_shapes(order, m, padded, hints, got) == shapes).all(), (n, width)
+                assert (_girth_hints(padded) == hints).all(), (n, width)
+                wide = np.zeros((total, width), dtype=_mask_dtype(width))
+                wide[:, :n] = every
+                keep = _connected_cyclic(np.full(total, n), every_m, wide)
+                assert np.flatnonzero(keep).tolist() == masks.tolist(), (n, width)
+            rows += len(nb)
+            # rows that a padded column would turn round: complete
+            # multipartite ones, and ones in a case shape by their degrees
+            multipartite += int((parts > 0).sum())
+            by_degree += int((shapes & (parts == 0) & (m > n)).sum())
+        # the connected labeled graphs with a cycle on 3..6 vertices
+        assert rows == 26_034
+        assert multipartite > 0 and by_degree > 0
 
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
@@ -840,11 +916,9 @@ class TestDecidedAtIntake:
             return [(v, v) for v in range(len(adj))], []
 
         monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
-        # and a witness every graph of girth 3: no graph is complete
-        # tripartite to the witness, while `case_shapes` still sees the
-        # complete multipartite graphs.  The sparse stream takes its
-        # witnesses from the core table, so a fresh table is built under
-        # the patch, and the cached one comes back afterwards
+        # and a witness every graph of girth 3, in every stream: no graph
+        # is complete tripartite to the witness, while `case_shapes` still
+        # sees the complete multipartite graphs
         real_parts = sweep_module.multipartite_parts
 
         def four_parts(n, nb):
@@ -852,9 +926,6 @@ class TestDecidedAtIntake:
             return np.where(parts == 3, 4, parts)
 
         monkeypatch.setattr(sweep_module, "multipartite_parts", four_parts)
-        monkeypatch.setattr(sweep_module, "_complete_tripartite", lambda adj: False)
-        monkeypatch.setattr(sweep_module, "_core_table",
-                            lru_cache(maxsize=4)(sweep_module._core_table.__wrapped__))
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
@@ -1122,34 +1193,11 @@ class TestGraph6:
 class TestSparseGirthHint:
     def test_hint_is_the_girth(self):
         graphs = []
-        for core, hang in _sparse_pieces(10, 3):
+        for core, hang in _pieces(10, 3):
             n, edges = _hung_graph(core, hang)
             assert core.girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
             graphs.append((n, edges))
         assert graphs == list(sparse_graphs(10, 3))
-
-
-class TestLeafLemma:
-    """A connected graph with a cycle and a leaf is never complete
-    multipartite (`_Core`), so the sparse stream states a witness for
-    every graph hung from a core of girth 3 without testing it."""
-
-    def test_every_hung_graph_of_girth_three_has_a_witness(self):
-        hung = 0
-        for core, hang in _sparse_pieces(10, 3):
-            if core.girth == 3 and hang.extra:
-                n, edges = _hung_graph(core, hang)
-                assert _complete_multipartite_parts(_adjacency(n, edges)) is None, edges
-                hung += 1
-        assert hung == 112_137
-
-    def test_every_dense_row_of_girth_three_with_a_leaf_has_a_witness(self):
-        _, _, hints, nb = _dense_chunk(7, 0, sweep_module._DENSE_CHUNK_MASKS)
-        nb = nb[hints == 3]
-        leaf = (sweep_module._POPCOUNT[nb] == 1).any(axis=1)
-        assert leaf.sum() > 10_000
-        assert (multipartite_parts(7, nb[leaf]) == 0).all()
-        assert _row_witness(7, nb[leaf]).all()
 
 
 class TestSparseChunks:
@@ -1158,7 +1206,7 @@ class TestSparseChunks:
 
     @pytest.mark.parametrize("max_n", [8, 10])
     def test_slices_join_to_the_full_stream(self, max_n):
-        full = list(_sparse_pieces(max_n, 3))
+        full = _pieces(max_n, 3)
         assert _sparse_length(max_n, 3) == len(full)
         graphs = [_hung_graph(core, hang) for core, hang in full]
         assert graphs == list(sparse_graphs(max_n, 3))
@@ -1166,9 +1214,9 @@ class TestSparseChunks:
         # a step of 97 puts slice boundaries inside cores
         joined = []
         for lo in range(0, len(full) + 97, 97):
-            joined += _sparse_pieces(max_n, 3, lo, lo + 97)
+            joined += _pieces(max_n, 3, lo, lo + 97)
         assert joined == full
-        assert list(_sparse_pieces(max_n, 3, 97)) == full[97:]
+        assert _pieces(max_n, 3, 97) == full[97:]
 
     def test_small_chunks_report_the_same_failures(self, monkeypatch):
         cfg = SweepConfig(max_n_dense=0, max_n_sparse=8,
@@ -1181,18 +1229,40 @@ class TestSparseChunks:
         for ce in got.counterexamples:
             _replay(ce, sparse_n=8)
 
-    def test_core_witness_holds_for_every_hung_graph(self):
+    def test_batch_witness_on_every_sparse_row(self):
+        # the witness `add_batch` takes from a sparse row, its core's
+        # girth 3 and not 3 parts, is "a triangle and not complete
+        # tripartite" of the row's graph
+        order, keys, m, girth, nb, edges_of = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        got = ((girth == 3) & (multipartite_parts(order, nb) != 3)).tolist()
         witnessed = 0
-        for core, hang in _sparse_pieces(9, 3):
-            if core.witness:
-                assert _witness(*_hung_graph(core, hang)), hang.edges
-                witnessed += 1
-        cores = sweep_module._core_table(9, 3)
-        assert any(core.girth == 3 and not core.witness for core in cores)
-        assert {core.witness for core in cores} == {False, True}
-        assert witnessed > 0
+        for (n, edges), found in zip(sparse_graphs(10, 3), got):
+            assert found == _witness(n, edges), (n, edges)
+            witnessed += found
+        # 112,137 hung graphs of girth 3, and the bare cores of girth 3
+        # other than the 8 complete tripartite ones
+        assert len(got) == 144_104 and witnessed == 114_028
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=9))
         assert rep.decided_by_witness == 199_958
+
+    @pytest.mark.parametrize("max_n", [8, 10])
+    def test_rows_are_the_stream_graphs(self, max_n):
+        # rows built a chunk at a time, from the core's masks ORed into
+        # the cached masks of its hanging, padded to max_n columns; a
+        # step of 97 puts chunk boundaries inside cores
+        stream = list(sparse_graphs(max_n, 3))
+        total = _sparse_length(max_n, 3)
+        for lo in range(0, total, 97):
+            order, keys, m, girth, nb, edges_of = _sparse_chunk(max_n, 3, lo, min(lo + 97, total))
+            assert nb.dtype == _mask_dtype(max_n) and nb.shape[1] == max_n
+            assert keys.tolist() == list(range(lo, lo + len(keys)))
+            for key, n, edges_m, row in zip(keys.tolist(), order.tolist(), m.tolist(),
+                                            nb.tolist()):
+                n_want, edges = stream[key]
+                assert (n, edges_m) == (n_want, len(edges))
+                assert row == _neighbour_masks(max_n, edges), (n, edges)
+                assert edges_of(key) == edges
+        assert lo + len(keys) == len(stream)
 
 
 class TestSweepRuns:
@@ -1344,9 +1414,11 @@ class TestSweepRuns:
                 run(cfg)
 
     def test_large_graph6_records_state_girth_and_witness(self, tmp_path, monkeypatch):
-        # records of order > 7 find their own girth and witness before
-        # `add_graph`: a triangle on the bitmasks, else the girth search;
-        # the witness is checked against the brute-force search
+        # the girth and witness `add_batch` hands on for records of order
+        # > 7, against the girth search and the brute-force witness search.
+        # With a case shape on every row, no row is only counted: a row
+        # with a witness goes to `_decide` at girth 3, and every other to
+        # `_match_or_rank`, which may pass it to `_decide` at girth >= 4
         rng = random.Random(29)
         graphs = [
             nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
@@ -1354,19 +1426,33 @@ class TestSweepRuns:
         ]
         graphs += [nx.complete_multipartite_graph(1, 1, 6), nx.cycle_graph(9)]
         path = _graph6_file(tmp_path / "large.g6", graphs)
-        stated = set()
-        add = sweep_module._Engine.add_graph
+        stated = {}
+        decide = sweep_module._Engine._decide
+        match_or_rank = sweep_module._Engine._match_or_rank
 
-        def spy(self, source, key, n, edges, adj, girth, witness, shape):
+        def state(key, n, edges, girth, witness):
+            assert key not in stated
             assert girth == girth_of_adjacency(_adjacency(n, edges)), edges
             assert witness == (girth == 3 and _brute_force_witness(n, edges)), edges
-            stated.add((girth, witness))
-            add(self, source, key, n, edges, adj, girth, witness, shape)
+            stated[key] = (girth, witness)
 
-        monkeypatch.setattr(sweep_module._Engine, "add_graph", spy)
+        def decide_spy(self, source, key, n, edges, adj, girth, *args):
+            if girth == 3:
+                state(key, n, edges, girth, True)
+            decide(self, source, key, n, edges, adj, girth, *args)
+
+        def match_spy(self, source, key, n, edges, adj, girth, *args):
+            state(key, n, edges, girth, False)
+            match_or_rank(self, source, key, n, edges, adj, girth, *args)
+
+        monkeypatch.setattr(sweep_module, "case_shapes",
+                            lambda n, m, *_: np.ones(len(m), dtype=bool))
+        monkeypatch.setattr(sweep_module._Engine, "_decide", decide_spy)
+        monkeypatch.setattr(sweep_module._Engine, "_match_or_rank", match_spy)
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,)))
         assert rep.total_failures() == 0
-        assert {(3, True), (3, False), (4, False), (9, False)} <= stated
+        assert len(stated) == rep.graphs == len(graphs) - rep.skipped_graph6_records
+        assert {(3, True), (3, False), (4, False), (9, False)} <= set(stated.values())
 
     def test_complete_tripartite_records_reach_the_kernel(self, tmp_path):
         # no witness, and two switching classes of rank 3 (case (c)): every
@@ -1447,9 +1533,8 @@ def _graph6_file(path, graphs):
 
 
 class TestWholeChunkIntake:
-    """Dense chunks and graph6 records of order <= 7 go through numpy a
-    chunk at a time; the spot strides sample by chunk-local stream
-    position."""
+    """Every chunk goes through numpy at once; the spot strides sample by
+    chunk-local stream position."""
 
     def test_graph6_records_match_the_dense_stream(self, tmp_path, monkeypatch):
         graphs = [
@@ -1513,6 +1598,64 @@ class TestWholeChunkIntake:
         assert reports[0] == reports[1]
 
 
+class TestMixedOrderChunks:
+    """A graph6 chunk of any orders goes to `add_batch` in one call, its
+    rows padded to the chunk's widest order."""
+
+    def test_one_record_per_chunk_gives_the_same_report(self, tmp_path, monkeypatch):
+        rng = random.Random(31)
+        graphs = []
+        for n in range(3, 17):
+            graphs.append(nx.gnp_random_graph(n, min(0.9, 3.0 / n), seed=rng.randrange(10**6)))
+            graphs.append(nx.random_labeled_tree(n, seed=rng.randrange(10**6)))
+        graphs += [
+            nx.complete_multipartite_graph(*sizes)
+            for sizes in [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 6), (2, 3, 3), (2, 2, 5)]
+        ]
+        graphs += [
+            nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)),
+            nx.disjoint_union(nx.complete_graph(5), nx.cycle_graph(11)),
+            nx.cycle_graph(16),
+            nx.empty_graph(2),
+        ]
+        rng.shuffle(graphs)
+        path = _graph6_file(tmp_path / "mixed.g6", graphs)
+        widths = set()
+        chunk = sweep_module._graph6_chunk
+
+        def spy(lo, records):
+            out = chunk(lo, records)
+            widths.add(out[3].shape[1])
+            return out
+
+        monkeypatch.setattr(sweep_module, "_graph6_chunk", spy)
+        # the spot checks sample by chunk-local position, so they follow
+        # the chunk size; every other check is kept
+        checks = [name for name in DEFAULT_CHECKS if CHECKS[name].kind != "spot"]
+        cfg = SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,),
+                          checks=(*checks, "rank_ge_girth_minus_1"),
+                          max_counterexamples=10**6)
+        reports = []
+        for records in (1024, 1):
+            monkeypatch.setattr(sweep_module, "_GRAPH6_CHUNK_RECORDS", records)
+            data = run(cfg).to_json_dict()
+            data["elapsed_seconds"] = 0
+            data["stages"] = {}
+            reports.append(data)
+        totals = reports[0]["totals"]
+        kept = [g for g in graphs
+                if len(g) and nx.is_connected(g) and g.number_of_edges() >= len(g)]
+        assert totals["graphs"] == len(kept) < len(graphs) - 14 - 3
+        assert totals["skipped_graph6_records"] == len(graphs) - len(kept)
+        assert totals["instances"] == sum(
+            1 << (g.number_of_edges() - len(g) + 1) for g in kept
+        )
+        assert 0 < totals["decided_by_witness"] < totals["instances"]
+        assert reports[0]["checks"]["rank_ge_girth_minus_1"]["failures"] > 0
+        assert {3, 8, 9, 16} <= widths  # uint8 and uint16 columns
+        assert reports[0] == reports[1]
+
+
 class TestConfigValidation:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -1532,6 +1675,11 @@ class TestConfigValidation:
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown checks"):
             run(SweepConfig(checks=("no_such_check",)))
+
+    def test_duplicate_check(self):
+        checks = ("rank_ge_girth_minus_2", "rank_ne_girth_minus_1", "rank_ge_girth_minus_2")
+        with pytest.raises(ValueError, match=r"duplicate checks \['rank_ge_girth_minus_2'\]"):
+            run(SweepConfig(checks=checks))
 
     def test_registry_consistency(self):
         assert set(DEFAULT_CHECKS) <= set(CHECKS)
