@@ -44,24 +44,26 @@ every complete multipartite row (`classify.multipartite_parts`): a row
 has a witness when its hint is 3 and it does not have 3 parts, and
 `case_shapes` reads the same counts.  At girth >= 4 the rule takes the
 graph's iterated pendant pairs and then a greedy maximal induced
-matching of the rest, lowest degree first
-(`_matching_pairs`): p pendant pairs and k matched pairs.  Deleting a
-pendant vertex and its neighbour lowers the rank by exactly 2 (the
-paper's pendant lemma), and the matched pairs induce kK2, a principal
-submatrix of rank 2k on every signing.  So every signing has rank >=
-2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.  It is
-not run at girth 3, where it finds p + k = 1 on every graph without a
-witness (`_match_or_rank`).
+matching of the rest, lowest degree first: p pendant pairs and k
+matched pairs, counted for every row whose hint is not 3 in one numpy
+pass over the chunk (`_matching_bounds`).  Deleting a pendant vertex
+and its neighbour lowers the rank by exactly 2 (the paper's pendant
+lemma), and the matched pairs induce kK2, a principal submatrix of rank
+2k on every signing.  So every signing has rank >= 2(p + k), and the
+rule decides a graph with 2(p + k) >= g + 1.  It is not run at girth 3,
+where it finds p + k = 1 on every graph without a witness.  A row whose
+hint is 0 learns its girth, and so whether the rule decides it, on the
+per-graph path (`_match_or_rank`).
 A decided graph goes into running sums by (order, girth).  The case
 table runs on it only when `classify.case_shapes` says a case may fit,
 and it builds its spanning tree and keeps a record only when the case
 table accepts a pattern for it or a spot-check stride samples one of its
-instances.  A graph decided by a witness that neither holds costs no
-Python of its own: `add_batch` sums such rows in numpy.  The other rows
-read their adjacency lists off the bitmasks, and search for their girth
-where the hint is 0.  Spot checks sample by chunk-local stream position:
-every graph takes the next 2^(m - n + 1) positions, and an instance is
-sampled when its position is a multiple of the stride.
+instances.  A row that either rule decides in numpy and that neither
+holds costs no Python of its own: `add_batch` sums such rows in numpy.
+The other rows read their adjacency lists off the bitmasks, and search
+for their girth where the hint is 0.  Spot checks sample by chunk-local
+stream position: every graph takes the next 2^(m - n + 1) positions, and
+an instance is sampled when its position is a multiple of the stride.
 The other graphs' signing blocks are built on the graph's own labels and
 buffered by (order, g).  Before a block would bring all buffers together
 to one cap, the fullest is flushed, so no batch exceeds it.
@@ -228,10 +230,10 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # chunk's flushes time the kernel (stacking the blocks and ranking them)
 # and the checks, and the spot checks of decided graphs count as
 # spot_checks; intake is the rest of the chunk: enumeration, girth, the
-# part counts behind the witness and the case-shape test, the pendant
-# pairs and matching, the case table, block build and the decided
-# graphs' sums, whole chunks at a time where numpy takes them.  With
-# jobs > 1 the chunk stages add up the workers' time.
+# part counts behind the witness and the case-shape test, the matching
+# bounds, the case table, block build and the decided graphs' sums, whole
+# chunks at a time where numpy takes them.  With jobs > 1 the chunk
+# stages add up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
@@ -955,44 +957,66 @@ class _SetBits(dict):
         return bits
 
 
-def _matching_pairs(
-    adj: Sequence[Sequence[int]],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The p iterated pendant pairs and the k matched pairs of a graph, as
-    two lists of (x, y).  A pendant pair is a vertex x of degree 1 in what
-    is left, then its neighbour y; the matched pairs are the edges of a
-    greedy maximal induced matching of the remainder, visiting vertices
-    and their neighbours lowest remaining degree first.  Deleting a
-    pendant pair lowers the rank by exactly 2 (the pendant lemma), and the
-    matched pairs induce kK2, of rank 2k on every signing, as a principal
-    submatrix of what is left.  So every signing has rank >= 2(p + k)."""
-    n = len(adj)
-    degree = [len(nb) for nb in adj]  # once the pendant pairs are deleted
-    free = [True] * n  # neither paired nor adjacent to a matched vertex
-    pendant = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    while leaves:
-        x = leaves.pop()
-        if not free[x] or degree[x] != 1:
-            continue
-        y = next(w for w in adj[x] if free[w])
-        pendant.append((x, y))
-        free[x] = free[y] = False
-        for w in adj[y]:
-            if free[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    matched = []
-    for u in sorted(range(n), key=degree.__getitem__):
-        if free[u]:
-            for v in sorted(adj[u], key=degree.__getitem__):
-                if free[v]:
-                    matched.append((u, v))
-                    for w in (*adj[u], *adj[v]):
-                        free[w] = False
-                    break
-    return pendant, matched
+def _matching_bounds(order, nb: np.ndarray) -> np.ndarray:
+    """Per row of neighbour bitmasks of a graph on `order` vertices (per
+    row, or one for all), zero-padded past it: p + k for the graph's p
+    iterated pendant pairs and k matched pairs, in lockstep over the rows.
+    A pendant pair is a vertex x of degree 1 in what is left, then its
+    neighbour y: each row keeps a stack of such vertices, seeded in
+    ascending order and popped from the top, and pushes the neighbours of
+    y that y's deletion leaves with degree 1, ascending.  The matched
+    pairs are the edges of a greedy maximal induced matching of the
+    remainder: the vertices in stable order of degree, each free u with
+    its free neighbour v of least (degree, index), after which u, v and
+    their neighbours are no longer free.  Deleting a pendant pair lowers
+    the rank by exactly 2 (the pendant lemma), and the matched pairs
+    induce kK2, of rank 2k on every signing, as a principal submatrix of
+    what is left.  So every signing has rank >= 2(p + k)."""
+    rows, width = nb.shape
+    at, every = np.arange(rows), np.arange(width)
+    adj = nb.astype(np.int64)
+    # neither paired nor adjacent to a matched vertex; the degrees count
+    # free neighbours once the pendant pairs are deleted
+    free = np.broadcast_to((1 << np.asarray(order, dtype=np.int64)) - 1, (rows,)).copy()
+    deg = np.zeros((rows, width), dtype=np.int64)
+    for w in range(width):
+        deg += (adj >> w) & 1
+    pairs = np.zeros(rows, dtype=np.int64)
+    # every vertex is pushed once at most: it reaches degree 1 only once
+    stack = np.zeros((rows, width), dtype=np.int64)
+    top = np.zeros(rows, dtype=np.int64)
+
+    def push(live, new):
+        at, w = np.nonzero(new)  # ascending w within each row
+        stack[live[at], top[live][at] + np.cumsum(new, axis=1)[at, w] - 1] = w
+        top[live] += new.sum(axis=1)
+
+    push(at, deg == 1)
+    while True:
+        live = np.flatnonzero(top)
+        if not len(live):
+            break
+        top[live] -= 1
+        x = stack[live, top[live]]
+        ok = (((free[live] >> x) & 1) == 1) & (deg[live, x] == 1)
+        live, x = live[ok], x[ok]
+        y_bit = adj[live, x] & free[live]  # x's one free neighbour
+        y = np.frexp(y_bit)[1] - 1  # the exponent of one bit, exact in float64
+        free[live] &= ~((np.int64(1) << x) | y_bit)
+        pairs[live] += 1
+        lose = ((adj[live, y] & free[live])[:, None] >> every) & 1
+        deg[live] -= lose
+        push(live, (lose == 1) & (deg[live] == 1))
+    key = deg * width + every  # (degree, index)
+    for u in np.argsort(key, axis=1).T:
+        nb_u = adj[at, u]
+        cand = nb_u & free & -((free >> u) & 1)  # none unless u is free
+        live = np.flatnonzero(cand)
+        bits = ((cand[live, None] >> every) & 1) == 1
+        v = np.argmin(np.where(bits, key[live], width * width), axis=1)
+        free[live] &= ~(nb_u[live] | adj[live, v])
+        pairs[live] += 1
+    return pairs
 
 
 def _instance_graph(meta: _GraphMeta, signing: int) -> SignedGraph:
@@ -1148,48 +1172,62 @@ class _Engine:
         each, in stream order: orders, keys, edge counts, girth hints
         (the girth, or 3, 4 and 0 as `_girth_hints` gives them) and
         neighbour bitmasks zero-padded to a common width, and
-        edges_of(key) the graph's edge list.  A row has a witness when its
-        hint is 3 and it does not have 3 parts (`multipartite_parts`,
-        which `case_shapes` reads too).  Rows with a witness, no case
-        shape and no spot sample are only counted, in numpy; the other
-        rows take the per-graph path, with their adjacency lists read off
-        the bitmasks and the girth searched for where the hint is 0."""
+        edges_of(key) the graph's edge list.  A capped engine decides a row
+        by either rule.  A row has a witness when its hint is 3 and it
+        does not have 3 parts (`multipartite_parts`, which `case_shapes`
+        reads too).  The rows whose hint is not 3 get their pendant pairs
+        and matching in one pass (`_matching_bounds`), and a row whose
+        hint is its girth g >= 4 is decided when 2(p + k) >= g + 1.
+        Decided rows with no case shape and no spot sample are only
+        counted, in numpy, by (order, girth); the other rows take the
+        per-graph path, with their adjacency lists read off the bitmasks
+        and the girth searched for where the hint is 0."""
         counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
         parts = multipartite_parts(order, nb)
-        witness = (hints == 3) & (parts != 3) & self.capped
+        bound = np.zeros(len(order), dtype=np.int64)
+        if self.capped:
+            rows = np.flatnonzero(hints != 3)
+            bound[rows] = _matching_bounds(order[rows], nb[rows])
+        decided = ((hints == 3) & (parts != 3) & self.capped) | (
+            (hints >= 4) & (2 * bound > hints)
+        )
         shape = case_shapes(order, m, nb, hints, parts)
-        bulk = witness & ~shape & ~_holds_sample(starts, counts, self.stride)
-        for n in np.flatnonzero(np.bincount(order[bulk])).tolist():
-            rows = bulk & (order == n)
-            self._sum_decided(n, 3, int(rows.sum()), int(counts[rows].sum()))
+        bulk = decided & ~shape & ~_holds_sample(starts, counts, self.stride)
+        group = order[bulk] * (_MAX_ORDER + 1) + hints[bulk]
+        summed = counts[bulk]
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            rows = group == g
+            n, girth = divmod(g, _MAX_ORDER + 1)
+            self._sum_decided(n, girth, int(rows.sum()), int(summed[rows].sum()))
         rest = np.flatnonzero(~bulk)
         bits = self.set_bits
-        for n, row, key, found, hint, fits, start in zip(
+        for n, row, key, found, hint, pairs, fits, start in zip(
             order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
-            witness[rest].tolist(), hints[rest].tolist(), shape[rest].tolist(),
-            starts[rest].tolist(),
+            decided[rest].tolist(), hints[rest].tolist(), bound[rest].tolist(),
+            shape[rest].tolist(), starts[rest].tolist(),
         ):
             adj = [bits[b] for b in row[:n]]
             if found:
-                self._decide(source, key, n, edges_of(key), adj, 3, fits, start)
+                self._decide(source, key, n, edges_of(key), adj, hint, fits, start)
             else:
                 girth = hint or girth_of_adjacency(adj)
-                self._match_or_rank(source, key, n, edges_of(key), adj, girth, fits, start)
+                self._match_or_rank(
+                    source, key, n, edges_of(key), adj, girth, pairs, fits, start
+                )
 
-    def _match_or_rank(self, source, key, n, edges, adj, girth, shape, start):
-        """Decide a graph of girth >= 4 by its pendant pairs and induced
-        matching, or buffer its signing blocks.  A capped sweep sends a
-        graph of girth 3 here only when it has no witness, so when it is
-        complete tripartite.  Its minimum degree is at least 2 and it has
-        no induced 2K2, so the matching gives p = 0 and k = 1, and could
-        not decide it."""
-        if self.capped and girth > 3:
-            pendant, matched = _matching_pairs(adj)
-            if 2 * (len(pendant) + len(matched)) > girth:
-                self._decide(source, key, n, edges, adj, girth, shape, start)
-                return
+    def _match_or_rank(self, source, key, n, edges, adj, girth, pairs, shape, start):
+        """Decide a graph whose girth `add_batch` searched for by its p + k
+        pendant and matched pairs (`pairs`, 0 on an uncapped engine), or
+        buffer its signing blocks.  A capped sweep sends a graph of girth
+        3 here only when it has no witness, so when it is complete
+        tripartite.  Its minimum degree is at least 2 and it has no
+        induced 2K2, so the matching would give p = 0 and k = 1, and could
+        not decide it: `add_batch` passes 0 pairs for it."""
+        if 2 * pairs > girth:
+            self._decide(source, key, n, edges, adj, girth, shape, start)
+            return
         cotree = _spanning_cotree(n, edges)
         accepted = (
             accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
@@ -1211,8 +1249,8 @@ class _Engine:
         so it induces the paw or K4, every signing of which has rank 4, and
         a principal submatrix never has larger rank than the matrix.  At
         girth >= 4, 2(p + k) >= girth + 1 for the p pendant pairs and k
-        matched pairs of `_matching_pairs`, which give every signing rank
-        >= 2(p + k).
+        matched pairs that `_matching_bounds` counts, which give every
+        signing rank >= 2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
         into the result by `finish`.  When a case shape may fit it

@@ -53,9 +53,10 @@ from sgrank.sweep import (
     _dense_chunk,
     _edge_table,
     _girth_hints,
+    _graph6_chunk,
     _mask_dtype,
     _mask_edges,
-    _matching_pairs,
+    _matching_bounds,
     _neighbour_masks,
     _run_chunk,
     _signing_block,
@@ -405,6 +406,48 @@ class TestSigningBlocks:
             assert block[off].tolist() == want
 
 
+def _matching_pairs(adj):
+    """The p iterated pendant pairs and the k matched pairs of a graph, as
+    two lists of (x, y), one graph at a time: the oracle for
+    `_matching_bounds`.  A pendant pair is a vertex x of degree 1 in what
+    is left, then its neighbour y; the matched pairs are the edges of a
+    greedy maximal induced matching of the remainder, visiting vertices
+    and their neighbours lowest remaining degree first.  With ascending
+    adjacency lists it takes the vertices in the sweep's order."""
+    n = len(adj)
+    degree = [len(nb) for nb in adj]  # once the pendant pairs are deleted
+    free = [True] * n  # neither paired nor adjacent to a matched vertex
+    pendant = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    while leaves:
+        x = leaves.pop()
+        if not free[x] or degree[x] != 1:
+            continue
+        y = next(w for w in adj[x] if free[w])
+        pendant.append((x, y))
+        free[x] = free[y] = False
+        for w in adj[y]:
+            if free[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    matched = []
+    for u in sorted(range(n), key=degree.__getitem__):
+        if free[u]:
+            for v in sorted(adj[u], key=degree.__getitem__):
+                if free[v]:
+                    matched.append((u, v))
+                    for w in (*adj[u], *adj[v]):
+                        free[w] = False
+                    break
+    return pendant, matched
+
+
+def _pairs_of_row(n, row):
+    """The oracle's p + k for one row of neighbour bitmasks."""
+    return sum(map(len, _matching_pairs(_adjacency_of_row(row[:n]))))
+
+
 class TestInducedMatching:
     def test_greedy_matching_is_induced_and_maximal(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
@@ -445,12 +488,49 @@ class TestInducedMatching:
         assert k_seen == {0, 1, 2, 3}
 
 
+class TestMatchingBounds:
+    """`_matching_bounds`, over whole chunks of rows, against the p + k
+    of the oracle `_matching_pairs`, one graph at a time."""
+
+    @staticmethod
+    def _check(order, nb):
+        got = _matching_bounds(order, nb)
+        assert got.shape == (len(nb),)
+        orders = np.broadcast_to(order, (len(nb),))
+        want = [_pairs_of_row(n, row) for n, row in zip(orders.tolist(), nb.tolist())]
+        assert got.tolist() == want
+        return got
+
+    def test_sparse_rows(self):
+        order, _, _, _, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        assert len(nb) == 144_104
+        got = self._check(order, nb)
+        assert set(got.tolist()) == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("n, hi", [(3, None), (4, None), (5, None), (6, None),
+                                       (7, 1 << 16)])
+    def test_dense_rows_padded_or_not(self, n, hi):
+        _, _, _, nb = _dense_chunk(n, 0, hi or 1 << len(_edge_table(n)))
+        got = self._check(n, nb)
+        padded = np.zeros((len(nb), 16), dtype=np.uint16)
+        padded[:, :n] = nb
+        assert (_matching_bounds(np.full(len(nb), n), padded) == got).all()
+        assert (_matching_bounds(n, padded) == got).all()
+
+    def test_mixed_order_rows(self):
+        graphs = _mixed_order_graphs()
+        records = [(len(g), sorted(tuple(sorted(e)) for e in g.edges())) for g in graphs]
+        order, _, _, nb, _ = _graph6_chunk(0, records)
+        assert nb.shape[1] == 16 and (order.min(), order.max()) == (3, 16)
+        self._check(order, nb)
+
+
 class TestGirthThreeSkipsTheMatching:
     """At girth 3 a graph without a witness is complete tripartite: its
     minimum degree is at least 2 and it has no induced 2K2, so
     `_matching_pairs` gives p = 0 and k = 1.  So the matching bound
     decides no girth-3 graph that the witness leaves, and the sweep runs
-    it only above girth 3."""
+    `_matching_bounds` only on rows whose girth hint is not 3."""
 
     @staticmethod
     def _pairs(adj):
@@ -491,13 +571,18 @@ class TestGirthThreeSkipsTheMatching:
 
     def test_matching_never_sees_girth_three(self, monkeypatch):
         girths = []
-        real = sweep_module._matching_pairs
+        real = sweep_module._matching_bounds
 
-        def spy(adj):
-            girths.append(girth_of_adjacency(adj))
-            return real(adj)
+        def spy(order, nb):
+            # no row with a girth hint of 3 (a triangle) comes here
+            assert (_girth_hints(nb) != 3).all()
+            girths.extend(
+                girth_of_adjacency(_adjacency_of_row(row[:n]))
+                for n, row in zip(order.tolist(), nb.tolist())
+            )
+            return real(order, nb)
 
-        monkeypatch.setattr(sweep_module, "_matching_pairs", spy)
+        monkeypatch.setattr(sweep_module, "_matching_bounds", spy)
         rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
         assert rep.total_failures() == 0
         assert girths and min(girths) == 4
@@ -901,6 +986,7 @@ class TestDecidedAtIntake:
     ranking any signing."""
 
     def test_forced_decisions_fail_once_per_accepted_pattern(self, monkeypatch):
+        histogram = _iff_sweep().to_json_dict()["rank_histogram"]  # not forced
         accepted = [0, 0]
 
         def count(adj, cotree):
@@ -910,12 +996,8 @@ class TestDecidedAtIntake:
             return gm2, eqg
 
         monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", count)
-        def all_pendant(adj):
-            # n pendant pairs: 2(p + k) >= girth + 1 decides every graph
-            # of girth >= 4
-            return [(v, v) for v in range(len(adj))], []
-
-        monkeypatch.setattr(sweep_module, "_matching_pairs", all_pendant)
+        # p + k = n: 2(p + k) >= girth + 1 decides every graph of girth >= 4
+        monkeypatch.setattr(sweep_module, "_matching_bounds", lambda order, nb: order)
         # and a witness every graph of girth 3, in every stream: no graph
         # is complete tripartite to the witness, while `case_shapes` still
         # sees the complete multipartite graphs
@@ -929,6 +1011,11 @@ class TestDecidedAtIntake:
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
+        # every instance of rank girth - 2 is accepted by classify_gminus2,
+        # so each graph with one still reaches the case table
+        assert accepted[0] == sum(
+            count for _, girth, rank, count in histogram if rank == girth - 2
+        )
         assert [rep.failures.get(name, 0) for name in _IFF_CHECKS] == accepted
         assert len(rep.counterexamples) == sum(accepted)
         for ce in rep.counterexamples:
@@ -943,7 +1030,8 @@ class TestDecidedAtIntake:
     def test_decided_graphs_have_rank_above_girth(self):
         rep, decided = _quick_sweep()
         assert sum(g.instances for g in decided) == rep.decided_instances > 0
-        assert any(g.counted for g in decided)
+        # both rules leave rows that are only counted
+        assert {g.witness for g in decided if g.counted} == {True, False}
         # a witness decides graphs that the matching bound would leave
         assert any(
             g.witness and 2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
@@ -1120,9 +1208,10 @@ class _Decided:
 def _quick_sweep():
     """The quick config's report, and the graphs it decided at intake:
     the graphs `_Engine._decide` took, each marked as decided by a
-    witness when its girth is 3, and the ones it only counted, which are
-    the girth-3 graphs of the quick config's streams with a witness that
-    `_decide` did not see."""
+    witness when its girth is 3, and the ones it only counted.  Those are
+    the graphs of the quick config's streams that `_decide` did not see
+    and that a rule decides, rebuilt here: a witness at girth 3, and
+    2(p + k) >= girth + 1 by the oracle `_matching_pairs` above it."""
     decided = []
     seen = set()
     decide = sweep_module._Engine._decide
@@ -1142,9 +1231,16 @@ def _quick_sweep():
         ("sparse", key, n, edges) for key, (n, edges) in enumerate(sparse_graphs(9, 3))
     ]
     for source, key, n, edges in graphs:
-        if (source, n, key) not in seen and _has_triangle(n, edges):
+        if (source, n, key) in seen:
+            continue
+        if _has_triangle(n, edges):
             if _witness(n, edges):
                 decided.append(_Decided(n, tuple(edges), 3, True, True))
+        else:
+            adj = _adjacency(n, edges)
+            girth = girth_of_adjacency(adj)
+            if 2 * sum(map(len, _matching_pairs(adj))) > girth:
+                decided.append(_Decided(n, tuple(edges), girth, False, True))
     return rep, decided
 
 
@@ -1417,16 +1513,21 @@ class TestSweepRuns:
         # the girth and witness `add_batch` hands on for records of order
         # > 7, against the girth search and the brute-force witness search.
         # With a case shape on every row, no row is only counted: a row
-        # with a witness goes to `_decide` at girth 3, and every other to
-        # `_match_or_rank`, which may pass it to `_decide` at girth >= 4
+        # decided in numpy goes to `_decide`, at girth 3 by its witness or
+        # at girth 4 by its matching bound, and every other to
+        # `_match_or_rank`, which may pass it to `_decide` at girth >= 5
         rng = random.Random(29)
         graphs = [
             nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
             for n in range(8, 12) for _ in range(25)
         ]
-        graphs += [nx.complete_multipartite_graph(1, 1, 6), nx.cycle_graph(9)]
+        # a 4-cycle with a pendant vertex at each: 2(p + k) = 8 > 4
+        sunlet = nx.Graph([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+        graphs += [nx.complete_multipartite_graph(1, 1, 6), nx.cycle_graph(9), sunlet]
         path = _graph6_file(tmp_path / "large.g6", graphs)
         stated = {}
+        matching = set()  # the keys `_match_or_rank` took
+        by_bound = []  # per row decided in numpy: by its matching bound
         decide = sweep_module._Engine._decide
         match_or_rank = sweep_module._Engine._match_or_rank
 
@@ -1437,11 +1538,15 @@ class TestSweepRuns:
             stated[key] = (girth, witness)
 
         def decide_spy(self, source, key, n, edges, adj, girth, *args):
-            if girth == 3:
-                state(key, n, edges, girth, True)
+            if girth > 3:
+                assert 2 * sum(map(len, _matching_pairs(_adjacency(n, edges)))) > girth
+            if key not in matching:
+                state(key, n, edges, girth, girth == 3)
+                by_bound.append(girth > 3)
             decide(self, source, key, n, edges, adj, girth, *args)
 
         def match_spy(self, source, key, n, edges, adj, girth, *args):
+            matching.add(key)
             state(key, n, edges, girth, False)
             match_or_rank(self, source, key, n, edges, adj, girth, *args)
 
@@ -1453,6 +1558,7 @@ class TestSweepRuns:
         assert rep.total_failures() == 0
         assert len(stated) == rep.graphs == len(graphs) - rep.skipped_graph6_records
         assert {(3, True), (3, False), (4, False), (9, False)} <= set(stated.values())
+        assert set(by_bound) == {True, False}
 
     def test_complete_tripartite_records_reach_the_kernel(self, tmp_path):
         # no witness, and two switching classes of rank 3 (case (c)): every
@@ -1579,23 +1685,48 @@ class TestWholeChunkIntake:
             merge(report, res)
 
         monkeypatch.setattr(sweep_module, "_merge", spy)
-        reports = []
-        for jobs in (1, 3):
-            chunks.clear()
-            rep = run(SweepConfig(max_n_dense=5, max_n_sparse=7,
-                                  graph6_paths=(path,), jobs=jobs))
-            assert rep.total_failures() == 0 and rep.skipped_graph6_records > 0
-            assert len(chunks) > 10
-            for name, stride in (("spot_check_exact_rank", _SPOT_RANK_STRIDE),
-                                 ("spot_check_classifier", _SPOT_CLASSIFY_STRIDE)):
-                want = sum(-(-count // stride) for count in chunks)
-                assert rep.checked[name] == want, name
-            data = rep.to_json_dict()
-            data["config"]["jobs"] = 0
-            data["elapsed_seconds"] = 0
-            data["stages"] = {}
-            reports.append(data)
-        assert reports[0] == reports[1]
+        # sparse n <= 9 has rows of girth >= 4, decided by the matching
+        # bound, that hold a sample
+        for sparse_n in (7, 9):
+            reports = []
+            for jobs in (1, 3):
+                chunks.clear()
+                rep = run(SweepConfig(max_n_dense=5, max_n_sparse=sparse_n,
+                                      graph6_paths=(path,), jobs=jobs))
+                assert rep.total_failures() == 0 and rep.skipped_graph6_records > 0
+                assert len(chunks) > 10
+                for name, stride in (("spot_check_exact_rank", _SPOT_RANK_STRIDE),
+                                     ("spot_check_classifier", _SPOT_CLASSIFY_STRIDE)):
+                    want = sum(-(-count // stride) for count in chunks)
+                    assert rep.checked[name] == want, (sparse_n, name)
+                data = rep.to_json_dict()
+                data["config"]["jobs"] = 0
+                data["elapsed_seconds"] = 0
+                data["stages"] = {}
+                reports.append(data)
+            assert reports[0] == reports[1], sparse_n
+
+
+def _mixed_order_graphs():
+    """Random graphs and trees of orders 3..16, complete tripartite and
+    disconnected graphs, shuffled."""
+    rng = random.Random(31)
+    graphs = []
+    for n in range(3, 17):
+        graphs.append(nx.gnp_random_graph(n, min(0.9, 3.0 / n), seed=rng.randrange(10**6)))
+        graphs.append(nx.random_labeled_tree(n, seed=rng.randrange(10**6)))
+    graphs += [
+        nx.complete_multipartite_graph(*sizes)
+        for sizes in [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 6), (2, 3, 3), (2, 2, 5)]
+    ]
+    graphs += [
+        nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)),
+        nx.disjoint_union(nx.complete_graph(5), nx.cycle_graph(11)),
+        nx.cycle_graph(16),
+        nx.empty_graph(2),
+    ]
+    rng.shuffle(graphs)
+    return graphs
 
 
 class TestMixedOrderChunks:
@@ -1603,22 +1734,7 @@ class TestMixedOrderChunks:
     rows padded to the chunk's widest order."""
 
     def test_one_record_per_chunk_gives_the_same_report(self, tmp_path, monkeypatch):
-        rng = random.Random(31)
-        graphs = []
-        for n in range(3, 17):
-            graphs.append(nx.gnp_random_graph(n, min(0.9, 3.0 / n), seed=rng.randrange(10**6)))
-            graphs.append(nx.random_labeled_tree(n, seed=rng.randrange(10**6)))
-        graphs += [
-            nx.complete_multipartite_graph(*sizes)
-            for sizes in [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 6), (2, 3, 3), (2, 2, 5)]
-        ]
-        graphs += [
-            nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)),
-            nx.disjoint_union(nx.complete_graph(5), nx.cycle_graph(11)),
-            nx.cycle_graph(16),
-            nx.empty_graph(2),
-        ]
-        rng.shuffle(graphs)
+        graphs = _mixed_order_graphs()
         path = _graph6_file(tmp_path / "mixed.g6", graphs)
         widths = set()
         chunk = sweep_module._graph6_chunk
