@@ -1,6 +1,7 @@
 """Exhaustive verification sweeps over small signed graphs.
 
-Two built-in graph streams plus optional graph6 files:
+Two built-in graph streams plus optional graph6 files, which are
+decoded in numpy straight into rows (`_decode_graph6`):
 
 * dense slice: every connected labeled graph with a cycle on up to
   `max_n_dense` vertices (edge-subset enumeration, vectorized
@@ -12,9 +13,9 @@ Two built-in graph streams plus optional graph6 files:
   simple, with rooted trees hung on core vertices.  Every isomorphism
   class appears at least once; relabeled duplicates are possible and
   harmless for universal assertions.  No list of the stream is held:
-  each chunk builds its own slice from a per-process table of the
-  subdivided cores (`_core_table`) and the hangings, cached per core
-  order (`_hangings`).
+  each chunk picks its rows out of two per-process numpy tables, the
+  subdivided cores (`_core_table`, built from arrays of subdivision
+  counts) and the hangings of each core order (`_hanging_rows`).
 
 Per underlying graph, one signing per switching class is enumerated
 (edges of the spanning tree from `invariants._spanning_cotree` positive,
@@ -35,7 +36,12 @@ graph has rank >= 4 = g + 1.  A complete tripartite graph has signings
 of rank 3 (case (c)), so no rule could decide it.
 Every stream hands `_Engine.add_batch` one chunk of rows: per graph its
 order, key, edge count, girth hint and neighbour bitmasks, zero-padded
-to a common width; a padded column counts as no vertex.  The sparse
+to a common width; a padded column counts as no vertex.  With them
+comes a function that reads the edge lists of given rows off their
+bitmasks (`_mask_pairs`), in the stream's own edge order, on which the
+co-tree and so the signing indices depend: sorted (u, v), u < v, for
+the dense stream, the edges sorted as the sparse stream's chains and
+hung trees write them, and graph6's column order for a file.  The sparse
 stream ORs each core's masks into those of its hangings
 (`_hanging_rows`), and its hint is the core's girth, since hung trees
 add no cycle; the others' is 3 with a triangle, 4 with a 4-cycle and
@@ -60,10 +66,11 @@ and it builds its spanning tree and keeps a record only when the case
 table accepts a pattern for it or a spot-check stride samples one of its
 instances.  A row that either rule decides in numpy and that neither
 holds costs no Python of its own: `add_batch` sums such rows in numpy.
-The other rows read their adjacency lists off the bitmasks, and search
-for their girth where the hint is 0.  Spot checks sample by chunk-local
-stream position: every graph takes the next 2^(m - n + 1) positions, and
-an instance is sampled when its position is a multiple of the stride.
+The other rows read their adjacency and edge lists off the rows, and
+search for their girth where the hint is 0.  Spot checks sample by
+chunk-local stream position: every graph takes the next 2^(m - n + 1)
+positions, and an instance is sampled when its position is a multiple
+of the stride.
 The other graphs' signing blocks are built on the graph's own labels and
 buffered by (order, g).  Before a block would bring all buffers together
 to one cap, the fullest is flushed, so no batch exceeds it.
@@ -121,7 +128,6 @@ from .invariants import (
     _cotree_pattern,
     _spanning_cotree,
     bipartition,
-    connected_components,
     girth_of_adjacency,
     shortest_cycle,
 )
@@ -225,8 +231,9 @@ _SPOT_RANK_STRIDE = 2048
 _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 
 # the report's stage timers, in seconds.  `plan` is the main process's
-# planning: graph6 parsing and its co-tree limit, and the sparse stream's
-# core table and length.  The others are summed over chunks.  Each
+# planning: decoding graph6 files into rows and testing their co-tree
+# limit on the rows, and the sparse stream's core and hanging tables, for
+# its length.  The others are summed over chunks.  Each
 # chunk's flushes time the kernel (stacking the blocks and ranking them)
 # and the checks, and the spot checks of decided graphs count as
 # spot_checks; intake is the rest of the chunk: enumeration, girth, the
@@ -510,19 +517,36 @@ def _girth_hints(nb: np.ndarray) -> np.ndarray:
     return np.where(tri != 0, 3, np.where(sq != 0, 4, 0)).astype(np.int64)
 
 
-def _mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
-    table = _edge_table(n)
-    return [table[i] for i in range(len(table)) if (mask >> i) & 1]
+@lru_cache(maxsize=None)
+def _pair_table(width: int, swap: bool) -> tuple[tuple[int, int], ...]:
+    """The pair of columns (w, x), or (x, w) with `swap`, at w * width + x:
+    the edge lists of all rows share these tuples."""
+    return tuple((x, w) if swap else (w, x) for w in range(width) for x in range(width))
+
+
+def _mask_pairs(masks: np.ndarray, part: str = "") -> list[list[tuple[int, int]]]:
+    """Per row of bitmasks, the pairs (w, x) for each bit x of its mask w,
+    by w, then x.  Of neighbour bitmasks, part "upper" keeps the pairs
+    x > w, and "lower" the pairs x < w, each as (x, w): by the higher end,
+    then the lower, graph6's column order."""
+    rows, width = masks.shape
+    bits = masks[:, :, None] & (1 << np.arange(width, dtype=masks.dtype))
+    if part:
+        bits = np.triu(bits, 1) if part == "upper" else np.tril(bits, -1)
+    row, at = np.divmod(np.flatnonzero(bits), width * width)
+    pairs = list(map(_pair_table(width, part == "lower").__getitem__, at.tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
+    return [pairs[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def dense_graphs(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """All connected labeled graphs with a cycle on exactly n vertices,
-    as (mask, edges), ascending by mask."""
+    as (mask, edges), ascending by mask, each edge (u, v) with u < v and
+    the edges sorted."""
     total = 1 << len(_edge_table(n))
     for lo in range(0, total, _DENSE_CHUNK_MASKS):
-        masks, _, _, _ = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
-        for mask in masks.tolist():
-            yield mask, _mask_edges(n, mask)
+        masks, _, _, nb = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
+        yield from zip(masks.tolist(), _mask_pairs(nb, "upper"))
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +615,56 @@ def _subdivision_tuples(
     yield from rec(0, budget, [])
 
 
-def _subdivide(
-    k: int, links: Sequence[tuple[int, int]], subdiv: Sequence[int]
-) -> list[tuple[int, int]]:
-    edges = []
-    nxt = k
-    for (u, v), s in zip(links, subdiv):
-        chain = [u] + list(range(nxt, nxt + s)) + [v]
-        nxt += s
-        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    return edges
+def _even_link_sets(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The nonempty sets of the links (u, v) of a base on k vertices, one
+    0/1 row each, under which each vertex has even degree; a loop adds 2."""
+    sets = (np.arange(1, 1 << len(u))[:, None] >> np.arange(len(u))) & 1
+    ends = (u[:, None] == np.arange(k)) + (v[:, None] == np.arange(k)).astype(np.int64)
+    return sets[((sets @ ends) % 2 == 0).all(axis=1)]
+
+
+@lru_cache(maxsize=4)
+def _core_table(max_n: int, max_cyclomatic: int):
+    """The subdivided cores of the sparse stream, one row each in stream
+    order: (orders, edge counts, girths, nb, out), the masks over max_n
+    columns.  A core lays each link (u, v) of its base down as a chain u,
+    w, w + 1, ..., v through the link's s interior vertices, numbered on
+    from the base's k vertices link by link, and writes the chain's edges
+    (u, w), (w, w + 1), ..., (w + s - 1, v): bit x of out[i, w] is set
+    when core i writes an edge (w, x), and nb holds both ends of each.
+    A core's girth is the least length sum(s + 1) over the nonempty even
+    sets of its base's links: each such set holds a cycle no longer than
+    itself, and each cycle is one."""
+    order, m, girth, chains = [], [], [], []  # chains: (row, u, v, s, w)
+    cores = 0
+    for c in range(1, max_cyclomatic + 1):
+        for _, k, links in _BASES[c]:
+            subdiv = np.array(
+                list(_subdivision_tuples(links, max_n - k)), dtype=np.int64
+            ).reshape(-1, len(links))
+            rows = cores + np.arange(len(subdiv))
+            cores += len(subdiv)
+            u, v = np.array(links).T
+            order.append(k + subdiv.sum(axis=1))
+            m.append(order[-1] + c - 1)
+            girth.append(((subdiv + 1) @ _even_link_sets(k, u, v).T).min(axis=1))
+            first = k + np.cumsum(subdiv, axis=1) - subdiv  # w of each chain
+            chains.append(np.broadcast_arrays(rows[:, None], u, v, subdiv, first))
+    order, m, girth = (np.concatenate(x) for x in (order, m, girth))
+    row, u, v, s, w = (np.concatenate([part[i].ravel() for part in chains])
+                       for i in range(5))
+    # the edges of every chain, p = 0 .. s along it
+    chain = np.repeat(np.arange(len(s)), s + 1)
+    p = np.arange(len(chain)) - np.repeat(np.cumsum(s + 1) - s - 1, s + 1)
+    a = np.where(p == 0, u[chain], w[chain] + p - 1)
+    b = np.where(p == s[chain], v[chain], w[chain] + p)
+    row = row[chain]
+    nb = np.zeros((len(order), max_n), dtype=np.int64)
+    np.bitwise_or.at(nb, (row, a), 1 << b)
+    out = nb.copy()
+    np.bitwise_or.at(nb, (row, b), 1 << a)
+    dtype = _mask_dtype(max_n)
+    return order, m, girth, nb.astype(dtype), out.astype(dtype)
 
 
 @lru_cache(maxsize=None)
@@ -627,144 +691,101 @@ def _rooted_trees(size: int) -> tuple[tuple, ...]:
     return tuple(shapes)
 
 
-def _attach_tree(edges: list[tuple[int, int]], root: int, shape: tuple, nxt: int) -> int:
-    for child in shape:
-        edges.append((root, nxt))
-        child_root = nxt
-        nxt += 1
-        nxt = _attach_tree(edges, child_root, child, nxt)
-    return nxt
+def _preorder_parents(shape: tuple) -> list[int]:
+    """The parent of each vertex but the root of a rooted tree shape, its
+    vertices numbered root first (0), then in preorder."""
+    parents: list[int] = []
 
+    def walk(children: tuple, me: int) -> None:
+        for child in children:
+            parents.append(me)
+            walk(child, len(parents))
 
-def _tree_assignments(k: int, budget: int) -> Iterator[tuple[tuple, ...]]:
-    """All k-tuples of rooted tree shapes with total extra vertices <= budget."""
-
-    def rec(i: int, left: int, acc: list):
-        if i == k:
-            yield tuple(acc)
-            return
-        for extra in range(left + 1):
-            for shape in _rooted_trees(extra + 1):
-                acc.append(shape)
-                yield from rec(i + 1, left - extra, acc)
-                acc.pop()
-
-    yield from rec(0, budget, [])
-
-
-class _Hanging:
-    """Rooted trees of the given shapes hung on vertices 0, 1, ... of a
-    core of order `core_n`, with the hung vertices numbered from core_n in
-    preorder, root by root: `extra` hung vertices and the edges to them."""
-
-    __slots__ = ("extra", "edges")
-
-    def __init__(self, core_n: int, shapes: tuple[tuple, ...]):
-        edges: list[tuple[int, int]] = []
-        nxt = core_n
-        for root, shape in enumerate(shapes):
-            nxt = _attach_tree(edges, root, shape, nxt)
-        self.extra = nxt - core_n
-        self.edges = tuple(edges)
-
-
-@lru_cache(maxsize=None)
-def _hangings(core_n: int, budget: int) -> tuple[_Hanging, ...]:
-    """Every way to hang trees with at most `budget` vertices in all on a
-    core of order core_n, in stream order.  They depend on the core only
-    through its order."""
-    return tuple(_Hanging(core_n, shapes) for shapes in _tree_assignments(core_n, budget))
-
-
-class _Core:
-    """One subdivided core of the sparse stream: its order, sorted edges,
-    girth, neighbour bitmasks over max_n columns and hangings.  Hung
-    trees add no cycle, so every graph hung from the core has its
-    girth."""
-
-    __slots__ = ("n", "edges", "girth", "nb", "hangings")
-
-    def __init__(self, n: int, edges: list[tuple[int, int]], max_n: int):
-        self.n = n
-        self.edges = tuple(sorted(edges))
-        self.girth = girth_of_adjacency(_adjacency(n, self.edges))
-        self.nb = _neighbour_masks(max_n, self.edges)
-        self.hangings = _hangings(n, max_n - n)
+    walk(shape, 0)
+    return parents
 
 
 @lru_cache(maxsize=4)
-def _core_table(max_n: int, max_cyclomatic: int) -> tuple[_Core, ...]:
-    return tuple(
-        _Core(k + sum(subdiv), _subdivide(k, links, subdiv), max_n)
-        for c in range(1, max_cyclomatic + 1)
-        for _, k, links in _BASES[c]
-        for subdiv in _subdivision_tuples(links, max_n - k)
-    )
+def _hanging_rows(max_n: int):
+    """Every way to hang rooted trees on a core of each order n = 3 ..
+    max_n within max_n vertices in all, one row each, order by order:
+    (first, extra, nb), rows first[n] .. first[n + 1] - 1 of order n, each
+    with its hung vertex count and the neighbour bitmasks of the hung
+    trees' edges alone, over max_n columns.  Core vertex r takes the r-th
+    tree; its hung vertices are numbered on from the core's and the
+    earlier roots' in preorder.  Rows run over the trees of root 0
+    slowest, each root's trees by size, then as `_rooted_trees` lists
+    them."""
+    budget = max(max_n - 3, 0)
+    trees = [_preorder_parents(shape) for size in range(1, budget + 2)
+             for shape in _rooted_trees(size)]
+    hung = np.array([len(tree) for tree in trees], dtype=np.int64)
+    parent = np.zeros((len(trees), budget + 1), dtype=np.int64)
+    for i, tree in enumerate(trees):
+        parent[i, :hung[i]] = tree
+    fits = np.cumsum(np.bincount(hung, minlength=budget + 1))  # trees hanging <= x
+    first = [0] * 4
+    extra, nb = [np.zeros(0, dtype=np.int64)], [np.zeros((0, max_n), dtype=np.int64)]
+    for n in range(3, max_n + 1):
+        used = np.zeros(1, dtype=np.int64)
+        masks = np.zeros((1, max_n), dtype=np.int64)
+        for r in range(n):
+            count = fits[max_n - n - used]
+            row = np.repeat(np.arange(len(used)), count)
+            shape = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+            base = n + used[row]  # the number of the tree's vertex 1
+            masks = masks[row]
+            for j in range(1, max_n - n + 1):
+                at = np.flatnonzero(hung[shape] >= j)
+                child = base[at] + j - 1
+                up = parent[shape[at], j - 1]
+                up = np.where(up == 0, r, base[at] + up - 1)
+                masks[at, up] |= 1 << child
+                masks[at, child] |= 1 << up
+            used = used[row] + hung[shape]
+        first.append(first[-1] + len(used))
+        extra.append(used)
+        nb.append(masks)
+    nb = np.concatenate(nb).astype(_mask_dtype(max_n))
+    return np.array(first[:max_n + 2]), np.concatenate(extra), nb
+
+
+def _hanging_counts(max_n: int, max_cyclomatic: int) -> np.ndarray:
+    """The number of hangings of each core: its stretch of the stream."""
+    return np.diff(_hanging_rows(max_n)[0])[_core_table(max_n, max_cyclomatic)[0]]
 
 
 def _sparse_length(max_n: int, max_cyclomatic: int) -> int:
-    return sum(len(core.hangings) for core in _core_table(max_n, max_cyclomatic))
-
-
-def _sparse_pieces(
-    max_n: int, max_cyclomatic: int, lo: int = 0, hi: int | None = None
-) -> Iterator[tuple[_Core, int, int]]:
-    """(core, a, b) for each core whose hangings core.hangings[a:b] are at
-    stream positions [lo, hi), skipping whole cores before lo by their
-    hanging counts."""
-    start = 0
-    for core in _core_table(max_n, max_cyclomatic):
-        if hi is not None and start >= hi:
-            return
-        count = len(core.hangings)
-        if start + count > lo:
-            yield core, max(lo - start, 0), count if hi is None else min(count, hi - start)
-        start += count
-
-
-@lru_cache(maxsize=4)
-def _hanging_rows(max_n: int, max_cyclomatic: int):
-    """The hangings of each core order of `_core_table(max_n,
-    max_cyclomatic)`, one row each, order by order: the first row of each
-    order, and per row the hung vertex count and the neighbour bitmasks
-    of the hanging's edges alone, over max_n columns."""
-    first, extra, nb = {}, [], []
-    for n in sorted({core.n for core in _core_table(max_n, max_cyclomatic)}):
-        first[n] = len(extra)
-        for hang in _hangings(n, max_n - n):
-            extra.append(hang.extra)
-            nb.append(_neighbour_masks(max_n, hang.edges))
-    return first, np.array(extra, dtype=np.int64), np.array(nb, dtype=_mask_dtype(max_n))
+    return int(_hanging_counts(max_n, max_cyclomatic).sum())
 
 
 def _sparse_chunk(max_n: int, max_cyclomatic: int, lo: int, hi: int):
     """The graphs at sparse stream positions [lo, hi), one row each, as
     `add_batch` takes them: (orders, keys, edge counts, girths, neighbour
-    bitmasks over max_n columns, edges_of).  A row ORs its core's masks
-    into its hanging's, and its girth is its core's."""
-    first, extra, hanging_nb = _hanging_rows(max_n, max_cyclomatic)
-    cores, counts, rows = [], [], []
-    for core, a, b in _sparse_pieces(max_n, max_cyclomatic, lo, hi):
-        cores.append(core)
-        counts.append(b - a)
-        rows.extend(range(first[core.n] + a, first[core.n] + b))
-    which = np.repeat(np.arange(len(cores)), counts)  # each row's core
+    bitmasks over max_n columns, edge_lists).  The stream runs over the
+    cores of `_core_table`, and per core over the hangings of its order
+    in `_hanging_rows`.  A row ORs its core's masks into its hanging's,
+    and its girth is its core's, since hung trees add no cycle.
+    edge_lists(rows) reads the edges of the graphs in these rows off their
+    core's `out` and their hanging's edges, each written from root to
+    child: edges (w, x) by w, then x."""
+    core_n, core_m, core_girth, core_nb, core_out = _core_table(max_n, max_cyclomatic)
+    first, extra, hanging_nb = _hanging_rows(max_n)
+    count = _hanging_counts(max_n, max_cyclomatic)
+    ends = np.cumsum(count)
+    keys = np.arange(lo, hi)
+    core = np.searchsorted(ends, keys, side="right")
+    hang = first[core_n[core]] + keys - (ends - count)[core]
+    hung = extra[hang]
+    nb = hanging_nb[hang]
+    # the children of a hung tree's vertex are its neighbours above it
+    upper = ((-2 << np.arange(max_n)) & ((1 << max_n) - 1)).astype(nb.dtype)
 
-    def per_row(values, dtype=np.int64):
-        return np.array(values, dtype=dtype)[which]
+    def edge_lists(rows: np.ndarray) -> list[list[tuple[int, int]]]:
+        return _mask_pairs(core_out[core[rows]] | (nb[rows] & upper))
 
-    hung = extra[rows]
-    order = per_row([core.n for core in cores]) + hung
-    m = per_row([len(core.edges) for core in cores]) + hung
-    girth = per_row([core.girth for core in cores])
-    nb = hanging_nb[rows] | per_row([core.nb for core in cores], hanging_nb.dtype)
-
-    def edges_of(key: int) -> list[tuple[int, int]]:
-        i = key - lo
-        core = cores[which[i]]
-        return sorted(core.edges + core.hangings[rows[i] - first[core.n]].edges)
-
-    return order, np.arange(lo, lo + len(rows)), m, girth, nb, edges_of
+    return (core_n[core] + hung, keys, core_m[core] + hung, core_girth[core],
+            core_nb[core] | nb, edge_lists)
 
 
 def sparse_graphs(
@@ -772,12 +793,15 @@ def sparse_graphs(
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Connected graphs with a cycle, cyclomatic number <= max_cyclomatic
     and at most max_n vertices: every isomorphism class at least once
-    (labeled duplicates possible).  Yields (n, sorted edge list), each
-    built from its core's row in `_core_table` and a hanging that
-    `_hangings` caches per core order, so no list of the stream is held."""
-    for core in _core_table(max_n, max_cyclomatic):
-        for hang in core.hangings:
-            yield core.n + hang.extra, sorted(core.edges + hang.edges)
+    (labeled duplicates possible).  Yields (n, edges), read off the rows
+    of `_sparse_chunk` a chunk at a time, so no list of the stream is
+    held."""
+    total = _sparse_length(max_n, max_cyclomatic)
+    for lo in range(0, total, _SPARSE_CHUNK_GRAPHS):
+        order, _, _, _, _, edge_lists = _sparse_chunk(
+            max_n, max_cyclomatic, lo, min(lo + _SPARSE_CHUNK_GRAPHS, total)
+        )
+        yield from zip(order.tolist(), edge_lists(np.arange(len(order))))
 
 
 # ---------------------------------------------------------------------------
@@ -804,93 +828,111 @@ def parse_graph6(text: str) -> list[tuple[int, list[tuple[int, int]]]]:
     optional '>>graph6<<' header and blank lines are skipped.  A file is
     read as latin-1 (`_plan_chunks`), so each of its bytes is one
     character, and a byte outside the graph6 range is reported with its
-    record."""
-    out = []
-    index = 0
+    record.  Each edge list is in graph6's column order: (u, v), u < v,
+    by v, then u."""
+    order, _, nb = _decode_graph6(_graph6_records(text))
+    width = int(order.max(initial=0))
+    return list(zip(order.tolist(), _mask_pairs(nb[:, :width], "lower")))
+
+
+def _graph6_records(text: str) -> list[str]:
+    """The records of graph6 text, as `parse_graph6` finds them."""
+    records = []
     for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = raw.strip(" \t\v\f")
-        if not line:
-            continue
         if line.startswith(">>graph6<<"):
             line = line[len(">>graph6<<"):]
-            if not line:
-                continue
-        out.append(_decode_graph6_record(line, index))
-        index += 1
-    return out
+        if line:
+            records.append(line)
+    return records
 
 
-def _decode_graph6_record(line: str, record: int) -> tuple[int, list[tuple[int, int]]]:
-    data = [ord(ch) - 63 for ch in line]
-    if any(x < 0 or x > 63 for x in data):
-        raise Graph6Error("byte outside the printable graph6 range", record)
-    if not data:
-        raise Graph6Error("empty record", record)
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
-    else:
-        if len(data) >= 4 and data[1] < 63:
-            n = (data[1] << 12) | (data[2] << 6) | data[3]
-            body = data[4:]
-        elif len(data) >= 8:
-            n = 0
-            for x in data[2:8]:
-                n = (n << 6) | x
-            body = data[8:]
-        else:
-            raise Graph6Error("truncated vertex count", record)
-    if n > _MAX_ORDER:
-        raise Graph6Error(
-            f"order {n} exceeds the exact batch kernel limit of {_MAX_ORDER}",
-            record,
-        )
-    pairs = n * (n - 1) // 2
+def _decode_graph6(records: list[str]):
+    """(orders, edge counts, neighbour bitmasks over _MAX_ORDER uint16
+    columns) of graph6 records, one row each, decoded in numpy a group of
+    records of one header form and order at a time.  Every record is
+    tested in numpy first, and a Graph6Error names the lowest one that
+    fails, with the message of its first failing test: a byte outside the
+    graph6 range, an empty record, a truncated vertex count, an order
+    above _MAX_ORDER, a data length that does not fit the order, nonzero
+    padding bits.  A character beyond latin-1 is encoded as an XML
+    character reference, whose bytes are outside the range."""
+    raw = "\n".join([*records, ""]).encode("latin-1", "xmlcharrefreplace")
+    buf = np.frombuffer(raw + bytes(8), dtype=np.uint8)  # header reads stay inside
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    length = ends - starts
+    outside = np.concatenate(([0], np.cumsum((buf < 63) | (buf > 126))))
+    head = buf[starts[:, None] + np.arange(8)].astype(np.int64) - 63
+    short = head[:, 0] < 63
+    medium = ~short & (length >= 4) & (head[:, 1] < 63)
+    wide = ~short & ~medium & (length >= 8)
+    form = [short, medium, wide]
+    header = np.select(form, [1, 4, 8])  # 0: truncated
+    n = np.select(form, [
+        head[:, 0],
+        (head[:, 1] << 12) | (head[:, 2] << 6) | head[:, 3],
+        (head[:, 2:] << np.arange(30, -1, -6)).sum(axis=1),
+    ])
+    k = np.clip(n, 0, _MAX_ORDER + 1)  # past it, the order test fails first
+    pairs = k * (k - 1) // 2
     need = (pairs + 5) // 6
-    if len(body) != need:
-        raise Graph6Error(
-            f"expected {need} data characters for order {n}, got {len(body)}",
-            record,
-        )
-    word = 0  # the body's bits, the first one highest
-    for x in body:
-        word = (word << 6) | x
-    padding = 6 * need - pairs
-    if word & ((1 << padding) - 1):
-        raise Graph6Error("nonzero padding bits", record)
-    word >>= padding
-    # bit p of word is the vertex pair at position pairs - 1 - p in graph6's
-    # column order; walk the set bits upwards, then turn the list round
-    table = _graph6_pairs(n)
-    edges = []
-    while word:
-        low = word & -word
-        edges.append(table[low.bit_length() - 1])
-        word ^= low
-    edges.reverse()
-    return n, edges
+    body = length - header
+    last = buf[starts + length - 1].astype(np.int64) - 63
+    padding = last & ((1 << (6 * need - pairs)) - 1)
+    failed = np.select([
+        outside[ends] > outside[starts], length == 0, header == 0, n > _MAX_ORDER,
+        body != need, (need > 0) & (padding != 0),
+    ], [1, 2, 3, 4, 5, 6])
+    if failed.any():
+        i = int(np.argmax(failed != 0))
+        raise Graph6Error([
+            "byte outside the printable graph6 range",
+            "empty record",
+            "truncated vertex count",
+            f"order {n[i]} exceeds the exact batch kernel limit of {_MAX_ORDER}",
+            f"expected {need[i]} data characters for order {n[i]}, got {body[i]}",
+            "nonzero padding bits",
+        ][failed[i] - 1], i)
+    m = np.zeros(len(records), dtype=np.int64)
+    nb = np.zeros((len(records), _MAX_ORDER), dtype=np.uint16)
+    group = header * (_MAX_ORDER + 1) + n
+    for g in np.flatnonzero(np.bincount(group, minlength=1)).tolist():
+        skip, k = divmod(g, _MAX_ORDER + 1)
+        if k < 2:
+            continue
+        at = np.flatnonzero(group == g)
+        pairs = k * (k - 1) // 2
+        data = buf[starts[at, None] + skip + np.arange((pairs + 5) // 6)] - 63
+        bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(at), -1)
+        bits = bits[:, :pairs]  # the first bit of a character is its highest
+        m[at] = bits.sum(axis=1)
+        adj = np.zeros((len(at), k, _MAX_ORDER), dtype=np.uint8)
+        v, u = np.tril_indices(k, -1)  # graph6's column order: by v, then u
+        adj[:, u, v] = bits
+        adj[:, v, u] = bits
+        nb[at, :k] = np.packbits(adj, axis=2, bitorder="little").view("<u2")[:, :, 0]
+    return n, m, nb
 
 
-@lru_cache(maxsize=None)
-def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs (u, v), u < v, in graph6's column order (by v,
-    then u), last first."""
-    return tuple((u, v) for v in range(1, n) for u in range(v))[::-1]
-
-
-def _graph6_chunk(lo: int, records: list[tuple[int, list[tuple[int, int]]]]):
+def _graph6_chunk(lo: int, order: np.ndarray, m: np.ndarray, nb: np.ndarray):
     """The connected records with a cycle of a graph6 chunk that starts
-    at record `lo`, one row each, in record order: (orders, keys, edge
-    counts, neighbour bitmasks zero-padded to the chunk's widest order),
-    and how many records were skipped."""
-    width = max(n for n, _ in records)
-    order = np.array([n for n, _ in records], dtype=np.int64)
-    m = np.array([len(edges) for _, edges in records], dtype=np.int64)
-    nb = np.array([_neighbour_masks(width, edges) for _, edges in records],
-                  dtype=_mask_dtype(width)).reshape(len(records), width)
+    at record `lo`, from their rows of `_decode_graph6`, in record order:
+    (orders, keys, edge counts, neighbour bitmasks cut to the chunk's
+    widest order, edge_lists), and how many records were skipped.
+    edge_lists(rows) reads the edges of the records in these rows off
+    their bitmasks in graph6's column order, as `parse_graph6` lists
+    them."""
+    width = int(order.max())
+    nb = nb[:, :width].astype(_mask_dtype(width))
     keep = _connected_cyclic(order, m, nb)
-    keys = np.arange(lo, lo + len(records))
-    return order[keep], keys[keep], m[keep], nb[keep], len(records) - int(keep.sum())
+    nb = nb[keep]
+
+    def edge_lists(rows: np.ndarray) -> list[list[tuple[int, int]]]:
+        return _mask_pairs(nb[rows], "lower")
+
+    keys = np.arange(lo, lo + len(order))
+    return order[keep], keys[keep], m[keep], nb, edge_lists, len(order) - int(keep.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -927,19 +969,6 @@ def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
-
-
-def _connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    return len(connected_components(_adjacency(n, edges))) == 1
-
-
-def _neighbour_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Bit w of entry v is set when w is a neighbour of v."""
-    nb = [0] * n
-    for u, v in edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
-    return nb
 
 
 class _SetBits(dict):
@@ -993,7 +1022,7 @@ def _matching_bounds(order, nb: np.ndarray) -> np.ndarray:
 
     push(at, deg == 1)
     while True:
-        live = np.flatnonzero(top)
+        live = np.flatnonzero((top > 0) & (free != 0))  # no free vertex: done
         if not len(live):
             break
         top[live] -= 1
@@ -1009,6 +1038,8 @@ def _matching_bounds(order, nb: np.ndarray) -> np.ndarray:
         push(live, (lose == 1) & (deg[live] == 1))
     key = deg * width + every  # (degree, index)
     for u in np.argsort(key, axis=1).T:
+        if not free.any():
+            break
         nb_u = adj[at, u]
         cand = nb_u & free & -((free >> u) & 1)  # none unless u is free
         live = np.flatnonzero(cand)
@@ -1167,12 +1198,12 @@ class _Engine:
     # -- graph intake
 
     def add_batch(self, source: str, order: np.ndarray, keys: np.ndarray,
-                  m: np.ndarray, hints: np.ndarray, nb: np.ndarray, edges_of) -> None:
+                  m: np.ndarray, hints: np.ndarray, nb: np.ndarray, edge_lists) -> None:
         """Intake of one chunk of connected graphs with a cycle, one row
         each, in stream order: orders, keys, edge counts, girth hints
         (the girth, or 3, 4 and 0 as `_girth_hints` gives them) and
         neighbour bitmasks zero-padded to a common width, and
-        edges_of(key) the graph's edge list.  A capped engine decides a row
+        edge_lists(rows) the edge lists of the graphs in these rows.  A capped engine decides a row
         by either rule.  A row has a witness when its hint is 3 and it
         does not have 3 parts (`multipartite_parts`, which `case_shapes`
         reads too).  The rows whose hint is not 3 get their pendant pairs
@@ -1180,8 +1211,8 @@ class _Engine:
         hint is its girth g >= 4 is decided when 2(p + k) >= g + 1.
         Decided rows with no case shape and no spot sample are only
         counted, in numpy, by (order, girth); the other rows take the
-        per-graph path, with their adjacency lists read off the bitmasks
-        and the girth searched for where the hint is 0."""
+        per-graph path, with their adjacency and edge lists read off the
+        rows and the girth searched for where the hint is 0."""
         counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
@@ -1203,18 +1234,18 @@ class _Engine:
             self._sum_decided(n, girth, int(rows.sum()), int(summed[rows].sum()))
         rest = np.flatnonzero(~bulk)
         bits = self.set_bits
-        for n, row, key, found, hint, pairs, fits, start in zip(
+        for n, row, key, edges, found, hint, pairs, fits, start in zip(
             order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
-            decided[rest].tolist(), hints[rest].tolist(), bound[rest].tolist(),
-            shape[rest].tolist(), starts[rest].tolist(),
+            edge_lists(rest), decided[rest].tolist(), hints[rest].tolist(),
+            bound[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
         ):
             adj = [bits[b] for b in row[:n]]
             if found:
-                self._decide(source, key, n, edges_of(key), adj, hint, fits, start)
+                self._decide(source, key, n, edges, adj, hint, fits, start)
             else:
                 girth = hint or girth_of_adjacency(adj)
                 self._match_or_rank(
-                    source, key, n, edges_of(key), adj, girth, pairs, fits, start
+                    source, key, n, edges, adj, girth, pairs, fits, start
                 )
 
     def _match_or_rank(self, source, key, n, edges, adj, girth, pairs, shape, start):
@@ -1431,46 +1462,39 @@ class _Engine:
         """Sampled instances through the slow paths: those whose stream
         position is a multiple of the check's stride.  ranks None means
         every instance is at the cap girth + 1 (a graph decided at
-        intake)."""
-
-        def rank_at(pos, meta):
-            return meta.girth + 1 if ranks is None else int(ranks[pos])
-
-        if "spot_check_exact_rank" in self.sel:
-            for pos, seg, signing in _samples(segments, starts, _SPOT_RANK_STRIDE):
-                self._count("spot_check_exact_rank")
-                g = _instance_graph(seg.meta, signing)
-                r = exact_rank(adjacency_matrix(g)).rank
-                if self.capped:
-                    r = min(r, seg.meta.girth + 1)
-                rank_value = rank_at(pos, seg.meta)
-                if r != rank_value:
-                    self._fail(
-                        "spot_check_exact_rank",
-                        seg.meta,
-                        signing,
-                        rank_value,
-                        f"fraction-free rank {r}",
-                    )
-        if "spot_check_classifier" in self.sel:
-            for pos, seg, signing in _samples(segments, starts, _SPOT_CLASSIFY_STRIDE):
-                self._count("spot_check_classifier")
-                meta = seg.meta
-                g = _instance_graph(meta, signing)
-                rank_value = rank_at(pos, meta)
-                gm2 = classify_gminus2(g) is not None
-                eqg = classify_equals_g(g, rank=rank_value) is not None
-                ok = (gm2 == (rank_value == meta.girth - 2)) and (
-                    eqg == (rank_value == meta.girth)
-                )
-                if not ok:
-                    self._fail(
-                        "spot_check_classifier",
-                        meta,
-                        signing,
-                        rank_value,
-                        f"gm2={gm2} eqg={eqg}",
-                    )
+        intake).  The classifier's stride is a multiple of the rank
+        check's, so each of its samples is built once, and checked after
+        the rank check's samples."""
+        if not self.stride:
+            return
+        check_rank = "spot_check_exact_rank" in self.sel
+        check_classes = "spot_check_classifier" in self.sel
+        classify = []
+        for pos, seg, signing in _samples(segments, starts, self.stride):
+            meta = seg.meta
+            g = _instance_graph(meta, signing)
+            rank_value = meta.girth + 1 if ranks is None else int(ranks[pos])
+            if check_classes and (seg.start + signing - seg.j0) % _SPOT_CLASSIFY_STRIDE == 0:
+                classify.append((meta, signing, g, rank_value))
+            if not check_rank:
+                continue
+            self._count("spot_check_exact_rank")
+            r = exact_rank(adjacency_matrix(g)).rank
+            if self.capped:
+                r = min(r, meta.girth + 1)
+            if r != rank_value:
+                self._fail("spot_check_exact_rank", meta, signing, rank_value,
+                           f"fraction-free rank {r}")
+        for meta, signing, g, rank_value in classify:
+            self._count("spot_check_classifier")
+            gm2 = classify_gminus2(g) is not None
+            eqg = classify_equals_g(g, rank=rank_value) is not None
+            ok = (gm2 == (rank_value == meta.girth - 2)) and (
+                eqg == (rank_value == meta.girth)
+            )
+            if not ok:
+                self._fail("spot_check_classifier", meta, signing, rank_value,
+                           f"gm2={gm2} eqg={eqg}")
 
     def _instance_checks(self, segments, starts, ranks, total):
         names = [
@@ -1573,26 +1597,27 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
             chunks.append(("sparse", lo, min(lo + _SPARSE_CHUNK_GRAPHS, stream_len)))
     for pi, path in enumerate(config.graph6_paths):
         with open(path, encoding="latin-1") as fh:
-            text = fh.read()
+            records = _graph6_records(fh.read())
         try:
-            records = parse_graph6(text)
+            order, m, nb = _decode_graph6(records)
         except Graph6Error as exc:
             raise Graph6Error(exc.message, exc.record, path) from None
         # checked here, in the main process, before any chunk runs.
         # Disconnected records are skipped later.
-        for key, (n, edges) in enumerate(records):
-            bits = len(edges) - n + 1
-            if bits > _MAX_COTREE_BITS and _connected(n, edges):
-                raise Graph6Error(
-                    f"{bits} co-tree edges ({len(edges)} edges on {n} "
-                    f"vertices) exceed the limit of {_MAX_COTREE_BITS}",
-                    key,
-                    path,
-                )
-        for lo in range(0, len(records), _GRAPH6_CHUNK_RECORDS):
-            chunks.append(
-                ("graph6", pi, lo, records[lo:lo + _GRAPH6_CHUNK_RECORDS])
+        over = np.flatnonzero(m - order + 1 > _MAX_COTREE_BITS)
+        over = over[_connected_cyclic(order[over], m[over], nb[over])]
+        if len(over):
+            key = int(over[0])
+            n, edges = int(order[key]), int(m[key])
+            raise Graph6Error(
+                f"{edges - n + 1} co-tree edges ({edges} edges on {n} "
+                f"vertices) exceed the limit of {_MAX_COTREE_BITS}",
+                key,
+                path,
             )
+        for lo in range(0, len(records), _GRAPH6_CHUNK_RECORDS):
+            hi = lo + _GRAPH6_CHUNK_RECORDS
+            chunks.append(("graph6", pi, lo, order[lo:hi], m[lo:hi], nb[lo:hi]))
     return chunks
 
 
@@ -1604,21 +1629,19 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
         _, n, lo, hi = desc
         keys, m, hints, nb = _dense_chunk(n, lo, hi)
         order = np.full(len(keys), n)
-        # the edge table's own pairs: the buffered records share them
-        edges_of = lambda mask: _mask_edges(n, mask)
+        edge_lists = lambda rows: _mask_pairs(nb[rows], "upper")
     elif source == "sparse":
         _, lo, hi = desc
-        order, keys, m, hints, nb, edges_of = _sparse_chunk(
+        order, keys, m, hints, nb, edge_lists = _sparse_chunk(
             config.max_n_sparse, config.max_cyclomatic, lo, hi
         )
     else:
-        _, pi, lo, records = desc
+        _, pi, lo, order, m, nb = desc
         source = f"graph6[{pi}]"
-        order, keys, m, nb, skipped = _graph6_chunk(lo, records)
+        order, keys, m, nb, edge_lists, skipped = _graph6_chunk(lo, order, m, nb)
         engine.result.skipped_graph6_records += skipped
         hints = _girth_hints(nb)
-        edges_of = lambda key: records[key - lo][1]
-    engine.add_batch(source, order, keys, m, hints, nb, edges_of)
+    engine.add_batch(source, order, keys, m, hints, nb, edge_lists)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
     return res

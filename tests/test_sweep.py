@@ -45,24 +45,27 @@ from sgrank.classify import _complete_multipartite_parts, case_shapes, multipart
 from sgrank.invariants import _cotree_pattern, _spanning_cotree
 from sgrank.sweep import (
     STAGES,
+    _BASES,
+    _MAX_ORDER,
     _SIGNING_BLOCK,
     _SPOT_CLASSIFY_STRIDE,
     _SPOT_RANK_STRIDE,
     _connected_cyclic,
+    _core_table,
     _cotree_signing,
+    _decode_graph6,
     _dense_chunk,
     _edge_table,
     _girth_hints,
     _graph6_chunk,
     _mask_dtype,
-    _mask_edges,
     _matching_bounds,
-    _neighbour_masks,
+    _rooted_trees,
     _run_chunk,
     _signing_block,
     _sparse_chunk,
     _sparse_length,
-    _sparse_pieces,
+    _subdivision_tuples,
 )
 
 
@@ -107,6 +110,94 @@ class TestSigningEnumeration:
 def _column_order(edges):
     """The edges in graph6 order: by higher end, then by lower end."""
     return sorted(edges, key=lambda e: (max(e), min(e)))
+
+
+def _neighbour_masks(n, edges):
+    """Bit w of entry v is set when w is a neighbour of v."""
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
+
+
+def _mask_edges(n, mask):
+    """The edges of a dense stream mask, in edge table order."""
+    table = _edge_table(n)
+    return [table[i] for i in range(len(table)) if (mask >> i) & 1]
+
+
+# The sparse stream built one graph at a time from edge lists: the
+# oracle for `_core_table`, `_hanging_rows` and `sparse_graphs`.
+
+
+def _subdivide(k, links, subdiv):
+    """A base's links laid down as chains through their interior
+    vertices, numbered on from k, each edge written along its chain."""
+    edges = []
+    nxt = k
+    for (u, v), s in zip(links, subdiv):
+        chain = [u] + list(range(nxt, nxt + s)) + [v]
+        nxt += s
+        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
+    return edges
+
+
+def _attach_tree(edges, root, shape, nxt):
+    for child in shape:
+        edges.append((root, nxt))
+        child_root = nxt
+        nxt += 1
+        nxt = _attach_tree(edges, child_root, child, nxt)
+    return nxt
+
+
+def _tree_assignments(k, budget):
+    """All k-tuples of rooted tree shapes with total extra vertices <= budget."""
+
+    def rec(i, left, acc):
+        if i == k:
+            yield tuple(acc)
+            return
+        for extra in range(left + 1):
+            for shape in _rooted_trees(extra + 1):
+                acc.append(shape)
+                yield from rec(i + 1, left - extra, acc)
+                acc.pop()
+
+    yield from rec(0, budget, [])
+
+
+@lru_cache(maxsize=None)
+def _oracle_hangings(core_n, budget):
+    """(hung vertex count, edges) of every way to hang trees on a core."""
+    out = []
+    for shapes in _tree_assignments(core_n, budget):
+        edges = []
+        nxt = core_n
+        for root, shape in enumerate(shapes):
+            nxt = _attach_tree(edges, root, shape, nxt)
+        out.append((nxt - core_n, edges))
+    return out
+
+
+def _oracle_cores(max_n, max_cyclomatic):
+    """(order, written edges) of each subdivided core, in stream order."""
+    return [
+        (k + sum(subdiv), _subdivide(k, links, subdiv))
+        for c in range(1, max_cyclomatic + 1)
+        for _, k, links in _BASES[c]
+        for subdiv in _subdivision_tuples(links, max_n - k)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _oracle_stream(max_n, max_cyclomatic):
+    return [
+        (n + extra, sorted(edges + hung))
+        for n, edges in _oracle_cores(max_n, max_cyclomatic)
+        for extra, hung in _oracle_hangings(n, max_n - n)
+    ]
 
 
 def _sampled_graphs():
@@ -172,6 +263,11 @@ class TestDenseStream:
             g.add_nodes_from(range(4))
             assert nx.is_connected(g)
             assert g.number_of_edges() >= 4
+
+    def test_edges_are_the_edge_table_pairs(self):
+        # read off the rows: sorted (u, v), u < v, as the mask's bits list them
+        for n in range(3, 7):
+            assert all(edges == _mask_edges(n, mask) for mask, edges in dense_graphs(n))
 
     def test_girth_hints_match_bfs(self):
         from sgrank import girth_of_adjacency
@@ -518,9 +614,9 @@ class TestMatchingBounds:
         assert (_matching_bounds(n, padded) == got).all()
 
     def test_mixed_order_rows(self):
-        graphs = _mixed_order_graphs()
-        records = [(len(g), sorted(tuple(sorted(e)) for e in g.edges())) for g in graphs]
-        order, _, _, nb, _ = _graph6_chunk(0, records)
+        records = [nx.to_graph6_bytes(g, header=False).decode().strip()
+                   for g in _mixed_order_graphs()]
+        order, _, _, nb, _, _ = _graph6_chunk(0, *_decode_graph6(records))
         assert nb.shape[1] == 16 and (order.min(), order.max()) == (3, 16)
         self._check(order, nb)
 
@@ -538,10 +634,9 @@ class TestGirthThreeSkipsTheMatching:
 
     def test_two_pairs_give_a_witness(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
-        graphs += [
-            _hung_graph(core, hang) for core, hang in _pieces(10, 3)
-            if core.girth == 3
-        ]
+        order, _, _, girth, _, edge_lists = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        rows = np.flatnonzero(girth == 3)
+        graphs += zip(order[rows].tolist(), edge_lists(rows))
         two_pairs = 0
         for n, edges in graphs:
             if _has_triangle(n, edges) and self._pairs(_adjacency(n, edges)) >= 2:
@@ -637,16 +732,10 @@ def _witness(n, edges):
     return _has_triangle(n, edges) and not _tripartite(n, edges)
 
 
-def _hung_graph(core, hang):
-    """The sparse stream's graph of a core and a hanging, as (n, sorted
-    edges)."""
-    return core.n + hang.extra, sorted(core.edges + hang.edges)
-
-
-def _pieces(max_n, max_cyclomatic, lo=0, hi=None):
-    """The (core, hanging) pairs at sparse stream positions [lo, hi)."""
-    return [(core, hang) for core, a, b in _sparse_pieces(max_n, max_cyclomatic, lo, hi)
-            for hang in core.hangings[a:b]]
+def _chunk_graphs(max_n, max_cyclomatic, lo, hi):
+    """The (n, edges) of the sparse chunk [lo, hi), read off its rows."""
+    order, _, _, _, _, edge_lists = _sparse_chunk(max_n, max_cyclomatic, lo, hi)
+    return list(zip(order.tolist(), edge_lists(np.arange(len(order)))))
 
 
 def _row_witness(n, nb):
@@ -1244,7 +1333,98 @@ def _quick_sweep():
     return rep, decided
 
 
+def _decode_graph6_record(line, record):
+    """One graph6 record decoded on its own, character by character: the
+    oracle for `_decode_graph6` and its messages."""
+    data = [ord(ch) - 63 for ch in line]
+    if any(x < 0 or x > 63 for x in data):
+        raise Graph6Error("byte outside the printable graph6 range", record)
+    if not data:
+        raise Graph6Error("empty record", record)
+    if data[0] < 63:
+        n, body = data[0], data[1:]
+    elif len(data) >= 4 and data[1] < 63:
+        n, body = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
+    elif len(data) >= 8:
+        n = 0
+        for x in data[2:8]:
+            n = (n << 6) | x
+        body = data[8:]
+    else:
+        raise Graph6Error("truncated vertex count", record)
+    if n > _MAX_ORDER:
+        raise Graph6Error(
+            f"order {n} exceeds the exact batch kernel limit of {_MAX_ORDER}", record
+        )
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
+    if len(body) != need:
+        raise Graph6Error(
+            f"expected {need} data characters for order {n}, got {len(body)}", record
+        )
+    bits = [(x >> (5 - i)) & 1 for x in body for i in range(6)]
+    if any(bits[pairs:]):
+        raise Graph6Error("nonzero padding bits", record)
+    column = [(u, v) for v in range(1, n) for u in range(v)]
+    return n, [pair for pair, bit in zip(column, bits) if bit]
+
+
+def _g6_count(n, chars):
+    """n in `chars` graph6 characters, 6 bits each, highest first."""
+    return "".join(chr(63 + ((n >> (6 * i)) & 63)) for i in reversed(range(chars)))
+
+
+# malformed graph6 records, by the test each fails first
+_MALFORMED = {
+    "byte": ["C!", "C\u0100", "\x7fC"],
+    "empty": [""],
+    "count": ["~", "~?", "~??", "~~????", "~~?????"],
+    "order": ["Q", "~?@?", "~~?????R"],
+    "length": ["D", "C~~", "~??C"],
+    "padding": ["Dhd", "A@"],
+}
+
+
 class TestGraph6:
+    def test_round_trips_at_every_order(self):
+        # every order 1..16 in the one-character vertex count networkx
+        # writes, and the same records in the 18-bit and 36-bit counts
+        rng = random.Random(5)
+        records, want = [], []
+        for n in range(1, _MAX_ORDER + 1):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                g = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
+                line = nx.to_graph6_bytes(g, header=False).decode().strip()
+                for head in (line[0], "~" + _g6_count(n, 3), "~~" + _g6_count(n, 6)):
+                    records.append(head + line[1:])
+                    want.append((n, _column_order((min(e), max(e)) for e in g.edges())))
+        assert parse_graph6("\n".join(records)) == want
+        assert [_decode_graph6_record(line, i) for i, line in enumerate(records)] == want
+        order, m, nb = _decode_graph6(records)
+        assert order.tolist() == [n for n, _ in want]
+        assert m.tolist() == [len(edges) for _, edges in want]
+        assert nb.dtype == np.uint16
+        assert nb.tolist() == [_neighbour_masks(_MAX_ORDER, edges) for _, edges in want]
+        # a chunk reads the same edge lists off its rows
+        _, keys, _, _, edge_lists, _ = _graph6_chunk(0, order, m, nb)
+        assert edge_lists(np.arange(len(keys))) == [want[k][1] for k in keys.tolist()]
+
+    @pytest.mark.parametrize("first", sorted(_MALFORMED))
+    def test_the_first_malformed_record_is_named(self, first):
+        # two malformed records among good ones: the error names the
+        # first, with the message it gives on its own, whatever the second
+        for bad, worse in product(_MALFORMED[first], sum(_MALFORMED.values(), [])):
+            records = ["Bw", bad, "C~", worse, "Bw"]
+            with pytest.raises(Graph6Error) as want:
+                _decode_graph6_record(bad, 1)
+            with pytest.raises(Graph6Error) as got:
+                _decode_graph6(records)
+            assert (str(got.value), got.value.record) == (str(want.value), 1)
+            if bad and worse:  # a blank line is no record
+                with pytest.raises(Graph6Error) as got:
+                    parse_graph6("\r\n".join(records))
+                assert (str(got.value), got.value.record) == (str(want.value), 1)
+
     def test_reads_networkx_output(self):
         graphs = [nx.path_graph(4), nx.cycle_graph(5), nx.complete_graph(4)]
         text = b"".join(nx.to_graph6_bytes(g) for g in graphs).decode()
@@ -1288,31 +1468,62 @@ class TestGraph6:
 
 class TestSparseGirthHint:
     def test_hint_is_the_girth(self):
-        graphs = []
-        for core, hang in _pieces(10, 3):
-            n, edges = _hung_graph(core, hang)
-            assert core.girth == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
-            graphs.append((n, edges))
-        assert graphs == list(sparse_graphs(10, 3))
+        total = _sparse_length(10, 3)
+        _, _, _, girth, _, _ = _sparse_chunk(10, 3, 0, total)
+        graphs = _chunk_graphs(10, 3, 0, total)
+        for (n, edges), hint in zip(graphs, girth.tolist()):
+            assert hint == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
+        assert graphs == _oracle_stream(10, 3)
+
+
+class TestCoreTable:
+    """The array core table and the stream against the oracle, which
+    builds the edge lists of each core and each hanging."""
+
+    @pytest.mark.parametrize("max_n, max_cyclomatic, cores",
+                             [(9, 3, 1629), (10, 3, 3262), (11, 2, 285)])
+    def test_cores_match_the_oracle(self, max_n, max_cyclomatic, cores):
+        order, m, girth, nb, out = _core_table(max_n, max_cyclomatic)
+        want = _oracle_cores(max_n, max_cyclomatic)
+        assert len(want) == cores
+        assert nb.dtype == out.dtype == _mask_dtype(max_n)
+        assert order.tolist() == [n for n, _ in want]
+        assert m.tolist() == [len(edges) for _, edges in want]
+        assert girth.tolist() == [
+            girth_of_adjacency(_adjacency(n, edges)) for n, edges in want
+        ]
+        assert nb.tolist() == [_neighbour_masks(max_n, edges) for _, edges in want]
+        written = [[0] * max_n for _ in want]
+        for row, (_, edges) in zip(written, want):
+            for a, b in edges:
+                row[a] |= 1 << b
+        assert out.tolist() == written
+        # chains are written from u to v, so some edges run downwards
+        assert any(a > b for _, edges in want for a, b in edges)
+
+    @pytest.mark.parametrize("max_n, max_cyclomatic", [(9, 3), (10, 3), (11, 2)])
+    def test_stream_matches_the_oracle(self, max_n, max_cyclomatic):
+        assert list(sparse_graphs(max_n, max_cyclomatic)) == _oracle_stream(
+            max_n, max_cyclomatic
+        )
 
 
 class TestSparseChunks:
     """Each sparse chunk builds its own slice of the stream from the core
-    table and the hangings cached per core order."""
+    table and the hanging rows of each core order."""
 
     @pytest.mark.parametrize("max_n", [8, 10])
     def test_slices_join_to_the_full_stream(self, max_n):
-        full = _pieces(max_n, 3)
+        full = _oracle_stream(max_n, 3)
         assert _sparse_length(max_n, 3) == len(full)
-        graphs = [_hung_graph(core, hang) for core, hang in full]
-        assert graphs == list(sparse_graphs(max_n, 3))
-        assert all(edges == sorted(edges) for _, edges in graphs)
+        assert _chunk_graphs(max_n, 3, 0, len(full)) == full
+        assert all(edges == sorted(edges) for _, edges in full)
         # a step of 97 puts slice boundaries inside cores
         joined = []
         for lo in range(0, len(full) + 97, 97):
-            joined += _pieces(max_n, 3, lo, lo + 97)
+            joined += _chunk_graphs(max_n, 3, lo, min(lo + 97, len(full)))
         assert joined == full
-        assert _pieces(max_n, 3, 97) == full[97:]
+        assert _chunk_graphs(max_n, 3, 97, len(full)) == full[97:]
 
     def test_small_chunks_report_the_same_failures(self, monkeypatch):
         cfg = SweepConfig(max_n_dense=0, max_n_sparse=8,
@@ -1329,7 +1540,7 @@ class TestSparseChunks:
         # the witness `add_batch` takes from a sparse row, its core's
         # girth 3 and not 3 parts, is "a triangle and not complete
         # tripartite" of the row's graph
-        order, keys, m, girth, nb, edges_of = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        order, keys, m, girth, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
         got = ((girth == 3) & (multipartite_parts(order, nb) != 3)).tolist()
         witnessed = 0
         for (n, edges), found in zip(sparse_graphs(10, 3), got):
@@ -1344,12 +1555,14 @@ class TestSparseChunks:
     @pytest.mark.parametrize("max_n", [8, 10])
     def test_rows_are_the_stream_graphs(self, max_n):
         # rows built a chunk at a time, from the core's masks ORed into
-        # the cached masks of its hanging, padded to max_n columns; a
-        # step of 97 puts chunk boundaries inside cores
-        stream = list(sparse_graphs(max_n, 3))
+        # the masks of its hanging, padded to max_n columns; a step of 97
+        # puts chunk boundaries inside cores
+        stream = _oracle_stream(max_n, 3)
         total = _sparse_length(max_n, 3)
         for lo in range(0, total, 97):
-            order, keys, m, girth, nb, edges_of = _sparse_chunk(max_n, 3, lo, min(lo + 97, total))
+            order, keys, m, girth, nb, edge_lists = _sparse_chunk(
+                max_n, 3, lo, min(lo + 97, total)
+            )
             assert nb.dtype == _mask_dtype(max_n) and nb.shape[1] == max_n
             assert keys.tolist() == list(range(lo, lo + len(keys)))
             for key, n, edges_m, row in zip(keys.tolist(), order.tolist(), m.tolist(),
@@ -1357,7 +1570,9 @@ class TestSparseChunks:
                 n_want, edges = stream[key]
                 assert (n, edges_m) == (n_want, len(edges))
                 assert row == _neighbour_masks(max_n, edges), (n, edges)
-                assert edges_of(key) == edges
+            # any rows, in any order
+            rows = np.arange(len(keys))[::-3]
+            assert edge_lists(rows) == [stream[lo + i][1] for i in rows.tolist()]
         assert lo + len(keys) == len(stream)
 
 
@@ -1739,8 +1954,8 @@ class TestMixedOrderChunks:
         widths = set()
         chunk = sweep_module._graph6_chunk
 
-        def spy(lo, records):
-            out = chunk(lo, records)
+        def spy(lo, order, m, nb):
+            out = chunk(lo, order, m, nb)
             widths.add(out[3].shape[1])
             return out
 
