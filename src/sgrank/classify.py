@@ -21,12 +21,12 @@ passes them as a function and a graph of no such shape never builds its
 tree.  `accepted_cotree_patterns` takes the union of those sets, once
 per underlying graph, for the verification sweep; the classifiers find
 the pattern of the signing at hand and return the first case whose set
-holds it.  `case_shapes` widens those shapes to a test on edge counts
-and neighbour bitmasks that numpy runs over many graphs at once: a graph
-that fails it has no case, so the sweep skips its table.  It reads the
-part counts of `multipartite_parts`, which the sweep also takes for its
-girth-3 witness: a graph with a triangle that is not complete
-tripartite.
+holds it.  `case_shapes` widens those shapes to a test on edge counts,
+girth hints and neighbour bitmasks that numpy runs over many graphs at
+once: a graph that fails it has no case, so the sweep skips its table.
+It reads the part counts of `multipartite_parts`, which the sweep also
+takes for its girth-3 witness: a graph with a triangle that is not
+complete tripartite.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -360,7 +360,8 @@ def case_shapes(n, m, nb, girth, parts) -> np.ndarray:
     condition, vectorized over connected graphs with a cycle, with orders
     n, edge counts m, neighbour bitmasks nb (as `multipartite_parts` takes
     them, padding included), girth hints (3 exactly for a graph with a
-    triangle) and the part counts of `multipartite_parts`; element by
+    triangle, 4 exactly for one of girth 4; 0 may stand for any girth of
+    5 or more) and the part counts of `multipartite_parts`; element by
     element, and n, m and girth may be one value for all rows.  It widens
     each shape `_cases` tests:
 
@@ -371,7 +372,7 @@ def case_shapes(n, m, nb, girth, parts) -> np.ndarray:
       complete multipartite, so m == n counts only for a triangle-free
       graph;
     * case (g)'s theta graphs and case (h)'s subdivided K4 have degrees 2
-      and 3, and m == n + 1 and m == n + 2;
+      and 3, m == n + 1 and m == n + 2, and girth 6 or 8: not 3 or 4;
     * the graphs of cases (A) and (c) are complete multipartite."""
     nb = np.asarray(nb)
     min_degree_two = np.ones(len(nb), dtype=bool)
@@ -379,9 +380,10 @@ def case_shapes(n, m, nb, girth, parts) -> np.ndarray:
         col = nb[:, u]
         min_degree_two &= ((col & (col - 1)) != 0) | (u >= n)  # two bits or more
     excess = np.asarray(m) - n
+    girth = np.asarray(girth)
     return (
-        ((excess == 0) & (np.asarray(girth) != 3))
-        | (((excess == 1) | (excess == 2)) & min_degree_two)
+        ((excess == 0) & (girth != 3))
+        | (((excess == 1) | (excess == 2)) & min_degree_two & ~np.isin(girth, (3, 4)))
         | (np.asarray(parts) > 0)
     )
 

@@ -36,13 +36,10 @@ graph has rank >= 4 = g + 1.  A complete tripartite graph has signings
 of rank 3 (case (c)), so no rule could decide it.
 Every stream hands `_Engine.add_batch` one chunk of rows: per graph its
 order, key, edge count, girth hint and neighbour bitmasks, zero-padded
-to a common width; a padded column counts as no vertex.  With them
-comes a function that reads the edge lists of given rows off their
-bitmasks (`_mask_pairs`), in the stream's own edge order, on which the
-co-tree and so the signing indices depend: sorted (u, v), u < v, for
-the dense stream, the edges sorted as the sparse stream's chains and
-hung trees write them, and graph6's column order for a file.  The sparse
-stream ORs each core's masks into those of its hangings
+to a common width; a padded column counts as no vertex.  A graph's
+edge list, on which the co-tree and so the signing indices depend, is
+read off its row as the sorted pairs (u, v), u < v (`_mask_pairs`).
+The sparse stream ORs each core's masks into those of its hangings
 (`_hanging_rows`), and its hint is the core's girth, since hung trees
 add no cycle; the others' is 3 with a triangle, 4 with a 4-cycle and
 else 0 (`_girth_hints`).  One loop over vertex pairs counts the parts of
@@ -468,9 +465,10 @@ def _mask_dtype(width: int):
 
 
 def _dense_chunk(n: int, lo: int, hi: int):
-    """Connected cyclic graphs among edge masks [lo, hi): arrays of
-    (mask, edge count, girth hint, neighbour bitmasks) with hint 0 for
-    girth >= 5; bit w of nb[i, v] is set when w is a neighbour of v."""
+    """Connected cyclic graphs among edge masks [lo, hi), one row each,
+    as `add_batch` takes them: (orders, masks as keys, edge counts, girth
+    hints, neighbour bitmasks), with hint 0 for girth >= 5; bit w of
+    nb[i, v] is set when w is a neighbour of v."""
     table = _edge_table(n)
     n_edges = len(table)
     masks = np.arange(lo, hi, dtype=np.int64)
@@ -484,7 +482,7 @@ def _dense_chunk(n: int, lo: int, hi: int):
         nb[:, v] |= bits[:, e] << u
     keep = _connected_cyclic(n, m, nb)
     nb = nb[keep]
-    return masks[keep], m[keep], _girth_hints(nb), nb
+    return np.full(len(nb), n), masks[keep], m[keep], _girth_hints(nb), nb
 
 
 def _connected_cyclic(n, m: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -518,35 +516,30 @@ def _girth_hints(nb: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(width: int, swap: bool) -> tuple[tuple[int, int], ...]:
-    """The pair of columns (w, x), or (x, w) with `swap`, at w * width + x:
-    the edge lists of all rows share these tuples."""
-    return tuple((x, w) if swap else (w, x) for w in range(width) for x in range(width))
+def _pair_table(width: int) -> tuple[tuple[int, int], ...]:
+    """The pair of columns (w, x) at w * width + x: the edge lists of all
+    rows share these tuples."""
+    return tuple((w, x) for w in range(width) for x in range(width))
 
 
-def _mask_pairs(masks: np.ndarray, part: str = "") -> list[list[tuple[int, int]]]:
-    """Per row of bitmasks, the pairs (w, x) for each bit x of its mask w,
-    by w, then x.  Of neighbour bitmasks, part "upper" keeps the pairs
-    x > w, and "lower" the pairs x < w, each as (x, w): by the higher end,
-    then the lower, graph6's column order."""
-    rows, width = masks.shape
-    bits = masks[:, :, None] & (1 << np.arange(width, dtype=masks.dtype))
-    if part:
-        bits = np.triu(bits, 1) if part == "upper" else np.tril(bits, -1)
+def _mask_pairs(nb: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per row of neighbour bitmasks, the graph's edges (u, v), u < v,
+    sorted: every stream's edge list."""
+    rows, width = nb.shape
+    bits = np.triu(nb[:, :, None] & (1 << np.arange(width, dtype=nb.dtype)), 1)
     row, at = np.divmod(np.flatnonzero(bits), width * width)
-    pairs = list(map(_pair_table(width, part == "lower").__getitem__, at.tolist()))
+    pairs = list(map(_pair_table(width).__getitem__, at.tolist()))
     ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
     return [pairs[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def dense_graphs(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """All connected labeled graphs with a cycle on exactly n vertices,
-    as (mask, edges), ascending by mask, each edge (u, v) with u < v and
-    the edges sorted."""
+    as (mask, edges), ascending by mask, with `_mask_pairs`' edges."""
     total = 1 << len(_edge_table(n))
     for lo in range(0, total, _DENSE_CHUNK_MASKS):
-        masks, _, _, nb = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
-        yield from zip(masks.tolist(), _mask_pairs(nb, "upper"))
+        _, masks, _, _, nb = _dense_chunk(n, lo, min(lo + _DENSE_CHUNK_MASKS, total))
+        yield from zip(masks.tolist(), _mask_pairs(nb))
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +619,13 @@ def _even_link_sets(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _core_table(max_n: int, max_cyclomatic: int):
     """The subdivided cores of the sparse stream, one row each in stream
-    order: (orders, edge counts, girths, nb, out), the masks over max_n
-    columns.  A core lays each link (u, v) of its base down as a chain u,
-    w, w + 1, ..., v through the link's s interior vertices, numbered on
-    from the base's k vertices link by link, and writes the chain's edges
-    (u, w), (w, w + 1), ..., (w + s - 1, v): bit x of out[i, w] is set
-    when core i writes an edge (w, x), and nb holds both ends of each.
-    A core's girth is the least length sum(s + 1) over the nonempty even
-    sets of its base's links: each such set holds a cycle no longer than
-    itself, and each cycle is one."""
+    order: (orders, edge counts, girths, neighbour bitmasks over max_n
+    columns).  A core lays each link (u, v) of its base down as a chain
+    u, w, w + 1, ..., v through the link's s interior vertices, numbered
+    on from the base's k vertices link by link.  A core's girth is the
+    least length sum(s + 1) over the nonempty even sets of its base's
+    links: each such set holds a cycle no longer than itself, and each
+    cycle is one."""
     order, m, girth, chains = [], [], [], []  # chains: (row, u, v, s, w)
     cores = 0
     for c in range(1, max_cyclomatic + 1):
@@ -661,10 +652,8 @@ def _core_table(max_n: int, max_cyclomatic: int):
     row = row[chain]
     nb = np.zeros((len(order), max_n), dtype=np.int64)
     np.bitwise_or.at(nb, (row, a), 1 << b)
-    out = nb.copy()
     np.bitwise_or.at(nb, (row, b), 1 << a)
-    dtype = _mask_dtype(max_n)
-    return order, m, girth, nb.astype(dtype), out.astype(dtype)
+    return order, m, girth, nb.astype(_mask_dtype(max_n))
 
 
 @lru_cache(maxsize=None)
@@ -762,14 +751,11 @@ def _sparse_length(max_n: int, max_cyclomatic: int) -> int:
 def _sparse_chunk(max_n: int, max_cyclomatic: int, lo: int, hi: int):
     """The graphs at sparse stream positions [lo, hi), one row each, as
     `add_batch` takes them: (orders, keys, edge counts, girths, neighbour
-    bitmasks over max_n columns, edge_lists).  The stream runs over the
-    cores of `_core_table`, and per core over the hangings of its order
-    in `_hanging_rows`.  A row ORs its core's masks into its hanging's,
-    and its girth is its core's, since hung trees add no cycle.
-    edge_lists(rows) reads the edges of the graphs in these rows off their
-    core's `out` and their hanging's edges, each written from root to
-    child: edges (w, x) by w, then x."""
-    core_n, core_m, core_girth, core_nb, core_out = _core_table(max_n, max_cyclomatic)
+    bitmasks over max_n columns).  The stream runs over the cores of
+    `_core_table`, and per core over the hangings of its order in
+    `_hanging_rows`.  A row ORs its core's masks into its hanging's, and
+    its girth is its core's, since hung trees add no cycle."""
+    core_n, core_m, core_girth, core_nb = _core_table(max_n, max_cyclomatic)
     first, extra, hanging_nb = _hanging_rows(max_n)
     count = _hanging_counts(max_n, max_cyclomatic)
     ends = np.cumsum(count)
@@ -777,15 +763,8 @@ def _sparse_chunk(max_n: int, max_cyclomatic: int, lo: int, hi: int):
     core = np.searchsorted(ends, keys, side="right")
     hang = first[core_n[core]] + keys - (ends - count)[core]
     hung = extra[hang]
-    nb = hanging_nb[hang]
-    # the children of a hung tree's vertex are its neighbours above it
-    upper = ((-2 << np.arange(max_n)) & ((1 << max_n) - 1)).astype(nb.dtype)
-
-    def edge_lists(rows: np.ndarray) -> list[list[tuple[int, int]]]:
-        return _mask_pairs(core_out[core[rows]] | (nb[rows] & upper))
-
     return (core_n[core] + hung, keys, core_m[core] + hung, core_girth[core],
-            core_nb[core] | nb, edge_lists)
+            core_nb[core] | hanging_nb[hang])
 
 
 def sparse_graphs(
@@ -793,15 +772,15 @@ def sparse_graphs(
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Connected graphs with a cycle, cyclomatic number <= max_cyclomatic
     and at most max_n vertices: every isomorphism class at least once
-    (labeled duplicates possible).  Yields (n, edges), read off the rows
-    of `_sparse_chunk` a chunk at a time, so no list of the stream is
-    held."""
+    (labeled duplicates possible).  Yields (n, edges), with `_mask_pairs`'
+    edges, read off the rows of `_sparse_chunk` a chunk at a time, so no
+    list of the stream is held."""
     total = _sparse_length(max_n, max_cyclomatic)
     for lo in range(0, total, _SPARSE_CHUNK_GRAPHS):
-        order, _, _, _, _, edge_lists = _sparse_chunk(
+        order, _, _, _, nb = _sparse_chunk(
             max_n, max_cyclomatic, lo, min(lo + _SPARSE_CHUNK_GRAPHS, total)
         )
-        yield from zip(order.tolist(), edge_lists(np.arange(len(order))))
+        yield from zip(order.tolist(), _mask_pairs(nb))
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +807,10 @@ def parse_graph6(text: str) -> list[tuple[int, list[tuple[int, int]]]]:
     optional '>>graph6<<' header and blank lines are skipped.  A file is
     read as latin-1 (`_plan_chunks`), so each of its bytes is one
     character, and a byte outside the graph6 range is reported with its
-    record.  Each edge list is in graph6's column order: (u, v), u < v,
-    by v, then u."""
+    record.  Each edge list is `_mask_pairs`': (u, v), u < v, sorted."""
     order, _, nb = _decode_graph6(_graph6_records(text))
     width = int(order.max(initial=0))
-    return list(zip(order.tolist(), _mask_pairs(nb[:, :width], "lower")))
+    return list(zip(order.tolist(), _mask_pairs(nb[:, :width])))
 
 
 def _graph6_records(text: str) -> list[str]:
@@ -917,22 +895,17 @@ def _decode_graph6(records: list[str]):
 
 def _graph6_chunk(lo: int, order: np.ndarray, m: np.ndarray, nb: np.ndarray):
     """The connected records with a cycle of a graph6 chunk that starts
-    at record `lo`, from their rows of `_decode_graph6`, in record order:
-    (orders, keys, edge counts, neighbour bitmasks cut to the chunk's
-    widest order, edge_lists), and how many records were skipped.
-    edge_lists(rows) reads the edges of the records in these rows off
-    their bitmasks in graph6's column order, as `parse_graph6` lists
-    them."""
+    at record `lo`, from their rows of `_decode_graph6`, in record order,
+    as `add_batch` takes them: (orders, keys, edge counts, girth hints,
+    neighbour bitmasks cut to the chunk's widest order), and how many
+    records were skipped."""
     width = int(order.max())
     nb = nb[:, :width].astype(_mask_dtype(width))
     keep = _connected_cyclic(order, m, nb)
     nb = nb[keep]
-
-    def edge_lists(rows: np.ndarray) -> list[list[tuple[int, int]]]:
-        return _mask_pairs(nb[rows], "lower")
-
     keys = np.arange(lo, lo + len(order))
-    return order[keep], keys[keep], m[keep], nb, edge_lists, len(order) - int(keep.sum())
+    return (order[keep], keys[keep], m[keep], _girth_hints(nb), nb,
+            len(order) - int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -945,30 +918,23 @@ class _GraphMeta:
         "key",
         "n",
         "edges",
+        "adj",
         "m",
         "girth",
         "cotree",
         "accepted",
     )
 
-    def __init__(self, source, key, n, edges, girth, cotree, accepted):
+    def __init__(self, source, key, n, edges, adj, girth, cotree, accepted):
         self.source = source
         self.key = key
         self.n = n
         self.edges = edges
+        self.adj = adj
         self.m = len(edges)
         self.girth = girth
         self.cotree = cotree
         self.accepted = accepted  # (classify_gminus2, classify_equals_g) patterns
-
-
-def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Neighbours of each vertex, in the order of `edges`."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 class _SetBits(dict):
@@ -1198,21 +1164,21 @@ class _Engine:
     # -- graph intake
 
     def add_batch(self, source: str, order: np.ndarray, keys: np.ndarray,
-                  m: np.ndarray, hints: np.ndarray, nb: np.ndarray, edge_lists) -> None:
+                  m: np.ndarray, hints: np.ndarray, nb: np.ndarray) -> None:
         """Intake of one chunk of connected graphs with a cycle, one row
         each, in stream order: orders, keys, edge counts, girth hints
         (the girth, or 3, 4 and 0 as `_girth_hints` gives them) and
-        neighbour bitmasks zero-padded to a common width, and
-        edge_lists(rows) the edge lists of the graphs in these rows.  A capped engine decides a row
-        by either rule.  A row has a witness when its hint is 3 and it
-        does not have 3 parts (`multipartite_parts`, which `case_shapes`
-        reads too).  The rows whose hint is not 3 get their pendant pairs
-        and matching in one pass (`_matching_bounds`), and a row whose
-        hint is its girth g >= 4 is decided when 2(p + k) >= g + 1.
-        Decided rows with no case shape and no spot sample are only
-        counted, in numpy, by (order, girth); the other rows take the
-        per-graph path, with their adjacency and edge lists read off the
-        rows and the girth searched for where the hint is 0."""
+        neighbour bitmasks zero-padded to a common width.  A capped
+        engine decides a row by either rule.  A row has a witness when
+        its hint is 3 and it does not have 3 parts (`multipartite_parts`,
+        which `case_shapes` reads too).  The rows whose hint is not 3 get
+        their pendant pairs and matching in one pass (`_matching_bounds`),
+        and a row whose hint is its girth g >= 4 is decided when
+        2(p + k) >= g + 1.  Decided rows with no case shape and no spot
+        sample are only counted, in numpy, by (order, girth); the other
+        rows take the per-graph path, with their adjacency and edge lists
+        (`_mask_pairs`) read off the rows and the girth searched for where
+        the hint is 0."""
         counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
@@ -1236,7 +1202,7 @@ class _Engine:
         bits = self.set_bits
         for n, row, key, edges, found, hint, pairs, fits, start in zip(
             order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
-            edge_lists(rest), decided[rest].tolist(), hints[rest].tolist(),
+            _mask_pairs(nb[rest]), decided[rest].tolist(), hints[rest].tolist(),
             bound[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
         ):
             adj = [bits[b] for b in row[:n]]
@@ -1264,7 +1230,7 @@ class _Engine:
             accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
             if shape else _NO_PATTERNS
         )
-        meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
+        meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
         total = 1 << len(cotree)
         self.result.graphs += 1
         self.result.instances += total
@@ -1300,7 +1266,7 @@ class _Engine:
         )
         if accepted[0] or accepted[1] or _holds_sample(start, total, self.stride):
             cotree = _spanning_cotree(n, edges)
-            meta = _GraphMeta(source, key, n, edges, girth, cotree, accepted)
+            meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
             for name, patterns in zip(_IFF_CHECKS, accepted):
                 if name in self.sel:
                     for signing in sorted(patterns):
@@ -1433,7 +1399,7 @@ class _Engine:
         bipartite: dict[_GraphMeta, bool] = {}
         for meta in metas:
             if meta not in bipartite:
-                bipartite[meta] = bipartition(_adjacency(meta.n, meta.edges)) is not None
+                bipartite[meta] = bipartition(meta.adj) is not None
         mats = stack[hits]
         keep = reduced_vertices(mats)
         order = keep.sum(axis=1)
@@ -1626,22 +1592,14 @@ def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
     engine = _Engine(config)
     source = desc[0]
     if source == "dense":
-        _, n, lo, hi = desc
-        keys, m, hints, nb = _dense_chunk(n, lo, hi)
-        order = np.full(len(keys), n)
-        edge_lists = lambda rows: _mask_pairs(nb[rows], "upper")
+        rows = _dense_chunk(*desc[1:])
     elif source == "sparse":
-        _, lo, hi = desc
-        order, keys, m, hints, nb, edge_lists = _sparse_chunk(
-            config.max_n_sparse, config.max_cyclomatic, lo, hi
-        )
+        rows = _sparse_chunk(config.max_n_sparse, config.max_cyclomatic, *desc[1:])
     else:
-        _, pi, lo, order, m, nb = desc
-        source = f"graph6[{pi}]"
-        order, keys, m, nb, edge_lists, skipped = _graph6_chunk(lo, order, m, nb)
+        source = f"graph6[{desc[1]}]"
+        *rows, skipped = _graph6_chunk(*desc[2:])
         engine.result.skipped_graph6_records += skipped
-        hints = _girth_hints(nb)
-    engine.add_batch(source, order, keys, m, hints, nb, edge_lists)
+    engine.add_batch(source, *rows)
     res = engine.finish()
     res.stages["intake"] += time.perf_counter() - clock - sum(res.stages.values())
     return res

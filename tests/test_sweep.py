@@ -59,6 +59,7 @@ from sgrank.sweep import (
     _girth_hints,
     _graph6_chunk,
     _mask_dtype,
+    _mask_pairs,
     _matching_bounds,
     _rooted_trees,
     _run_chunk,
@@ -193,8 +194,10 @@ def _oracle_cores(max_n, max_cyclomatic):
 
 @lru_cache(maxsize=None)
 def _oracle_stream(max_n, max_cyclomatic):
+    """(n, edges) of each graph of the sparse stream, each edge as
+    (min, max), sorted."""
     return [
-        (n + extra, sorted(edges + hung))
+        (n + extra, sorted((min(e), max(e)) for e in edges + hung))
         for n, edges in _oracle_cores(max_n, max_cyclomatic)
         for extra, hung in _oracle_hangings(n, max_n - n)
     ]
@@ -274,7 +277,8 @@ class TestDenseStream:
 
         n = 5
         total = 1 << len(_edge_table(n))
-        masks, counts, hints, nb = _dense_chunk(n, 0, total)
+        order, masks, counts, hints, nb = _dense_chunk(n, 0, total)
+        assert (order == n).all()
         for mask, hint, row in zip(masks.tolist(), hints.tolist(), nb.tolist()):
             edges = [e for i, e in enumerate(_edge_table(n)) if (mask >> i) & 1]
             adj = [[] for _ in range(n)]
@@ -420,7 +424,7 @@ class TestCaseShapes:
         graphs = passed = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
-            masks, m, hints, nb = _dense_chunk(n, lo, hi)
+            _, masks, m, hints, nb = _dense_chunk(n, lo, hi)
             fits = case_shapes(n, m, nb, hints, multipartite_parts(n, nb)).tolist()
             for mask, fit in zip(masks.tolist(), fits):
                 if not fit:
@@ -444,6 +448,28 @@ class TestCaseShapes:
         paw_parts = multipartite_parts(4, paw_nb)
         assert case_shapes(4, [4], paw_nb, [0], paw_parts).tolist() == [True]
 
+    def test_theta_and_subdivided_k4_need_no_girth_three_or_four(self):
+        # cases (g) and (h) have girth 6 or 8: with m in {n + 1, n + 2},
+        # minimum degree 2 and not complete multipartite, a girth hint of
+        # 3 or 4 fails, and hint 0 ("5 or more, unknown") passes
+        theta = {  # paths of 1, 2, 3 edges; of 2, 2, 3; of 2, 4, 4 (case (g))
+            3: (5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)]),
+            4: (6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5)]),
+            6: (9, [(0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (1, 5),
+                    (0, 6), (6, 7), (7, 8), (1, 8)]),
+        }
+        # K4 with one edge subdivided: girth 3
+        k4 = (5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
+        for girth, (n, edges) in [*theta.items(), (3, k4)]:
+            nb = [_neighbour_masks(n, edges)]
+            parts = multipartite_parts(n, nb)
+            assert parts.tolist() == [0] and len(edges) - n in (1, 2)
+            assert girth_of_adjacency(_adjacency(n, edges)) == girth
+            fits = case_shapes(n, [len(edges)], nb, [girth], parts).tolist()
+            assert fits == [girth not in (3, 4)], girth
+            assert case_shapes(n, [len(edges)], nb, [0], parts).tolist() == [True]
+        assert _yields_a_case(*theta[6])
+
     def test_sparse_graphs_and_the_g_and_h_shapes(self):
         by_order = {}
         for n, edges in sparse_graphs(10, 3):
@@ -459,7 +485,7 @@ class TestCaseShapes:
         # the sweep runs `case_shapes` on the sparse stream's rows, over
         # max_n columns: each row's verdict is that of its own graph,
         # unpadded, with the girth searched for
-        order, _, m, girth, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        order, _, m, girth, nb = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
         got = case_shapes(order, m, nb, girth, multipartite_parts(order, nb)).tolist()
         by_order = {}
         for i, (n, edges) in enumerate(sparse_graphs(10, 3)):
@@ -598,7 +624,7 @@ class TestMatchingBounds:
         return got
 
     def test_sparse_rows(self):
-        order, _, _, _, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        order, _, _, _, nb = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
         assert len(nb) == 144_104
         got = self._check(order, nb)
         assert set(got.tolist()) == {1, 2, 3, 4, 5}
@@ -606,7 +632,7 @@ class TestMatchingBounds:
     @pytest.mark.parametrize("n, hi", [(3, None), (4, None), (5, None), (6, None),
                                        (7, 1 << 16)])
     def test_dense_rows_padded_or_not(self, n, hi):
-        _, _, _, nb = _dense_chunk(n, 0, hi or 1 << len(_edge_table(n)))
+        *_, nb = _dense_chunk(n, 0, hi or 1 << len(_edge_table(n)))
         got = self._check(n, nb)
         padded = np.zeros((len(nb), 16), dtype=np.uint16)
         padded[:, :n] = nb
@@ -616,7 +642,7 @@ class TestMatchingBounds:
     def test_mixed_order_rows(self):
         records = [nx.to_graph6_bytes(g, header=False).decode().strip()
                    for g in _mixed_order_graphs()]
-        order, _, _, nb, _, _ = _graph6_chunk(0, *_decode_graph6(records))
+        order, _, _, _, nb, _ = _graph6_chunk(0, *_decode_graph6(records))
         assert nb.shape[1] == 16 and (order.min(), order.max()) == (3, 16)
         self._check(order, nb)
 
@@ -634,9 +660,9 @@ class TestGirthThreeSkipsTheMatching:
 
     def test_two_pairs_give_a_witness(self):
         graphs = [(n, e) for n in range(3, 7) for _, e in dense_graphs(n)]
-        order, _, _, girth, _, edge_lists = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        order, _, _, girth, nb = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
         rows = np.flatnonzero(girth == 3)
-        graphs += zip(order[rows].tolist(), edge_lists(rows))
+        graphs += zip(order[rows].tolist(), _mask_pairs(nb[rows]))
         two_pairs = 0
         for n, edges in graphs:
             if _has_triangle(n, edges) and self._pairs(_adjacency(n, edges)) >= 2:
@@ -734,8 +760,8 @@ def _witness(n, edges):
 
 def _chunk_graphs(max_n, max_cyclomatic, lo, hi):
     """The (n, edges) of the sparse chunk [lo, hi), read off its rows."""
-    order, _, _, _, _, edge_lists = _sparse_chunk(max_n, max_cyclomatic, lo, hi)
-    return list(zip(order.tolist(), edge_lists(np.arange(len(order)))))
+    order, _, _, _, nb = _sparse_chunk(max_n, max_cyclomatic, lo, hi)
+    return list(zip(order.tolist(), _mask_pairs(nb)))
 
 
 def _row_witness(n, nb):
@@ -881,7 +907,7 @@ class TestDenseWitness:
         found = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
-            _, _, hints, nb = _dense_chunk(n, lo, hi)
+            *_, hints, nb = _dense_chunk(n, lo, hi)
             parts = multipartite_parts(n, nb)
             got = _row_witness(n, nb)
             assert got.dtype == bool
@@ -901,9 +927,12 @@ class TestPaddedRows:
 
     def test_padded_dense_rows_give_the_same_results(self):
         rows = multipartite = by_degree = 0
-        for n in range(3, 7):
-            total = 1 << len(_edge_table(n))
-            masks, m, hints, nb = _dense_chunk(n, 0, total)
+        # all of n = 3..6 and the first 2^16 masks of n = 7, which hold
+        # theta graphs of girth 5: rows that pass `case_shapes` by their
+        # degrees, which none of girth 3 or 4 does
+        for n, total in [*((n, 1 << len(_edge_table(n))) for n in range(3, 7)),
+                         (7, 1 << 16)]:
+            _, masks, m, hints, nb = _dense_chunk(n, 0, total)
             parts = multipartite_parts(n, nb)
             shapes = case_shapes(n, m, nb, hints, parts)
             # every labeled graph on n vertices, for the connectivity test
@@ -929,8 +958,9 @@ class TestPaddedRows:
             # multipartite ones, and ones in a case shape by their degrees
             multipartite += int((parts > 0).sum())
             by_degree += int((shapes & (parts == 0) & (m > n)).sum())
-        # the connected labeled graphs with a cycle on 3..6 vertices
-        assert rows == 26_034
+        # the connected labeled graphs with a cycle on 3..6 vertices, and
+        # those among the first 2^16 masks on 7
+        assert rows == 26_034 + 38_759
         assert multipartite > 0 and by_degree > 0
 
 
@@ -947,10 +977,11 @@ def _sparse_stream(max_n, max_cyclomatic):
     return list(sparse_graphs(max_n, max_cyclomatic))
 
 
-def _replay(ce, sparse_n=7):
+def _replay(ce, sparse_n=7, graph6=None):
     """The counterexample's graph, checked against its .sgr record, its
     reported rank and girth, and its source and signing index (a sparse
-    key indexes `sparse_graphs(sparse_n, 3)`)."""
+    key indexes `sparse_graphs(sparse_n, 3)`, a graph6 key the records of
+    the text `graph6` as `parse_graph6` reads them)."""
     g = parse_sgr(ce["sgr"])
     assert rank_of(g) == ce["rank"]
     assert profile(g).girth == ce["girth"]
@@ -958,8 +989,11 @@ def _replay(ce, sparse_n=7):
     if source == "dense":
         table = _edge_table(ce["n"])
         edges = [e for i, e in enumerate(table) if (int(key) >> i) & 1]
-    else:
+    elif source == "sparse":
         edges = _sparse_stream(sparse_n, 3)[int(key)][1]
+    else:
+        assert source == "graph6[0]"
+        edges = parse_graph6(graph6)[int(key)][1]
     assert list(enumerate_signings(ce["n"], edges))[ce["signing_index"]] == g
     return g
 
@@ -1007,6 +1041,32 @@ class TestIffChecksAreLive:
             assert (ce["girth"], ce["signing_index"]) == (4, 0)
             assert ce["rank"] != 4
             assert classify_equals_g(g, rank=ce["rank"]) is None
+
+    def test_dense_and_graph6_streams_fail_alike(self, tmp_path, monkeypatch):
+        # the dense n <= 5 graphs, in stream order, as a graph6 file.  Each
+        # graph's highest accepted pattern is dropped, so failures land on
+        # nonzero signing indices of graphs with 2 or more co-tree edges,
+        # which follow the edge order: both streams must read the same
+        # edge list off a graph's row
+        def drop_highest(adj, cotree):
+            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+            return gm2 - {max(gm2, default=0)}, eqg - {max(eqg, default=0)}
+
+        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", drop_highest)
+        graphs = [_graph(n, edges) for n in range(3, 6) for _, edges in dense_graphs(n)]
+        path = _graph6_file(tmp_path / "dense.g6", graphs)
+        common = dict(max_n_sparse=0, checks=_IFF_CHECKS, max_counterexamples=10**6)
+        dense = run(SweepConfig(max_n_dense=5, **common)).counterexamples
+        g6 = run(SweepConfig(max_n_dense=0, graph6_paths=(path,), **common)).counterexamples
+        assert len(dense) == 57
+        assert sum(ce["signing_index"] > 0 for ce in dense) == 44
+        assert any(ce["signing_index"] > 0 and ce["m"] - ce["n"] + 1 >= 2 for ce in dense)
+        assert [ce["source"].split(":")[0] for ce in g6] == ["graph6[0]"] * len(dense)
+        fields = [{k: v for k, v in ce.items() if k != "source"} for ce in dense]
+        assert [{k: v for k, v in ce.items() if k != "source"} for ce in g6] == fields
+        text = (tmp_path / "dense.g6").read_text()
+        for ce in dense + g6:
+            _replay(ce, graph6=text)
 
 
 def _girth_four_sweep():
@@ -1366,7 +1426,7 @@ def _decode_graph6_record(line, record):
     if any(bits[pairs:]):
         raise Graph6Error("nonzero padding bits", record)
     column = [(u, v) for v in range(1, n) for u in range(v)]
-    return n, [pair for pair, bit in zip(column, bits) if bit]
+    return n, sorted(pair for pair, bit in zip(column, bits) if bit)
 
 
 def _g6_count(n, chars):
@@ -1397,7 +1457,7 @@ class TestGraph6:
                 line = nx.to_graph6_bytes(g, header=False).decode().strip()
                 for head in (line[0], "~" + _g6_count(n, 3), "~~" + _g6_count(n, 6)):
                     records.append(head + line[1:])
-                    want.append((n, _column_order((min(e), max(e)) for e in g.edges())))
+                    want.append((n, sorted((min(e), max(e)) for e in g.edges())))
         assert parse_graph6("\n".join(records)) == want
         assert [_decode_graph6_record(line, i) for i, line in enumerate(records)] == want
         order, m, nb = _decode_graph6(records)
@@ -1405,9 +1465,13 @@ class TestGraph6:
         assert m.tolist() == [len(edges) for _, edges in want]
         assert nb.dtype == np.uint16
         assert nb.tolist() == [_neighbour_masks(_MAX_ORDER, edges) for _, edges in want]
-        # a chunk reads the same edge lists off its rows
-        _, keys, _, _, edge_lists, _ = _graph6_chunk(0, order, m, nb)
-        assert edge_lists(np.arange(len(keys))) == [want[k][1] for k in keys.tolist()]
+        # a chunk reads the same edge lists off its rows, and hints 3 and 4
+        # exactly at girths 3 and 4
+        _, keys, _, hints, nb, _ = _graph6_chunk(0, order, m, nb)
+        assert _mask_pairs(nb) == [want[k][1] for k in keys.tolist()]
+        girths = [girth_of_adjacency(_adjacency(*want[k])) for k in keys.tolist()]
+        assert hints.tolist() == [g if g in (3, 4) else 0 for g in girths]
+        assert {3, 4} <= set(girths)
 
     @pytest.mark.parametrize("first", sorted(_MALFORMED))
     def test_the_first_malformed_record_is_named(self, first):
@@ -1435,7 +1499,7 @@ class TestGraph6:
 
     def test_header_and_blank_lines(self):
         assert parse_graph6(">>graph6<<C~\n\n") == [
-            (4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
+            (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         ]
 
     @pytest.mark.parametrize(
@@ -1469,7 +1533,7 @@ class TestGraph6:
 class TestSparseGirthHint:
     def test_hint_is_the_girth(self):
         total = _sparse_length(10, 3)
-        _, _, _, girth, _, _ = _sparse_chunk(10, 3, 0, total)
+        _, _, _, girth, _ = _sparse_chunk(10, 3, 0, total)
         graphs = _chunk_graphs(10, 3, 0, total)
         for (n, edges), hint in zip(graphs, girth.tolist()):
             assert hint == girth_of_adjacency(_adjacency(n, edges)), (n, edges)
@@ -1483,23 +1547,16 @@ class TestCoreTable:
     @pytest.mark.parametrize("max_n, max_cyclomatic, cores",
                              [(9, 3, 1629), (10, 3, 3262), (11, 2, 285)])
     def test_cores_match_the_oracle(self, max_n, max_cyclomatic, cores):
-        order, m, girth, nb, out = _core_table(max_n, max_cyclomatic)
+        order, m, girth, nb = _core_table(max_n, max_cyclomatic)
         want = _oracle_cores(max_n, max_cyclomatic)
         assert len(want) == cores
-        assert nb.dtype == out.dtype == _mask_dtype(max_n)
+        assert nb.dtype == _mask_dtype(max_n)
         assert order.tolist() == [n for n, _ in want]
         assert m.tolist() == [len(edges) for _, edges in want]
         assert girth.tolist() == [
             girth_of_adjacency(_adjacency(n, edges)) for n, edges in want
         ]
         assert nb.tolist() == [_neighbour_masks(max_n, edges) for _, edges in want]
-        written = [[0] * max_n for _ in want]
-        for row, (_, edges) in zip(written, want):
-            for a, b in edges:
-                row[a] |= 1 << b
-        assert out.tolist() == written
-        # chains are written from u to v, so some edges run downwards
-        assert any(a > b for _, edges in want for a, b in edges)
 
     @pytest.mark.parametrize("max_n, max_cyclomatic", [(9, 3), (10, 3), (11, 2)])
     def test_stream_matches_the_oracle(self, max_n, max_cyclomatic):
@@ -1517,7 +1574,8 @@ class TestSparseChunks:
         full = _oracle_stream(max_n, 3)
         assert _sparse_length(max_n, 3) == len(full)
         assert _chunk_graphs(max_n, 3, 0, len(full)) == full
-        assert all(edges == sorted(edges) for _, edges in full)
+        assert all(edges == sorted(edges) and all(u < v for u, v in edges)
+                   for _, edges in full)
         # a step of 97 puts slice boundaries inside cores
         joined = []
         for lo in range(0, len(full) + 97, 97):
@@ -1540,7 +1598,7 @@ class TestSparseChunks:
         # the witness `add_batch` takes from a sparse row, its core's
         # girth 3 and not 3 parts, is "a triangle and not complete
         # tripartite" of the row's graph
-        order, keys, m, girth, nb, _ = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
+        order, keys, m, girth, nb = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
         got = ((girth == 3) & (multipartite_parts(order, nb) != 3)).tolist()
         witnessed = 0
         for (n, edges), found in zip(sparse_graphs(10, 3), got):
@@ -1560,7 +1618,7 @@ class TestSparseChunks:
         stream = _oracle_stream(max_n, 3)
         total = _sparse_length(max_n, 3)
         for lo in range(0, total, 97):
-            order, keys, m, girth, nb, edge_lists = _sparse_chunk(
+            order, keys, m, girth, nb = _sparse_chunk(
                 max_n, 3, lo, min(lo + 97, total)
             )
             assert nb.dtype == _mask_dtype(max_n) and nb.shape[1] == max_n
@@ -1572,7 +1630,7 @@ class TestSparseChunks:
                 assert row == _neighbour_masks(max_n, edges), (n, edges)
             # any rows, in any order
             rows = np.arange(len(keys))[::-3]
-            assert edge_lists(rows) == [stream[lo + i][1] for i in rows.tolist()]
+            assert _mask_pairs(nb[rows]) == [stream[lo + i][1] for i in rows.tolist()]
         assert lo + len(keys) == len(stream)
 
 
@@ -1956,7 +2014,7 @@ class TestMixedOrderChunks:
 
         def spy(lo, order, m, nb):
             out = chunk(lo, order, m, nb)
-            widths.add(out[3].shape[1])
+            widths.add(out[4].shape[1])
             return out
 
         monkeypatch.setattr(sweep_module, "_graph6_chunk", spy)
