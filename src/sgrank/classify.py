@@ -14,19 +14,24 @@ signs, and a switching class is fixed by its cycle signs.  With the edges
 of one spanning tree positive, a cycle's sign is the parity of the co-tree
 edges it uses, so each case's condition is a set of co-tree sign
 patterns, one per accepted switching class.  `_cases` lists every case of
-one underlying graph with its pattern set, and it is the only place that
-states a sign condition.  Most of those sets do not depend on the tree;
-only cases (c), (g) and (h) ask for the co-tree edges, so the caller
-passes them as a function and a graph of no such shape never builds its
-tree.  `accepted_cotree_patterns` takes the union of those sets, once
-per underlying graph, for the verification sweep; the classifiers find
-the pattern of the signing at hand and return the first case whose set
-holds it.  `case_shapes` widens those shapes to a test on edge counts,
-girth hints and neighbour bitmasks that numpy runs over many graphs at
-once: a graph that fails it has no case, so the sweep skips its table.
-It reads the part counts of `multipartite_parts`, which the sweep also
-takes for its girth-3 witness: a graph with a triangle that is not
-complete tripartite.
+one underlying graph with its pattern set.  Most of those sets do not
+depend on the tree; only cases (c), (g) and (h) ask for the co-tree
+edges, so the caller passes them as a function and a graph of no such
+shape never builds its tree.  `accepted_cotree_patterns` takes the union
+of those sets, once per underlying graph; the classifiers find the
+pattern of the signing at hand and return the first case whose set
+holds it.
+
+The verification sweep takes the same sets for whole chunks of graphs,
+given by neighbour bitmasks, from `row_cases`, the case table on rows:
+every other case accepts pattern 0, pattern 1 of a unicyclic graph's
+single co-tree edge, or both, and numpy finds which from degrees, the
+order, the part counts of `multipartite_parts`, the 2-core and a
+bipartition.  It marks the rows of the shapes of cases (c), (g) and
+(h), which take the per-graph table.  The tests hold the two tables
+equal on every row of the sweep's streams.  `multipartite_parts` also
+gives the sweep its girth-3 witness: a graph with a triangle that is
+not complete tripartite.
 
 Girth-4 graphs of rank 4 are accepted as case (f) on the rank value
 alone; pinning down the finite reduced-graph catalog behind them is
@@ -47,6 +52,7 @@ from .exact import rank as exact_rank
 from .invariants import (
     _cotree_pattern,
     _spanning_cotree,
+    bfs_rows,
     girth_of_adjacency,
     is_connected,
     two_core,
@@ -230,6 +236,7 @@ _NO_PATTERNS: frozenset[int] = frozenset()
 _BALANCED = frozenset((0,))
 _UNBALANCED = frozenset((1,))  # the single co-tree bit of a unicyclic graph
 _BOTH = frozenset((0, 1))
+_PATTERN_SETS = (_NO_PATTERNS, _BALANCED, _UNBALANCED, _BOTH)  # by 2-bit mask
 
 
 def _negative_on(
@@ -355,37 +362,112 @@ def multipartite_parts(n, nb) -> np.ndarray:
     return np.where(multipartite, parts, 0)
 
 
-def case_shapes(n, m, nb, girth, parts) -> np.ndarray:
-    """Per graph, whether `_cases` may yield anything for it: a necessary
-    condition, vectorized over connected graphs with a cycle, with orders
-    n, edge counts m, neighbour bitmasks nb (as `multipartite_parts` takes
-    them, padding included), girth hints (3 exactly for a graph with a
-    triangle, 4 exactly for one of girth 4; 0 may stand for any girth of
-    5 or more) and the part counts of `multipartite_parts`; element by
-    element, and n, m and girth may be one value for all rows.  It widens
-    each shape `_cases` tests:
+# the pattern masks of a cycle by its order mod 4: at 0, (B) takes the
+# balanced signing and (b) the other; at 2, (C) the unbalanced and (b)
+# the balanced; an odd cycle is (a), in both signings
+_CYCLE_GM2 = np.array([0b01, 0, 0b10, 0])
+_CYCLE_EQG = np.array([0b10, 0b11, 0b01, 0b11])
 
-    * cycles and the graphs of cases (d) and (e) are unicyclic: m == n.
-      Apart from C3, no unicyclic graph of girth 3 has a case: case (d)
-      needs every gap between consecutive star centers odd, which a
-      triangle cannot give, and case (e) needs an even cycle.  C3 is
-      complete multipartite, so m == n counts only for a triangle-free
-      graph;
-    * case (g)'s theta graphs and case (h)'s subdivided K4 have degrees 2
-      and 3, m == n + 1 and m == n + 2, and girth 6 or 8: not 3 or 4;
-    * the graphs of cases (A) and (c) are complete multipartite."""
-    nb = np.asarray(nb)
-    min_degree_two = np.ones(len(nb), dtype=bool)
-    for u in range(nb.shape[1]):
-        col = nb[:, u]
-        min_degree_two &= ((col & (col - 1)) != 0) | (u >= n)  # two bits or more
-    excess = np.asarray(m) - n
-    girth = np.asarray(girth)
-    return (
-        ((excess == 0) & (girth != 3))
-        | (((excess == 1) | (excess == 2)) & min_degree_two & ~np.isin(girth, (3, 4)))
-        | (np.asarray(parts) > 0)
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The set bits of each non-negative integer below 2^16."""
+    x = x - ((x >> 1) & 0x5555)
+    x = (x & 0x3333) + ((x >> 2) & 0x3333)
+    x = (x + (x >> 4)) & 0x0F0F
+    return (x + (x >> 8)) & 0x1F
+
+
+def _pendant_cases(nb: np.ndarray, deg: np.ndarray):
+    """Per row of neighbour bitmasks of a connected unicyclic graph that
+    is not a cycle, with its vertex degrees: (the length L of its cycle,
+    the mask of the patterns case (d) or (e) accepts).  Stripping every
+    vertex of degree <= 1 until none is left gives the 2-core, the
+    cycle.  Case (d): every off-cycle vertex is a leaf on a cycle
+    vertex, and every gap between consecutive star centres is odd.  The
+    gaps and the centres cover the cycle, so the gaps sum to L minus the
+    number of centres: all are odd iff every step from a centre to the
+    next is even, iff L is even and the centres lie on one side of the
+    bipartition, which the depth parity of `bfs_rows` gives.  Case (e):
+    one off-cycle vertex c of degree >= 2, with one cycle neighbour,
+    every other off-cycle vertex a leaf on c, and L even; the pattern
+    is 0 at L = 0 (mod 4) and 1 at L = 2."""
+    rows, width = nb.shape
+    at, every = np.arange(rows), np.arange(width)
+    adj = nb.astype(np.int64)
+    core = ((deg > 0) << every).sum(axis=1)  # padded columns have degree 0
+    while True:
+        inner = _popcount(adj & core[:, None])
+        strip = (((core[:, None] >> every) & 1) == 1) & (inner <= 1)
+        if not strip.any():
+            break
+        core &= ~(strip << every).sum(axis=1)
+    length = _popcount(core)
+    even = length % 2 == 0
+    off = (deg > 0) & (((core[:, None] >> every) & 1) == 0)
+    on_cycle = adj & core[:, None]  # each vertex's cycle neighbours
+    leaves = (~off | ((deg == 1) & (on_cycle != 0))).all(axis=1)
+    centres = np.bitwise_or.reduce(np.where(off, on_cycle, 0), axis=1)
+    odd = ((bfs_rows(nb)[1] & 1) << every).sum(axis=1)
+    one_side = ((centres & odd) == 0) | ((centres & ~odd) == 0)
+    stars = leaves & even & one_side
+    hubs = off & (deg >= 2)
+    c = np.argmax(hubs, axis=1)
+    nb_c = adj[at, c]
+    off_mask = (off << every).sum(axis=1)
+    star = (
+        (hubs.sum(axis=1) == 1)
+        & (_popcount(nb_c & core) == 1)
+        & ((off_mask & ~(1 << c) & ~nb_c) == 0)
+        & even & ~stars
     )
+    eqg = np.where(stars, 0b11, np.where(star, np.where(length % 4 == 0, 0b01, 0b10), 0))
+    return length, eqg
+
+
+def row_cases(n, m, nb, girth, parts):
+    """The case table on rows: per connected graph with a cycle, given by
+    its order n, edge count m, neighbour bitmasks nb (as
+    `multipartite_parts` takes them, padding included), girth hint (3
+    exactly for a graph with a triangle, 4 exactly for one of girth 4; 0
+    may stand for any girth of 5 or more) and part count from
+    `multipartite_parts`, element by element (n, m and girth may be one
+    value for all rows): (gm2, eqg, per_graph, girth).  gm2 and eqg are
+    the sets of `accepted_cotree_patterns` as 2-bit masks, bit p set for
+    pattern p, on every row that per_graph leaves out; per_graph marks
+    the rows whose cases read the co-tree, on which both masks are 0 and
+    `_cases` must run.  girth is the hint, or on a unicyclic row the
+    length of its cycle, which is its girth.
+
+    * (A) is a complete bipartite graph: 2 parts, pattern 0.
+    * The cycles (a), (B)/(b) and (C)/(b) take their patterns from the
+      order mod 4.
+    * (d) and (e) are unicyclic graphs that are not cycles
+      (`_pendant_cases`).
+    * per_graph: the complete tripartite graphs of case (c), and the
+      shape of the theta graphs of case (g) and the subdivided K4 of
+      case (h), which have degrees 2 and 3, m == n + 1 and m == n + 2,
+      and girth 6 or 8: not 3 or 4."""
+    nb = np.asarray(nb)
+    rows, width = nb.shape
+    n, m, girth = (np.broadcast_to(np.asarray(x, dtype=np.int64), (rows,)) for x in (n, m, girth))
+    parts = np.asarray(parts)
+    deg = _popcount(nb.astype(np.uint16))  # a padded column has degree 0
+    padded = np.arange(width) >= n[:, None]
+    excess = m - n
+    per_graph = (parts == 3) | (
+        ((excess == 1) | (excess == 2))
+        & ((deg >= 2) | padded).all(axis=1)
+        & ~np.isin(girth, (3, 4))
+    )
+    cycle = (excess == 0) & ((deg == 2) | padded).all(axis=1)
+    gm2 = np.where(parts == 2, 0b01, 0) | np.where(cycle, _CYCLE_GM2[n % 4], 0)
+    eqg = np.where(cycle, _CYCLE_EQG[n % 4], 0)
+    girth = np.where(cycle, n, girth)
+    pendant = np.flatnonzero((excess == 0) & ~cycle)
+    if len(pendant):
+        girth[pendant], eqg[pendant] = _pendant_cases(nb[pendant], deg[pendant])
+    gm2[per_graph] = eqg[per_graph] = 0
+    return gm2, eqg, per_graph, girth
 
 
 def accepted_cotree_patterns(

@@ -311,6 +311,8 @@ def _cmd_verify(args) -> int:
         f"elapsed: {report.elapsed_seconds:.1f}s",
         file=human,
     )
+    print("counters: " + " ".join(f"{name}={count}" for name, count in report.counters.items()),
+          file=human)
     if report.skipped_graph6_records:
         print(
             f"skipped graph6 records (disconnected or acyclic): "

@@ -22,13 +22,17 @@ spanning tree per underlying graph, and with its edges positive each
 pattern (a bit per non-tree edge) names one signing per switching class.
 `_cotree_pattern` finds the pattern of any signing from its tree
 potentials: a co-tree edge's bit is the sign of its fundamental cycle.
+`bfs_rows` builds the same tree for many graphs at once, in numpy, from
+their neighbour bitmasks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .core import SignedGraph
 
@@ -198,6 +202,40 @@ def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     ]
 
 
+def bfs_rows(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of neighbour bitmasks (one row per graph, one integer column
+    per vertex, bit w of nb[i, v] set when w is a neighbour of v, padded
+    columns zero), the tree of `_spanning_cotree`: (parent, depth), each
+    with one column per vertex, parent -1 at vertex 0 and at a vertex the
+    search does not reach.  The rows run in lockstep: each keeps a queue
+    seeded with vertex 0, and step t takes the t-th vertex of every queue
+    that long and appends its unseen neighbours, ascending."""
+    rows, width = nb.shape
+    adj = nb.astype(np.int64)
+    bit = np.int64(1) << np.arange(width)
+    parent = np.full((rows, width), -1, dtype=np.int64)
+    depth = np.zeros((rows, width), dtype=np.int64)
+    queue = np.zeros((rows, width), dtype=np.int64)
+    seen = np.ones(rows, dtype=np.int64)
+    tail = np.ones(rows, dtype=np.int64)
+    live = np.arange(rows)
+    for head in range(width):
+        live = live[tail[live] > head]
+        if not len(live):
+            break
+        u = queue[live, head]
+        new = adj[live, u] & ~seen[live]
+        seen[live] |= new
+        bits = (new[:, None] & bit) != 0
+        at, w = np.nonzero(bits)  # ascending w within each row
+        row = live[at]
+        parent[row, w] = u[at]
+        depth[row, w] = depth[row, u[at]] + 1
+        queue[row, tail[row] + np.cumsum(bits, axis=1)[at, w] - 1] = w
+        tail[live] += bits.sum(axis=1)
+    return parent, depth
+
+
 def _cotree_pattern(
     adj: list[list[int]],
     cotree: Sequence[tuple[int, int]],
@@ -223,6 +261,44 @@ def _cotree_pattern(
         1 << t for t, (u, v) in enumerate(cotree) if sign(u, v) != pot[u] * pot[v]
     )
     return pattern, pot
+
+
+def _cotree_signing(
+    n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], pattern: int
+) -> SignedGraph:
+    """The signing with exactly the co-tree edges cotree[t] negative
+    whose bit t is set in `pattern`."""
+    negative = {e for t, e in enumerate(cotree) if (pattern >> t) & 1}
+    return SignedGraph(
+        n, [(u, v, -1 if i in negative else 1) for i, (u, v) in enumerate(edges)]
+    )
+
+
+def enumerate_signings(
+    n: int, edges: Sequence[tuple[int, int]]
+) -> Iterator[SignedGraph]:
+    """One signed graph per switching class of the underlying graph:
+    spanning-tree edges positive, each co-tree sign pattern once.
+    Pattern 0 (first yield) is all-positive, the balanced class."""
+    cotree = _spanning_cotree(n, edges)
+    for pattern in range(1 << len(cotree)):
+        yield _cotree_signing(n, edges, cotree, pattern)
+
+
+def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
+    """The member of g's switching class whose spanning-tree edges are all
+    positive: the co-tree signing of g's pattern, on the tree that
+    `enumerate_signings` uses.  Equal for switching-equivalent inputs on
+    the same underlying graph."""
+    edges = g.underlying_edges()
+    cotree = _spanning_cotree(g.n, edges)
+    signs = g.sign_map()
+    pattern, _ = _cotree_pattern(
+        g.neighbors(),
+        [edges[i] for i in cotree],
+        lambda u, v: signs[min(u, v), max(u, v)],
+    )
+    return _cotree_signing(g.n, edges, cotree, pattern)
 
 
 def is_balanced(g: SignedGraph) -> bool:

@@ -18,8 +18,10 @@ decoded in numpy straight into rows (`_decode_graph6`):
   counts) and the hangings of each core order (`_hanging_rows`).
 
 Per underlying graph, one signing per switching class is enumerated
-(edges of the spanning tree from `invariants._spanning_cotree` positive,
+(edges of the spanning tree of `invariants._spanning_cotree` positive,
 all co-tree sign patterns; pattern 0 is the balanced representative).
+The sweep builds that tree for a whole chunk at once (`_row_cotrees`,
+by a lockstep search over the rows, `invariants.bfs_rows`).
 
 The default checks tell ranks apart only at or below the girth g, so the
 sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
@@ -45,32 +47,39 @@ add no cycle; the others' is 3 with a triangle, 4 with a 4-cycle and
 else 0 (`_girth_hints`).  One loop over vertex pairs counts the parts of
 every complete multipartite row (`classify.multipartite_parts`): a row
 has a witness when its hint is 3 and it does not have 3 parts, and
-`case_shapes` reads the same counts.  At girth >= 4 the rule takes the
-graph's iterated pendant pairs and then a greedy maximal induced
-matching of the rest, lowest degree first: p pendant pairs and k
-matched pairs, counted for every row whose hint is not 3 in one numpy
-pass over the chunk (`_matching_bounds`).  Deleting a pendant vertex
-and its neighbour lowers the rank by exactly 2 (the paper's pendant
-lemma), and the matched pairs induce kK2, a principal submatrix of rank
-2k on every signing.  So every signing has rank >= 2(p + k), and the
-rule decides a graph with 2(p + k) >= g + 1.  It is not run at girth 3,
-where it finds p + k = 1 on every graph without a witness.  A row whose
-hint is 0 learns its girth, and so whether the rule decides it, on the
-per-graph path (`_match_or_rank`).
-A decided graph goes into running sums by (order, girth).  The case
-table runs on it only when `classify.case_shapes` says a case may fit,
-and it builds its spanning tree and keeps a record only when the case
-table accepts a pattern for it or a spot-check stride samples one of its
-instances.  A row that either rule decides in numpy and that neither
-holds costs no Python of its own: `add_batch` sums such rows in numpy.
-The other rows read their adjacency and edge lists off the rows, and
-search for their girth where the hint is 0.  Spot checks sample by
-chunk-local stream position: every graph takes the next 2^(m - n + 1)
-positions, and an instance is sampled when its position is a multiple
-of the stride.
-The other graphs' signing blocks are built on the graph's own labels and
-buffered by (order, g).  Before a block would bring all buffers together
-to one cap, the fullest is flushed, so no batch exceeds it.
+the case table on rows (`classify.row_cases`) reads the same counts.
+That table gives each row the co-tree patterns its cases accept, as
+masks over patterns 0 and 1: every case but (c), (g) and (h) accepts
+pattern 0, pattern 1 of a unicyclic graph's single co-tree edge, or
+both, and so needs no co-tree.  It marks the rows of those three
+shapes, which look their patterns up in the per-graph case table, and
+gives a unicyclic row its girth, the length of its cycle.  A row whose
+hint is 0 and that has more than one cycle searches for its girth.  At
+girth >= 4 the rule takes the graph's iterated pendant pairs and then a
+greedy maximal induced matching of the rest, lowest degree first: p
+pendant pairs and k matched pairs, counted for every row whose hint is
+not 3 in one numpy pass over the chunk (`_matching_bounds`).  Deleting
+a pendant vertex and its neighbour lowers the rank by exactly 2 (the
+paper's pendant lemma), and the matched pairs induce kK2, a principal
+submatrix of rank 2k on every signing.  So every signing has rank >=
+2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.  It is
+not run at girth 3, where it finds p + k = 1 on every graph without a
+witness.
+A decided graph goes into running sums by (order, girth).  It keeps a
+record only when the case table accepts a pattern for it or a
+spot-check stride samples one of its instances.  A decided row that
+accepts no pattern, holds no sample and is not marked costs no Python
+of its own: `add_batch` sums such rows in numpy.  The other rows read
+their adjacency and edge lists and their co-trees off the rows, and go
+one by one in stream order to `_Engine._decide` or `_Engine._rank`.
+Spot checks sample by chunk-local stream position: every graph takes
+the next 2^(m - n + 1) positions, and an instance is sampled when its
+position is a multiple of the stride.
+The ranked graphs' signing blocks are built on the graph's own labels,
+per (order, co-tree size) group over runs of rows (`_blocks_in_order`),
+and buffered by (order, g) in stream order.  Before a block would bring
+all buffers together to one cap, the fullest is flushed, so no batch
+exceeds it.
 `capped_ranks` ranks a batch with cap g + 1: fraction-free elimination
 stopped at the cap, in float32 or int64 by the elimination order
 min(n, g + 1).  The opt-in instance checks need full ranks: when one is
@@ -78,7 +87,8 @@ selected, nothing is decided at intake and the cap is n.  A
 counterexample whose rank the sweep knew only as g + 1 is re-ranked
 exactly and marked `rank_capped`.  The report counts instances by
 (order, girth, min(rank, girth + 1)), and the seconds spent planning
-and in each stage of the chunks (`STAGES`).
+and in each stage of the chunks (`STAGES`), and the work counters of
+the chunks (`COUNTERS`).
 Checks are vectorized across instance buffers.  The girth-4
 consequence check takes a flush's girth-4 rank-4 instances together: it
 tests each underlying graph for a bipartition once, twin-reduces the
@@ -86,8 +96,8 @@ int8 matrices the kernel ranked in one numpy pass
 (`core.reduced_vertices`), and ranks each distinct reduced matrix once
 per chunk with `exact.rank`, apart from the kernel.
 The two "iff classified" checks compare the kernel's ranks with the
-co-tree patterns that `accepted_cotree_patterns` takes from the case
-table of `classify.py`, once per underlying graph.  Sampled instances,
+co-tree patterns of the case table of `classify.py`, taken once per
+underlying graph, on the rows or by `accepted_cotree_patterns`.  Sampled instances,
 decided ones included, are re-verified against fraction-free elimination
 (compared up to the cap) and through the classifiers, which rebuild the
 case table from the signed graph and look up the pattern they find from
@@ -122,18 +132,19 @@ from .core import (
 # module's name, and tests/test_benchmark_contract.py checks that it is here
 from .exact import _MAX_ORDER, batch_ranks, capped_ranks, rank as exact_rank
 from .invariants import (
-    _cotree_pattern,
-    _spanning_cotree,
+    _cotree_signing,
+    bfs_rows,
     bipartition,
     girth_of_adjacency,
     shortest_cycle,
 )
 from .classify import (
+    _PATTERN_SETS,
     accepted_cotree_patterns,
-    case_shapes,
     classify_equals_g,
     classify_gminus2,
     multipartite_parts,
+    row_cases,
 )
 
 _BUFFER_INSTANCES = 1 << 17
@@ -222,7 +233,6 @@ DEFAULT_CHECKS: tuple[str, ...] = tuple(
 )
 
 _IFF_CHECKS = ("girth_minus_2_iff_classified", "equals_girth_iff_classified")
-_NO_PATTERNS = (frozenset(), frozenset())  # no case accepts any signing
 
 _SPOT_RANK_STRIDE = 2048
 _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
@@ -234,12 +244,20 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # chunk's flushes time the kernel (stacking the blocks and ranking them)
 # and the checks, and the spot checks of decided graphs count as
 # spot_checks; intake is the rest of the chunk: enumeration, girth, the
-# part counts behind the witness and the case-shape test, the matching
-# bounds, the case table, block build and the decided graphs' sums, whole
-# chunks at a time where numpy takes them.  With jobs > 1 the chunk
+# part counts behind the witness, the case table, the matching bounds,
+# co-trees, block build and the decided graphs' sums, whole chunks at a
+# time where numpy takes them.  With jobs > 1 the chunk
 # stages add up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
+
+# the report's work counters, summed over chunks, so equal for any `jobs`:
+# rows only counted in numpy; rows that take a per-graph step (a girth
+# search, the per-graph case table, a spot sample, or a failure at
+# intake); graphs ranked by the kernel; calls of the per-graph case table
+# (`accepted_cotree_patterns`); and instances a spot-check stride samples
+COUNTERS = ("bulk_rows", "per_graph_rows", "ranked_graphs", "case_table_calls",
+            "spot_samples")
 
 
 @dataclass(frozen=True)
@@ -288,6 +306,7 @@ class SweepReport:
     decided_by_witness: int = 0
     histogram: dict = field(default_factory=dict)  # (n, girth, capped rank) -> instances
     stages: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    counters: dict = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
     elapsed_seconds: float = 0.0
 
     def total_failures(self) -> int:
@@ -302,7 +321,7 @@ class SweepReport:
             for name in sorted(self.config.checks)
         }
         return {
-            "schema": 3,
+            "schema": 4,
             "config": {
                 "max_n_dense": self.config.max_n_dense,
                 "max_n_sparse": self.config.max_n_sparse,
@@ -328,6 +347,7 @@ class SweepReport:
             "counterexamples": self.counterexamples,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "stages": {name: round(self.stages[name], 3) for name in STAGES},
+            "counters": dict(self.counters),
         }
 
     def to_json(self) -> str:
@@ -368,29 +388,7 @@ def write_counterexamples_csv(report: SweepReport, target) -> None:
 
 
 # ---------------------------------------------------------------------------
-# signing enumeration
-
-
-def _cotree_signing(
-    n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], pattern: int
-) -> SignedGraph:
-    """The signing with exactly the co-tree edges cotree[t] negative
-    whose bit t is set in `pattern`."""
-    negative = {e for t, e in enumerate(cotree) if (pattern >> t) & 1}
-    return SignedGraph(
-        n, [(u, v, -1 if i in negative else 1) for i, (u, v) in enumerate(edges)]
-    )
-
-
-def enumerate_signings(
-    n: int, edges: Sequence[tuple[int, int]]
-) -> Iterator[SignedGraph]:
-    """One signed graph per switching class of the underlying graph:
-    spanning-tree edges positive, each co-tree sign pattern once.
-    Pattern 0 (first yield) is all-positive, the balanced class."""
-    cotree = _spanning_cotree(n, edges)
-    for pattern in range(1 << len(cotree)):
-        yield _cotree_signing(n, edges, cotree, pattern)
+# signing blocks
 
 
 @lru_cache(maxsize=None)
@@ -411,43 +409,71 @@ def _sign_table() -> np.ndarray:
     return table
 
 
-def _signing_block(
-    n: int, edges: Sequence[tuple[int, int]], cotree: Sequence[int], j0: int
-) -> np.ndarray:
-    """Adjacency matrices (int8) of the co-tree signings j0, j0 + 1, ...:
-    all 2^k of them for a co-tree of k <= _SIGNING_BITS edges, else the
-    _SIGNING_BLOCK starting at j0, a multiple of _SIGNING_BLOCK, whose
-    higher pattern bits are constant and taken from j0."""
-    k = len(cotree)
+def _signing_blocks(n: int, nb: np.ndarray, cotree: np.ndarray, j0: int = 0) -> np.ndarray:
+    """Adjacency matrices (int8) of the co-tree signings j0, j0 + 1, ...
+    of graphs of order n with the same number k of co-tree edges, one
+    per row of neighbour bitmasks nb, the co-tree marked as `_row_cotrees`
+    marks it: (rows, 2^k, n, n) for k <= _SIGNING_BITS, else the
+    _SIGNING_BLOCK signings of each from j0 on, a multiple of
+    _SIGNING_BLOCK, whose higher pattern bits are constant and taken from
+    j0.  One fancy-index writes every row's co-tree cells from
+    `_sign_table`."""
+    rows = len(nb)
+    every = np.arange(n)
+    base = ((nb[:, :n, None].astype(np.int64) >> every) & 1).astype(np.int8)
+    base = base.reshape(rows, n * n)
+    _, u, v = np.nonzero(cotree[:, :n, :n])  # by row, then in edge order
+    k = len(u) // rows
+    # the two cells of co-tree edge t at columns 2t and 2t + 1
+    cells = np.stack([u * n + v, v * n + u], axis=1).reshape(rows, 2 * k)
     low = min(k, _SIGNING_BITS)
-    m = len(edges)
-    cells = [u * n + v for u, v in edges] + [v * n + u for u, v in edges]
-    base = np.zeros(n * n, dtype=np.int8)
-    base[cells] = 1
     if k > low:
-        base[[c for e in cotree[low:] for c in (cells[e], cells[m + e])]] = [
-            1 - 2 * ((j0 >> t) & 1) for t in range(low, k) for _ in (0, 1)
-        ]
-    block = np.repeat(base[None], 1 << low, axis=0)
-    free = [c for e in cotree[:low] for c in (cells[e], cells[m + e])]
-    block[:, free] = _sign_table()[: 1 << low, : 2 * low]
-    return block.reshape(-1, n, n)
+        high = 1 - 2 * ((j0 >> np.arange(low, k)) & 1)
+        base[np.arange(rows)[:, None], cells[:, 2 * low:]] = np.repeat(high, 2)
+    block = np.repeat(base[:, None], 1 << low, axis=1)
+    block[
+        np.arange(rows)[:, None, None],
+        np.arange(1 << low)[:, None],
+        cells[:, None, :2 * low],
+    ] = _sign_table()[: 1 << low, : 2 * low]
+    return block.reshape(rows, 1 << low, n, n)
 
 
-def canonical_switching_representative(g: SignedGraph) -> SignedGraph:
-    """The member of g's switching class whose spanning-tree edges are all
-    positive: the co-tree signing of g's pattern, on the tree that
-    `enumerate_signings` uses.  Equal for switching-equivalent inputs on
-    the same underlying graph."""
-    edges = g.underlying_edges()
-    cotree = _spanning_cotree(g.n, edges)
-    signs = g.sign_map()
-    pattern, _ = _cotree_pattern(
-        g.neighbors(),
-        [edges[i] for i in cotree],
-        lambda u, v: signs[min(u, v), max(u, v)],
-    )
-    return _cotree_signing(g.n, edges, cotree, pattern)
+def _blocks_in_order(order: np.ndarray, k: np.ndarray, nb: np.ndarray,
+                     cotree: np.ndarray) -> Iterator[Iterator[tuple[int, np.ndarray]]]:
+    """Per row, in order, its (j0, block) pairs, the signing blocks of
+    `_signing_blocks` for graphs of orders `order` and k co-tree edges.
+    The rows are taken in runs of at most _SIGNING_BLOCK signings, and
+    each run's blocks are built per (order, k) group; a row with more
+    than _SIGNING_BITS co-tree edges builds its blocks one at a time, as
+    they are taken."""
+    size = np.left_shift(1, np.minimum(k, _SIGNING_BITS))
+    ends = np.cumsum(size)
+    lo = 0
+    while lo < len(order):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + _SIGNING_BLOCK,
+                                             side="right")))
+        small = lo + np.flatnonzero(k[lo:hi] <= _SIGNING_BITS)
+        group = order[small] * (_MAX_COTREE_BITS + 1) + k[small]
+        built = {}
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            at = small[group == g]
+            built.update(zip(at.tolist(), _signing_blocks(
+                int(order[at[0]]), nb[at], cotree[at])))
+        for i in range(lo, hi):
+            if i in built:
+                yield iter(((0, built.pop(i)),))
+            else:
+                yield _blocks_one_at_a_time(int(order[i]), int(k[i]), nb[i:i + 1],
+                                            cotree[i:i + 1])
+        lo = hi
+
+
+def _blocks_one_at_a_time(n: int, k: int, nb: np.ndarray, cotree: np.ndarray):
+    """The (j0, block) pairs of one graph with k > _SIGNING_BITS co-tree
+    edges, each block built when it is taken."""
+    for j0 in range(0, 1 << k, _SIGNING_BLOCK):
+        yield j0, _signing_blocks(n, nb, cotree, j0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +557,26 @@ def _mask_pairs(nb: np.ndarray) -> list[list[tuple[int, int]]]:
     pairs = list(map(_pair_table(width).__getitem__, at.tolist()))
     ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
     return [pairs[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _row_cotrees(nb: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Per row of neighbour bitmasks of a connected graph, zero-padded or
+    not, the co-tree of its `bfs_rows` tree, which is the tree of
+    `_spanning_cotree`: (marks, positions).  marks[i, u, v] is True for
+    each co-tree edge (u, v), u < v, and positions[i] lists row i's
+    co-tree edges as indexes into its `_mask_pairs` edge list,
+    ascending."""
+    rows, width = nb.shape
+    every = np.arange(width)
+    parent, _ = bfs_rows(nb)
+    edge = np.triu(((nb[:, :, None].astype(np.int64) >> every) & 1) == 1, 1)
+    tree = parent[:, :, None] == every  # [i, v, u]: u is v's parent
+    marks = edge & ~(tree | tree.transpose(0, 2, 1))
+    index = np.cumsum(edge.reshape(rows, -1), axis=1) - 1
+    row, at = np.nonzero(marks.reshape(rows, -1))
+    positions = index[row, at].tolist()
+    ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
+    return marks, [positions[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def dense_graphs(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -1084,6 +1130,7 @@ class _ChunkResult:
         self.decided_by_witness = 0
         self.histogram: dict[tuple[int, int, int], int] = {}
         self.stages = dict.fromkeys(STAGES, 0.0)
+        self.counters = dict.fromkeys(COUNTERS, 0)
 
 
 class _Engine:
@@ -1168,78 +1215,94 @@ class _Engine:
         """Intake of one chunk of connected graphs with a cycle, one row
         each, in stream order: orders, keys, edge counts, girth hints
         (the girth, or 3, 4 and 0 as `_girth_hints` gives them) and
-        neighbour bitmasks zero-padded to a common width.  A capped
-        engine decides a row by either rule.  A row has a witness when
-        its hint is 3 and it does not have 3 parts (`multipartite_parts`,
-        which `case_shapes` reads too).  The rows whose hint is not 3 get
-        their pendant pairs and matching in one pass (`_matching_bounds`),
-        and a row whose hint is its girth g >= 4 is decided when
-        2(p + k) >= g + 1.  Decided rows with no case shape and no spot
-        sample are only counted, in numpy, by (order, girth); the other
-        rows take the per-graph path, with their adjacency and edge lists
-        (`_mask_pairs`) read off the rows and the girth searched for where
-        the hint is 0."""
+        neighbour bitmasks zero-padded to a common width.
+
+        The case table on rows (`row_cases`) gives each row's accepted
+        patterns, and the girth of a unicyclic row; a row whose hint is
+        0 and that has more than one cycle searches for its girth.  A
+        capped engine then decides a row by either rule.  A row has a
+        witness when its hint is 3 and it does not have 3 parts
+        (`multipartite_parts`, which `row_cases` reads too).  The rows
+        whose hint is not 3 get their pendant pairs and matching in one
+        pass (`_matching_bounds`), and a row of girth g >= 4 is decided
+        when 2(p + k) >= g + 1.  A decided row with no accepted pattern,
+        no shape of cases (c), (g) or (h) and no spot sample is only
+        counted, in numpy, by (order, girth).  The other rows read their
+        adjacency and edge lists (`_mask_pairs`) and their co-trees
+        (`_row_cotrees`) off the rows, and go to `_decide` or `_rank` in
+        stream order; the signing blocks of the ranked rows are built in
+        groups (`_blocks_in_order`)."""
         counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
         parts = multipartite_parts(order, nb)
+        gm2, eqg, lookup, girth = row_cases(order, m, nb, hints, parts)
+        bits = self.set_bits
+        search = np.flatnonzero(girth == 0)
+        for i, n, row in zip(search.tolist(), order[search].tolist(), nb[search].tolist()):
+            girth[i] = girth_of_adjacency([bits[b] for b in row[:n]])
         bound = np.zeros(len(order), dtype=np.int64)
         if self.capped:
             rows = np.flatnonzero(hints != 3)
             bound[rows] = _matching_bounds(order[rows], nb[rows])
         decided = ((hints == 3) & (parts != 3) & self.capped) | (
-            (hints >= 4) & (2 * bound > hints)
+            (girth >= 4) & (2 * bound > girth)
         )
-        shape = case_shapes(order, m, nb, hints, parts)
-        bulk = decided & ~shape & ~_holds_sample(starts, counts, self.stride)
-        group = order[bulk] * (_MAX_ORDER + 1) + hints[bulk]
+        sample = _holds_sample(starts, counts, self.stride)
+        alone = lookup | sample | (decided & ((gm2 | eqg) != 0))
+        bulk = decided & ~alone
+        counters = self.result.counters
+        counters["bulk_rows"] += int(bulk.sum())
+        counters["per_graph_rows"] += int(alone.sum()) + int((~alone[search]).sum())
+        group = order[bulk] * (_MAX_ORDER + 1) + girth[bulk]
         summed = counts[bulk]
         for g in np.flatnonzero(np.bincount(group)).tolist():
             rows = group == g
-            n, girth = divmod(g, _MAX_ORDER + 1)
-            self._sum_decided(n, girth, int(rows.sum()), int(summed[rows].sum()))
+            n, length = divmod(g, _MAX_ORDER + 1)
+            self._sum_decided(n, length, int(rows.sum()), int(summed[rows].sum()))
         rest = np.flatnonzero(~bulk)
-        bits = self.set_bits
-        for n, row, key, edges, found, hint, pairs, fits, start in zip(
+        if not len(rest):
+            return
+        marks, cotrees = _row_cotrees(nb[rest])
+        ranked = ~decided[rest]
+        at = rest[ranked]
+        blocks = _blocks_in_order(order[at], m[at] - order[at] + 1, nb[at], marks[ranked])
+        for n, row, key, edges, cotree, found, g, table, masks, start in zip(
             order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
-            _mask_pairs(nb[rest]), decided[rest].tolist(), hints[rest].tolist(),
-            bound[rest].tolist(), shape[rest].tolist(), starts[rest].tolist(),
+            _mask_pairs(nb[rest]), cotrees, decided[rest].tolist(),
+            girth[rest].tolist(), lookup[rest].tolist(),
+            zip(gm2[rest].tolist(), eqg[rest].tolist()), starts[rest].tolist(),
         ):
             adj = [bits[b] for b in row[:n]]
+            accepted = None if table else (_PATTERN_SETS[masks[0]], _PATTERN_SETS[masks[1]])
             if found:
-                self._decide(source, key, n, edges, adj, hint, fits, start)
+                self._decide(source, key, n, edges, adj, g, cotree, accepted, start)
             else:
-                girth = hint or girth_of_adjacency(adj)
-                self._match_or_rank(
-                    source, key, n, edges, adj, girth, pairs, fits, start
-                )
+                self._rank(source, key, n, edges, adj, g, cotree, accepted, start,
+                           next(blocks))
 
-    def _match_or_rank(self, source, key, n, edges, adj, girth, pairs, shape, start):
-        """Decide a graph whose girth `add_batch` searched for by its p + k
-        pendant and matched pairs (`pairs`, 0 on an uncapped engine), or
-        buffer its signing blocks.  A capped sweep sends a graph of girth
-        3 here only when it has no witness, so when it is complete
-        tripartite.  Its minimum degree is at least 2 and it has no
-        induced 2K2, so the matching would give p = 0 and k = 1, and could
-        not decide it: `add_batch` passes 0 pairs for it."""
-        if 2 * pairs > girth:
-            self._decide(source, key, n, edges, adj, girth, shape, start)
-            return
-        cotree = _spanning_cotree(n, edges)
-        accepted = (
-            accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
-            if shape else _NO_PATTERNS
-        )
+    def _case_table(self, adj, edges, cotree):
+        """The pattern sets of one graph from the per-graph case table."""
+        self.result.counters["case_table_calls"] += 1
+        return accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
+
+    def _rank(self, source, key, n, edges, adj, girth, cotree, accepted, start, blocks):
+        """Buffer the signing blocks of a graph that no rule decides, as
+        (j0, block) pairs, by (order, girth).  `accepted` holds the
+        pattern sets of `row_cases`, or None for a graph whose cases
+        read the co-tree, which looks them up in the case table.  A
+        capped sweep ranks a graph of girth 3 only when it has no
+        witness, so when it is complete tripartite."""
+        if accepted is None:
+            accepted = self._case_table(adj, edges, cotree)
         meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
-        total = 1 << len(cotree)
         self.result.graphs += 1
-        self.result.instances += total
-        for j0 in range(0, total, _SIGNING_BLOCK):
-            self._append_block(
-                (n, girth), meta, j0, _signing_block(n, edges, cotree, j0), start + j0
-            )
+        self.result.instances += 1 << len(cotree)
+        self.result.counters["ranked_graphs"] += 1
+        for j0, block in blocks:
+            self._append_block((n, girth), meta, j0, block, start + j0)
 
-    def _decide(self, source, key, n, edges, adj, girth, shape, start):
+    def _decide(self, source, key, n, edges, adj, girth, cotree, accepted, start):
         """Check all signings of a graph without ranking any, when each of
         them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
         At girth 3 the graph has a witness: it is not complete tripartite,
@@ -1250,22 +1313,17 @@ class _Engine:
         signing rank >= 2(p + k).
 
         The graph's counts go into running sums by (order, girth), folded
-        into the result by `finish`.  When a case shape may fit it
-        (`shape`), the case table runs, and no pattern may be accepted at
-        rank girth + 1; it asks for the co-tree only in cases (c), (g) and
-        (h).  Only a graph with an accepted pattern, or one holding an
-        instance that a spot-check stride samples, builds its spanning
-        tree and record.  `start` is the graph's stream position."""
-        total = 1 << (len(edges) - n + 1)
+        into the result by `finish`.  `accepted` holds the pattern sets of
+        `row_cases`, or None for a graph of the shape of case (c), (g) or
+        (h), which looks them up in the case table; no pattern may be
+        accepted at rank girth + 1.  A graph keeps a record only when a
+        pattern is accepted or a spot-check stride samples one of its
+        instances.  `start` is the graph's stream position."""
+        total = 1 << len(cotree)
         self._sum_decided(n, girth, 1, total)
-        accepted = (
-            accepted_cotree_patterns(
-                adj, lambda: [edges[i] for i in _spanning_cotree(n, edges)]
-            )
-            if shape else _NO_PATTERNS
-        )
+        if accepted is None:
+            accepted = self._case_table(adj, edges, cotree)
         if accepted[0] or accepted[1] or _holds_sample(start, total, self.stride):
-            cotree = _spanning_cotree(n, edges)
             meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
             for name, patterns in zip(_IFF_CHECKS, accepted):
                 if name in self.sel:
@@ -1437,6 +1495,7 @@ class _Engine:
         check_classes = "spot_check_classifier" in self.sel
         classify = []
         for pos, seg, signing in _samples(segments, starts, self.stride):
+            self.result.counters["spot_samples"] += 1
             meta = seg.meta
             g = _instance_graph(meta, signing)
             rank_value = meta.girth + 1 if ranks is None else int(ranks[pos])
@@ -1645,6 +1704,8 @@ def _merge(report: SweepReport, res: _ChunkResult) -> None:
         report.histogram[key] = report.histogram.get(key, 0) + count
     for name, seconds in res.stages.items():
         report.stages[name] += seconds
+    for name, count in res.counters.items():
+        report.counters[name] += count
     for name, count in res.checked.items():
         report.checked[name] = report.checked.get(name, 0) + count
     for name, count in res.failures.items():

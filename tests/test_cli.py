@@ -173,6 +173,10 @@ class TestVerify:
         data = json.loads(report.read_text())
         assert data["totals"]["failures"] == 0
         assert data["totals"]["instances"] > 0
+        # the work counters on one line, as in the report
+        [line] = [line for line in out.splitlines() if line.startswith("counters: ")]
+        pairs = (pair.split("=") for pair in line.split()[1:])
+        assert {name: int(count) for name, count in pairs} == data["counters"]
 
     def test_counterexamples_exit_one(self, tmp_path):
         ces = tmp_path / "ces.csv"
@@ -193,7 +197,7 @@ class TestVerify:
                            "--json", "-")
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == 3
+        assert data["schema"] == 4
 
     def test_counterexamples_to_stdout(self, tmp_path):
         # '-' is stdout, not a file of that name; the summary goes to stderr

@@ -41,9 +41,10 @@ from sgrank import (
 )
 import sgrank.classify as classify_module
 import sgrank.sweep as sweep_module
-from sgrank.classify import _complete_multipartite_parts, case_shapes, multipartite_parts
-from sgrank.invariants import _cotree_pattern, _spanning_cotree
+from sgrank.classify import _complete_multipartite_parts, multipartite_parts, row_cases
+from sgrank.invariants import _cotree_pattern, _cotree_signing, _spanning_cotree
 from sgrank.sweep import (
+    COUNTERS,
     STAGES,
     _BASES,
     _MAX_ORDER,
@@ -52,7 +53,6 @@ from sgrank.sweep import (
     _SPOT_RANK_STRIDE,
     _connected_cyclic,
     _core_table,
-    _cotree_signing,
     _decode_graph6,
     _dense_chunk,
     _edge_table,
@@ -62,8 +62,9 @@ from sgrank.sweep import (
     _mask_pairs,
     _matching_bounds,
     _rooted_trees,
+    _row_cotrees,
     _run_chunk,
-    _signing_block,
+    _signing_blocks,
     _sparse_chunk,
     _sparse_length,
     _subdivision_tuples,
@@ -397,61 +398,117 @@ def _yields_a_case(n, edges):
     return next(classify_module._cases(_adjacency(n, edges), cotree), None) is not None
 
 
+def _no_cotree():
+    raise AssertionError("a row that row_cases does not mark per_graph read its co-tree")
+
+
+def _check_row_cases(order, m, hints, nb, edge_lists):
+    """`row_cases` on rows against the per-graph case table, row by row:
+    on a row it does not mark per_graph, its masks are the sets of
+    `accepted_cotree_patterns`, which never reads the co-tree there; on a
+    marked row both masks are 0; and a unicyclic row's girth is its
+    girth.  Returns the rows with a pattern, and the marked rows."""
+    rows = len(edge_lists)
+    order, m, hints = (np.broadcast_to(np.asarray(x), (rows,)) for x in (order, m, hints))
+    gm2, eqg, per_graph, girth = row_cases(order, m, nb, hints, multipartite_parts(order, nb))
+    assert (girth[m > order] == hints[m > order]).all()
+    patterns = marked = 0
+    for i, edges in enumerate(edge_lists):
+        n = int(order[i])
+        adj = _adjacency(n, edges)
+        if m[i] == n:
+            assert girth[i] == girth_of_adjacency(adj), (n, edges)
+        if per_graph[i]:
+            assert gm2[i] == eqg[i] == 0
+            marked += 1
+            continue
+        got = (classify_module._PATTERN_SETS[gm2[i]], classify_module._PATTERN_SETS[eqg[i]])
+        assert got == accepted_cotree_patterns(adj, _no_cotree), (n, edges)
+        patterns += bool(gm2[i] or eqg[i])
+    return patterns, marked
+
+
 def _shapes(n, edge_lists):
+    """Per graph, whether `row_cases` gives it a pattern or marks it."""
     nb = [_neighbour_masks(n, edges) for edges in edge_lists]
     girth = [girth_of_adjacency(_adjacency(n, edges)) for edges in edge_lists]
     m = [len(edges) for edges in edge_lists]
-    return case_shapes(n, m, nb, girth, multipartite_parts(n, nb)).tolist()
+    gm2, eqg, per_graph, _ = row_cases(n, m, nb, girth, multipartite_parts(n, nb))
+    return (((gm2 | eqg) != 0) | per_graph).tolist()
+
+
+def _unicyclic_graphs():
+    """Unicyclic graphs of orders 3..16, randomly labeled: pendant leaves
+    on the cycle (the shape of case (d)), a star hung on one cycle vertex
+    (of case (e)), and trees hung anywhere."""
+    rng = random.Random(37)
+    graphs = []
+    for length in range(3, 16):
+        for _ in range(8):
+            leaves, star, trees = (nx.cycle_graph(length) for _ in range(3))
+            for _ in range(rng.randrange(1, 17 - length)):
+                leaves.add_edge(rng.randrange(length), len(leaves))
+            star.add_edge(rng.randrange(length), length)
+            for _ in range(rng.randrange(1, 16 - length) if length < 15 else 0):
+                star.add_edge(length, len(star))
+            for _ in range(rng.randrange(17 - length)):
+                trees.add_edge(rng.randrange(len(trees)), len(trees))
+            for g in (leaves, star, trees):
+                graphs.append(nx.relabel_nodes(g, dict(zip(g, rng.sample(range(len(g)), len(g))))))
+    return graphs
+
+
+def _graph6_rows(path):
+    """The rows `add_batch` takes for a graph6 file, in one chunk, and
+    their edge lists."""
+    with open(path, encoding="latin-1") as fh:
+        order, m, nb = _decode_graph6(sweep_module._graph6_records(fh.read()))
+    order, _, m, hints, nb, _ = _graph6_chunk(0, order, m, nb)
+    return order, m, hints, nb, _mask_pairs(nb)
 
 
 class TestCaseShapes:
-    """`case_shapes` is a necessary condition for the case table: every
-    graph for which `_cases` yields a case passes it."""
-
-    def _cases(self, n, edge_lists):
-        """How many of the graphs have a case; each of them must pass."""
-        cases = 0
-        for edges, fits in zip(edge_lists, _shapes(n, edge_lists)):
-            if _yields_a_case(n, edges):
-                assert fits, (n, edges)
-                cases += 1
-        return cases
+    """`row_cases`, the case table on rows, against the per-graph case
+    table: on every row it does not mark per_graph its pattern sets are
+    those of `accepted_cotree_patterns`, and a unicyclic row's girth is
+    its girth."""
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_dense_graphs(self, n):
         table = _edge_table(n)
         total = 1 << len(table)
-        graphs = passed = 0
+        patterns = marked = rows = 0
         for lo in range(0, total, sweep_module._DENSE_CHUNK_MASKS):
             hi = min(lo + sweep_module._DENSE_CHUNK_MASKS, total)
             _, masks, m, hints, nb = _dense_chunk(n, lo, hi)
-            fits = case_shapes(n, m, nb, hints, multipartite_parts(n, nb)).tolist()
-            for mask, fit in zip(masks.tolist(), fits):
-                if not fit:
-                    edges = [table[i] for i in range(len(table)) if (mask >> i) & 1]
-                    assert not _yields_a_case(n, edges), (n, edges)
-            graphs += len(fits)
-            passed += sum(fits)
-        assert 0 < passed and (n < 5 or passed < graphs)
+            got = _check_row_cases(n, m, hints, nb, _mask_pairs(nb))
+            patterns, marked = patterns + got[0], marked + got[1]
+            rows += len(nb)
+        # C3, the only graph on 3 vertices, is marked as complete tripartite
+        assert 0 < marked and (n == 3 or 0 < patterns < rows)
 
     def test_unicyclic_graphs_of_girth_three(self):
-        # at girth 3 only C3 passes, as a complete multipartite graph; a
-        # triangle-free unicyclic graph passes with or without a leaf
+        # at girth 3 only C3 has a case, and it is marked, as complete
+        # tripartite; a triangle-free unicyclic graph is looked up in numpy
         c3 = [(0, 1), (1, 2), (0, 2)]
         c4_leaf = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]
+        c6_leaf = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6)]
         assert _shapes(3, [c3]) == [True]
         assert _shapes(4, [PAW_EDGES]) == [False]
         assert _shapes(5, [PAW_EDGES + [(3, 4)], PAW_EDGES + [(2, 4)]]) == [False, False]
         assert _shapes(5, [c4_leaf]) == [True]
-        # the hint decides: the paw without a girth-3 hint passes
-        paw_nb = [_neighbour_masks(4, PAW_EDGES)]
-        paw_parts = multipartite_parts(4, paw_nb)
-        assert case_shapes(4, [4], paw_nb, [0], paw_parts).tolist() == [True]
+        assert _shapes(7, [c6_leaf]) == [True]
+        nb = [_neighbour_masks(7, c6_leaf)]
+        gm2, eqg, per_graph, girth = row_cases(7, [7], nb, [0], multipartite_parts(7, nb))
+        # case (d), one centre: a wrap-around gap of 5, at either signing
+        assert (gm2.tolist(), eqg.tolist(), per_graph.tolist(), girth.tolist()) == (
+            [0], [0b11], [False], [6]
+        )
 
     def test_theta_and_subdivided_k4_need_no_girth_three_or_four(self):
         # cases (g) and (h) have girth 6 or 8: with m in {n + 1, n + 2},
         # minimum degree 2 and not complete multipartite, a girth hint of
-        # 3 or 4 fails, and hint 0 ("5 or more, unknown") passes
+        # 3 or 4 is not marked, and hint 0 ("5 or more, unknown") is
         theta = {  # paths of 1, 2, 3 edges; of 2, 2, 3; of 2, 4, 4 (case (g))
             3: (5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)]),
             4: (6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5)]),
@@ -465,34 +522,77 @@ class TestCaseShapes:
             parts = multipartite_parts(n, nb)
             assert parts.tolist() == [0] and len(edges) - n in (1, 2)
             assert girth_of_adjacency(_adjacency(n, edges)) == girth
-            fits = case_shapes(n, [len(edges)], nb, [girth], parts).tolist()
-            assert fits == [girth not in (3, 4)], girth
-            assert case_shapes(n, [len(edges)], nb, [0], parts).tolist() == [True]
+            marked = row_cases(n, [len(edges)], nb, [girth], parts)[2].tolist()
+            assert marked == [girth not in (3, 4)], girth
+            assert row_cases(n, [len(edges)], nb, [0], parts)[2].tolist() == [True]
         assert _yields_a_case(*theta[6])
 
     def test_sparse_graphs_and_the_g_and_h_shapes(self):
         by_order = {}
-        for n, edges in sparse_graphs(10, 3):
-            by_order.setdefault(n, []).append(edges)
         for n, edges in sparse_graphs(11, 2):
             degrees = {len(nb) for nb in _adjacency(n, edges)}
             if n == 11 and len(edges) == 12 and degrees <= {2, 3}:  # theta(5,5,5)
                 by_order.setdefault(n, []).append(edges)
         assert 11 in by_order
-        assert sum(self._cases(n, graphs) for n, graphs in by_order.items()) > 0
+        for n, graphs in by_order.items():
+            nb = [_neighbour_masks(n, edges) for edges in graphs]
+            hints = [girth_of_adjacency(_adjacency(n, edges)) for edges in graphs]
+            _, marked = _check_row_cases(n, [len(e) for e in graphs], hints, nb, graphs)
+            # the theta graphs of girth 5 or more are marked, and case
+            # (g) is among them
+            assert marked == sum(girth >= 5 for girth in hints) > 0
+            assert any(_yields_a_case(n, edges) for edges in graphs)
 
     def test_sparse_verdicts_per_core_and_hanging(self):
-        # the sweep runs `case_shapes` on the sparse stream's rows, over
-        # max_n columns: each row's verdict is that of its own graph,
-        # unpadded, with the girth searched for
+        # every row of the sparse stream n <= 10, over max_n columns, with
+        # the core's girth as its hint
         order, _, m, girth, nb = _sparse_chunk(10, 3, 0, _sparse_length(10, 3))
-        got = case_shapes(order, m, nb, girth, multipartite_parts(order, nb)).tolist()
-        by_order = {}
-        for i, (n, edges) in enumerate(sparse_graphs(10, 3)):
-            by_order.setdefault(n, []).append((i, edges))
-        for n, items in by_order.items():
-            assert [got[i] for i, _ in items] == _shapes(n, [e for _, e in items]), n
-        assert set(got) == {True, False}
+        patterns, marked = _check_row_cases(order, m, girth, nb, _mask_pairs(nb))
+        assert patterns > 0 and marked > 0
+
+    def test_mixed_order_graph6_rows(self, tmp_path):
+        # rows of orders 3..16 in one chunk, padded to 16 columns, with
+        # hint 0 on the unicyclic rows of girth >= 5
+        graphs = _mixed_order_graphs() + _unicyclic_graphs()
+        order, m, hints, nb, edges = _graph6_rows(_graph6_file(tmp_path / "mixed.g6", graphs))
+        assert nb.shape[1] == 16 and set(order.tolist()) == set(range(3, 17))
+        assert ((m == order) & (hints == 0)).sum() > 100
+        patterns, marked = _check_row_cases(order, m, hints, nb, edges)
+        assert patterns > 50 and marked > 0
+        # cases (d) and (e) both occur, at orders past 7
+        eqg = row_cases(order, m, nb, hints, multipartite_parts(order, nb))[1]
+        shaped = (m == order) & (eqg != 0) & (order > 7)
+        assert {1, 2, 3} <= set(eqg[shaped].tolist())
+
+
+class TestRowCotrees:
+    """`_row_cotrees` builds the tree of `_spanning_cotree` for a whole
+    chunk, and gives its co-tree edges as indexes into `_mask_pairs`."""
+
+    def _check(self, order, nb):
+        marks, positions = _row_cotrees(nb)
+        edge_lists = _mask_pairs(nb)
+        assert len(positions) == len(edge_lists) == len(nb)
+        for n, edges, cotree, mark in zip(order.tolist(), edge_lists, positions, marks):
+            assert cotree == _spanning_cotree(n, edges), (n, edges)
+            assert [edges[i] for i in cotree] == list(zip(*np.nonzero(mark)))
+        return len(nb)
+
+    def test_dense_rows(self):
+        rows = 0
+        for n in range(3, 7):
+            order, _, _, _, nb = _dense_chunk(n, 0, 1 << len(_edge_table(n)))
+            rows += self._check(order, nb)
+        assert rows == 26_034
+
+    def test_sparse_rows(self):
+        order, _, _, _, nb = _sparse_chunk(9, 3, 0, _sparse_length(9, 3))
+        assert self._check(order, nb) == 34_899
+
+    def test_mixed_order_graph6_rows(self, tmp_path):
+        graphs = _mixed_order_graphs() + _unicyclic_graphs()
+        order, _, _, nb, _ = _graph6_rows(_graph6_file(tmp_path / "mixed.g6", graphs))
+        assert self._check(order, nb) > 300
 
 
 def _k7_plus_vertex():
@@ -501,31 +601,69 @@ def _k7_plus_vertex():
     return 8, sorted(edges + [(0, 7), (1, 7)])
 
 
+def _blocks_of(n, edges, j0=0):
+    """The signing block of one graph from j0 on, through the group
+    builder `_signing_blocks`, with its `_row_cotrees` co-tree."""
+    nb = np.array([_neighbour_masks(n, edges)], dtype=np.uint16)
+    return _signing_blocks(n, nb, _row_cotrees(nb)[0], j0)[0]
+
+
 class TestSigningBlocks:
     def test_blocks_match_cotree_signings(self):
         rng = random.Random(15)
         graphs = [g for n in range(3, 6) for g in
                   ((n, edges) for _, edges in dense_graphs(n))]
         graphs += list(sparse_graphs(8, 3))[::53]
-        for n, edges in rng.sample(graphs, 400):
-            cotree = _spanning_cotree(n, edges)
-            block = _signing_block(n, edges, cotree, 0)
-            assert block.shape == (1 << len(cotree), n, n)
-            assert block.dtype == np.int8
-            for j in rng.sample(range(len(block)), min(len(block), 5)):
-                want = adjacency_matrix(_cotree_signing(n, edges, cotree, j))
-                assert block[j].tolist() == want
+        sample = rng.sample(graphs, 400)
+        # the graphs of one (order, co-tree size) in one call, as the
+        # engine builds them
+        groups = {}
+        for n, edges in sample:
+            groups.setdefault((n, len(edges)), []).append(edges)
+        assert max(map(len, groups.values())) > 10
+        for (n, m), edge_lists in groups.items():
+            nb = np.array([_neighbour_masks(n, edges) for edges in edge_lists],
+                          dtype=np.uint8)
+            blocks = _signing_blocks(n, nb, _row_cotrees(nb)[0])
+            assert blocks.shape == (len(edge_lists), 1 << (m - n + 1), n, n)
+            assert blocks.dtype == np.int8
+            for edges, block in zip(edge_lists, blocks):
+                cotree = _spanning_cotree(n, edges)
+                for j in rng.sample(range(len(block)), min(len(block), 5)):
+                    want = adjacency_matrix(_cotree_signing(n, edges, cotree, j))
+                    assert block[j].tolist() == want
 
     def test_high_pattern_bits_come_from_the_block_start(self):
         n, edges = _k7_plus_vertex()
         cotree = _spanning_cotree(n, edges)
         assert len(cotree) == 16
         j0 = 1 << 15
-        block = _signing_block(n, edges, cotree, j0)
+        block = _blocks_of(n, edges, j0)
         assert len(block) == 1 << 15
         for off in (0, 1, 2, 12345, (1 << 15) - 1):
             want = adjacency_matrix(_cotree_signing(n, edges, cotree, j0 + off))
             assert block[off].tolist() == want
+
+    def test_rows_in_order_take_their_blocks_in_runs(self):
+        # one run per _SIGNING_BLOCK signings, grouped by order and co-tree
+        # size, and the 16-edge co-tree's two blocks one at a time
+        big = _k7_plus_vertex()
+        graphs = [(n, edges) for n in (4, 5) for _, edges in dense_graphs(n)][::3]
+        graphs = graphs[:40] + [big] + graphs[40:]
+        order = np.array([n for n, _ in graphs])
+        k = np.array([len(edges) - n + 1 for n, edges in graphs])
+        nb = np.zeros((len(graphs), 8), dtype=np.uint8)
+        for i, (n, edges) in enumerate(graphs):
+            nb[i, :n] = _neighbour_masks(n, edges)
+        marks = _row_cotrees(nb)[0]
+        got = list(sweep_module._blocks_in_order(order, k, nb, marks))
+        assert len(got) == len(graphs)
+        for (n, edges), pairs in zip(graphs, got):
+            pairs = list(pairs)
+            assert [j0 for j0, _ in pairs] == list(range(0, 1 << (len(edges) - n + 1),
+                                                          _SIGNING_BLOCK))
+            for j0, block in pairs:
+                assert (block == _blocks_of(n, edges, j0)).all()
 
 
 def _matching_pairs(adj):
@@ -928,13 +1066,14 @@ class TestPaddedRows:
     def test_padded_dense_rows_give_the_same_results(self):
         rows = multipartite = by_degree = 0
         # all of n = 3..6 and the first 2^16 masks of n = 7, which hold
-        # theta graphs of girth 5: rows that pass `case_shapes` by their
-        # degrees, which none of girth 3 or 4 does
+        # theta graphs of girth 5: rows that `row_cases` marks by their
+        # degrees, which it marks at no girth of 3 or 4
         for n, total in [*((n, 1 << len(_edge_table(n))) for n in range(3, 7)),
                          (7, 1 << 16)]:
             _, masks, m, hints, nb = _dense_chunk(n, 0, total)
             parts = multipartite_parts(n, nb)
-            shapes = case_shapes(n, m, nb, hints, parts)
+            cases = row_cases(n, m, nb, hints, parts)
+            shapes = cases[2]
             # every labeled graph on n vertices, for the connectivity test
             every = np.array(
                 [_neighbour_masks(n, _mask_edges(n, mask)) for mask in range(total)],
@@ -947,7 +1086,8 @@ class TestPaddedRows:
                 order = np.full(len(nb), n)
                 got = multipartite_parts(order, padded)
                 assert (got == parts).all(), (n, width)
-                assert (case_shapes(order, m, padded, hints, got) == shapes).all(), (n, width)
+                for want, have in zip(cases, row_cases(order, m, padded, hints, got)):
+                    assert (have == want).all(), (n, width)
                 assert (_girth_hints(padded) == hints).all(), (n, width)
                 wide = np.zeros((total, width), dtype=_mask_dtype(width))
                 wide[:, :n] = every
@@ -998,20 +1138,45 @@ def _replay(ce, sparse_n=7, graph6=None):
     return g
 
 
+def _change_patterns(monkeypatch, change):
+    """Apply change(girth, gm2, eqg) -> (gm2, eqg), on pattern sets, on
+    both routes by which the sweep takes a graph's pattern sets: the
+    per-graph case table (`accepted_cotree_patterns`), and the case table
+    on rows (`row_cases`), on each row it does not mark per_graph.  A
+    row's girth is 0 there when only a search finds it, at 5 or more."""
+    table = accepted_cotree_patterns
+    on_rows = sweep_module.row_cases
+
+    def per_graph_sets(adj, cotree):
+        return change(girth_of_adjacency(adj), *table(adj, cotree))
+
+    def row_sets(*args):
+        gm2, eqg, per_graph, girth = on_rows(*args)
+        gm2, eqg = gm2.copy(), eqg.copy()
+        sets = classify_module._PATTERN_SETS
+        for i in np.flatnonzero(~per_graph).tolist():
+            got = change(int(girth[i]), sets[gm2[i]], sets[eqg[i]])
+            gm2[i], eqg[i] = (sum(1 << p for p in patterns) for patterns in got)
+        return gm2, eqg, per_graph, girth
+
+    monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", per_graph_sets)
+    monkeypatch.setattr(sweep_module, "row_cases", row_sets)
+
+
 class TestIffChecksAreLive:
     def test_dropped_pattern_is_reported(self, monkeypatch):
         dropped = {"gm2": 0, "eqg": 0}
 
-        def drop_one(adj, cotree):
-            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+        def drop_one(girth, gm2, eqg):
             dropped["gm2"] += bool(gm2)
             # at girth 4 case (f) accepts a rank-4 pattern on its rank alone
-            dropped["eqg"] += bool(eqg) and girth_of_adjacency(adj) != 4
+            dropped["eqg"] += bool(eqg) and girth != 4
             return gm2 - {min(gm2, default=0)}, eqg - {min(eqg, default=0)}
 
-        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", drop_one)
+        _change_patterns(monkeypatch, drop_one)
         rep = _iff_sweep()
-        assert dropped["gm2"] > 0 and dropped["eqg"] > 0
+        # as many graphs as when every one went through the per-graph table
+        assert dropped == {"gm2": 17, "eqg": 61}
         assert rep.failures[_IFF_CHECKS[0]] == dropped["gm2"]
         assert rep.failures[_IFF_CHECKS[1]] == dropped["eqg"]
         assert len(rep.counterexamples) == rep.total_failures()
@@ -1025,13 +1190,10 @@ class TestIffChecksAreLive:
                 assert classify_equals_g(g) is not None
 
     def test_added_pattern_at_girth_four_is_reported(self, monkeypatch):
-        def add_balanced(adj, cotree):
-            gm2, eqg = accepted_cotree_patterns(adj, cotree)
-            if girth_of_adjacency(adj) == 4:
-                eqg = eqg | {0}
-            return gm2, eqg
+        def add_balanced(girth, gm2, eqg):
+            return gm2, eqg | {0} if girth == 4 else eqg
 
-        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", add_balanced)
+        _change_patterns(monkeypatch, add_balanced)
         rep = _iff_sweep()
         assert rep.failures.get(_IFF_CHECKS[0], 0) == 0
         assert rep.failures[_IFF_CHECKS[1]] > 0
@@ -1048,11 +1210,10 @@ class TestIffChecksAreLive:
         # nonzero signing indices of graphs with 2 or more co-tree edges,
         # which follow the edge order: both streams must read the same
         # edge list off a graph's row
-        def drop_highest(adj, cotree):
-            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+        def drop_highest(girth, gm2, eqg):
             return gm2 - {max(gm2, default=0)}, eqg - {max(eqg, default=0)}
 
-        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", drop_highest)
+        _change_patterns(monkeypatch, drop_highest)
         graphs = [_graph(n, edges) for n in range(3, 6) for _, edges in dense_graphs(n)]
         path = _graph6_file(tmp_path / "dense.g6", graphs)
         common = dict(max_n_sparse=0, checks=_IFF_CHECKS, max_counterexamples=10**6)
@@ -1138,28 +1299,39 @@ class TestDecidedAtIntake:
         histogram = _iff_sweep().to_json_dict()["rank_histogram"]  # not forced
         accepted = [0, 0]
 
-        def count(adj, cotree):
-            gm2, eqg = accepted_cotree_patterns(adj, cotree)
+        def count(girth, gm2, eqg):
             accepted[0] += len(gm2)
             accepted[1] += len(eqg)
             return gm2, eqg
 
-        monkeypatch.setattr(sweep_module, "accepted_cotree_patterns", count)
         # p + k = n: 2(p + k) >= girth + 1 decides every graph of girth >= 4
         monkeypatch.setattr(sweep_module, "_matching_bounds", lambda order, nb: order)
         # and a witness every graph of girth 3, in every stream: no graph
-        # is complete tripartite to the witness, while `case_shapes` still
-        # sees the complete multipartite graphs
+        # is complete tripartite to the witness, while `row_cases` still
+        # sees the complete multipartite graphs, and marks the tripartite
+        # ones for the per-graph table
         real_parts = sweep_module.multipartite_parts
+        real_cases = sweep_module.row_cases
 
         def four_parts(n, nb):
             parts = real_parts(n, nb)
             return np.where(parts == 3, 4, parts)
 
+        def cases(n, m, nb, girth, parts):
+            return real_cases(n, m, nb, girth, real_parts(n, nb))
+
         monkeypatch.setattr(sweep_module, "multipartite_parts", four_parts)
+        monkeypatch.setattr(sweep_module, "row_cases", cases)
+        _change_patterns(monkeypatch, count)
         rep = _iff_sweep()
         assert rep.decided_instances == rep.instances
         assert accepted[0] > 0 and accepted[1] > 0
+        # case (c): two patterns on each complete tripartite graph, the
+        # rank-3 classes, all of girth 3
+        assert rep.counters["case_table_calls"] > 0
+        assert sum(ce["girth"] == 3 for ce in rep.counterexamples) == sum(
+            count for _, girth, rank, count in histogram if girth == rank == 3
+        ) > 0
         # every instance of rank girth - 2 is accepted by classify_gminus2,
         # so each graph with one still reaches the case table
         assert accepted[0] == sum(
@@ -1186,16 +1358,22 @@ class TestDecidedAtIntake:
             g.witness and 2 * sum(map(len, _matching_pairs(_adjacency(g.n, g.edges)))) <= 3
             for g in decided
         )
-        by_order = {}
+        # every signing, built per (order, edge count) as the engine builds
+        # the blocks of the graphs it ranks
+        assert max(g.instances for g in decided) <= _SIGNING_BLOCK
+        groups = {}
         for g in decided:
-            cotree = _spanning_cotree(g.n, g.edges)
-            for j0 in range(0, 1 << len(cotree), _SIGNING_BLOCK):
-                block = _signing_block(g.n, g.edges, cotree, j0)
-                by_order.setdefault(g.n, []).append((block, g.girth))
+            groups.setdefault((g.n, len(g.edges)), []).append(g)
+        by_order = {}
+        for (n, _), graphs in groups.items():
+            nb = np.array([_neighbour_masks(n, g.edges) for g in graphs], dtype=np.uint16)
+            blocks = _signing_blocks(n, nb, _row_cotrees(nb)[0])
+            girths = np.repeat([g.girth for g in graphs], blocks.shape[1])
+            by_order.setdefault(n, []).append((blocks.reshape(-1, n, n), girths))
         assert set(by_order) == set(range(4, 10))
         for items in by_order.values():
-            stack = np.concatenate([block for block, _ in items])
-            girths = np.repeat([g for _, g in items], [len(block) for block, _ in items])
+            stack = np.concatenate([blocks for blocks, _ in items])
+            girths = np.concatenate([girths for _, girths in items])
             assert (batch_ranks(stack) > girths).all()
 
     def test_witness_decides_beyond_the_matching_bound(self):
@@ -1222,17 +1400,28 @@ class TestDecidedAtIntake:
         assert "decided_by_forest" not in totals
 
     def test_cotree_and_record_only_where_needed(self, monkeypatch):
-        # on the quick config, the spanning tree is built only for graphs
-        # that are ranked, spot-sampled or accept a pattern, and a decided
-        # graph leaves nothing behind unless it is one of those
+        # on the quick config, the co-trees of a chunk come from its rows
+        # (`_row_cotrees`), only for rows that are not only counted, and
+        # the per-graph spanning tree only from the classifiers, run on
+        # sampled instances; a decided graph leaves nothing behind unless
+        # it is sampled or accepts a pattern
+        assert not hasattr(sweep_module, "_spanning_cotree")
         trees = []
-        real_tree = _spanning_cotree
-        for module in (sweep_module, classify_module):
-            def tree(n, edges, module=module):
-                trees.append((module, n, frozenset(map(frozenset, edges))))
-                return real_tree(n, edges)
+        real_tree = classify_module._spanning_cotree
 
-            monkeypatch.setattr(module, "_spanning_cotree", tree)
+        def tree(n, edges):
+            trees.append((n, frozenset(map(frozenset, edges))))
+            return real_tree(n, edges)
+
+        monkeypatch.setattr(classify_module, "_spanning_cotree", tree)
+        row_trees = []
+        real_rows = sweep_module._row_cotrees
+
+        def rows(nb):
+            row_trees.append(len(nb))
+            return real_rows(nb)
+
+        monkeypatch.setattr(sweep_module, "_row_cotrees", rows)
         ranked, sampled, accepting = {}, {}, {}  # id -> meta
         records = []
         decided_keys = []
@@ -1279,15 +1468,16 @@ class TestDecidedAtIntake:
         needed = {
             graph(meta) for group in (ranked, sampled, accepting) for meta in group.values()
         }
-        seen = {module: [] for module in (sweep_module, classify_module)}
-        for module, n, edges in trees:
-            assert (n, edges) in needed
-            seen[module].append((n, edges))
-        # one tree per ranked or sampled graph in the engine; the
-        # classifiers, run on sampled instances only, build their own
-        assert len(seen[sweep_module]) == len(records) == len(ranked) + len(sampled)
-        assert seen[classify_module]
+        # one record per ranked or sampled graph, with the co-tree of
+        # `_spanning_cotree`; the classifiers build their own trees
+        assert len(records) == len(ranked) + len(sampled)
+        for meta in records:
+            assert meta.cotree == real_tree(meta.n, meta.edges)
+        assert trees and set(trees) <= needed
         assert len(records) < rep.graphs // 4
+        # the rows' co-trees: only the rows not summed in numpy
+        counters = rep.counters
+        assert sum(row_trees) == rep.graphs - counters["bulk_rows"] < rep.graphs // 4
         # the running sums hold one entry per (order, girth)
         histogram = rep.to_json_dict()["rank_histogram"]
         assert max(decided_keys) <= len({(n, g) for n, g, _, _ in histogram})
@@ -1298,6 +1488,12 @@ class TestDecidedAtIntake:
         assert data["rank_histogram"] == QUICK_HISTOGRAM
         assert sum(row[3] for row in QUICK_HISTOGRAM) == rep.instances == 675_550
         assert rep.total_failures() == 0
+        assert data["counters"] == QUICK_COUNTERS
+        # every graph is summed in bulk, ranked, or decided on its own
+        counters = rep.counters
+        alone = rep.graphs - counters["bulk_rows"] - counters["ranked_graphs"]
+        assert 0 < alone <= counters["per_graph_rows"]
+        assert counters["spot_samples"] == rep.checked["spot_check_exact_rank"]
 
     def test_capped_and_uncapped_runs_agree(self, monkeypatch):
         cfg = SweepConfig(max_n_dense=5, max_n_sparse=7)
@@ -1322,6 +1518,13 @@ class TestDecidedAtIntake:
         for name in DEFAULT_CHECKS:
             assert full["checks"][name] == capped["checks"][name], name
         assert full["totals"]["failures"] == capped["totals"]["failures"] == 0
+
+
+# the work counters of the quick config: how many rows each path took
+QUICK_COUNTERS = {
+    "bulk_rows": 57_816, "per_graph_rows": 544, "ranked_graphs": 2_769,
+    "case_table_calls": 215, "spot_samples": 335,
+}
 
 
 # (order, girth, min(rank, girth + 1), instances) over the quick config,
@@ -1365,10 +1568,10 @@ def _quick_sweep():
     seen = set()
     decide = sweep_module._Engine._decide
 
-    def spy(self, source, key, n, edges, adj, girth, shape, start):
+    def spy(self, source, key, n, edges, adj, girth, *args):
         decided.append(_Decided(n, tuple(edges), girth, girth == 3, False))
         seen.add((source, n, key))  # a dense key is a mask: it needs n
-        decide(self, source, key, n, edges, adj, girth, shape, start)
+        decide(self, source, key, n, edges, adj, girth, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
@@ -1785,10 +1988,10 @@ class TestSweepRuns:
     def test_large_graph6_records_state_girth_and_witness(self, tmp_path, monkeypatch):
         # the girth and witness `add_batch` hands on for records of order
         # > 7, against the girth search and the brute-force witness search.
-        # With a case shape on every row, no row is only counted: a row
-        # decided in numpy goes to `_decide`, at girth 3 by its witness or
-        # at girth 4 by its matching bound, and every other to
-        # `_match_or_rank`, which may pass it to `_decide` at girth >= 5
+        # With every row marked for the per-graph case table, no row is
+        # only counted: a row that a rule decides goes to `_decide`, at
+        # girth 3 by its witness and above by its matching bound, and
+        # every other to `_rank`
         rng = random.Random(29)
         graphs = [
             nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
@@ -1799,10 +2002,10 @@ class TestSweepRuns:
         graphs += [nx.complete_multipartite_graph(1, 1, 6), nx.cycle_graph(9), sunlet]
         path = _graph6_file(tmp_path / "large.g6", graphs)
         stated = {}
-        matching = set()  # the keys `_match_or_rank` took
-        by_bound = []  # per row decided in numpy: by its matching bound
+        by_bound = []  # per decided row: by its matching bound
         decide = sweep_module._Engine._decide
-        match_or_rank = sweep_module._Engine._match_or_rank
+        rank = sweep_module._Engine._rank
+        real_cases = sweep_module.row_cases
 
         def state(key, n, edges, girth, witness):
             assert key not in stated
@@ -1813,23 +2016,25 @@ class TestSweepRuns:
         def decide_spy(self, source, key, n, edges, adj, girth, *args):
             if girth > 3:
                 assert 2 * sum(map(len, _matching_pairs(_adjacency(n, edges)))) > girth
-            if key not in matching:
-                state(key, n, edges, girth, girth == 3)
-                by_bound.append(girth > 3)
+            state(key, n, edges, girth, girth == 3)
+            by_bound.append(girth > 3)
             decide(self, source, key, n, edges, adj, girth, *args)
 
-        def match_spy(self, source, key, n, edges, adj, girth, *args):
-            matching.add(key)
+        def rank_spy(self, source, key, n, edges, adj, girth, *args):
             state(key, n, edges, girth, False)
-            match_or_rank(self, source, key, n, edges, adj, girth, *args)
+            rank(self, source, key, n, edges, adj, girth, *args)
 
-        monkeypatch.setattr(sweep_module, "case_shapes",
-                            lambda n, m, *_: np.ones(len(m), dtype=bool))
+        def every_row(*args):
+            gm2, eqg, per_graph, girth = real_cases(*args)
+            return 0 * gm2, 0 * eqg, per_graph | True, girth
+
+        monkeypatch.setattr(sweep_module, "row_cases", every_row)
         monkeypatch.setattr(sweep_module._Engine, "_decide", decide_spy)
-        monkeypatch.setattr(sweep_module._Engine, "_match_or_rank", match_spy)
+        monkeypatch.setattr(sweep_module._Engine, "_rank", rank_spy)
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,)))
         assert rep.total_failures() == 0
         assert len(stated) == rep.graphs == len(graphs) - rep.skipped_graph6_records
+        assert rep.counters["case_table_calls"] == rep.graphs
         assert {(3, True), (3, False), (4, False), (9, False)} <= set(stated.values())
         assert set(by_bound) == {True, False}
 
@@ -1883,12 +2088,14 @@ class TestSweepRuns:
     def test_json_report_shape(self):
         rep = run(SweepConfig(max_n_dense=4, max_n_sparse=4))
         data = json.loads(rep.to_json())
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert data["totals"]["graphs"] == rep.graphs
         assert data["totals"]["decided_by_witness"] == rep.decided_by_witness
         assert list(data["stages"]) == sorted(STAGES)
         assert rep.stages["plan"] > 0
         assert set(data["checks"]) == set(DEFAULT_CHECKS)
+        assert list(data["counters"]) == sorted(COUNTERS)
+        assert all(isinstance(count, int) for count in data["counters"].values())
 
     def test_instance_checks_run_clean(self):
         names = (
