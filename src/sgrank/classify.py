@@ -387,10 +387,10 @@ def _pendant_cases(nb: np.ndarray, deg: np.ndarray):
     gaps and the centres cover the cycle, so the gaps sum to L minus the
     number of centres: all are odd iff every step from a centre to the
     next is even, iff L is even and the centres lie on one side of the
-    bipartition, which the depth parity of `bfs_rows` gives.  Case (e):
-    one off-cycle vertex c of degree >= 2, with one cycle neighbour,
-    every other off-cycle vertex a leaf on c, and L even; the pattern
-    is 0 at L = 0 (mod 4) and 1 at L = 2."""
+    bipartition: all at odd depth in the tree of `bfs_rows`, or all at
+    even depth.  Case (e): one off-cycle vertex c of degree >= 2, with
+    one cycle neighbour, every other off-cycle vertex a leaf on c, and L
+    even; the pattern is 0 at L = 0 (mod 4) and 1 at L = 2."""
     rows, width = nb.shape
     at, every = np.arange(rows), np.arange(width)
     adj = nb.astype(np.int64)
@@ -407,7 +407,7 @@ def _pendant_cases(nb: np.ndarray, deg: np.ndarray):
     on_cycle = adj & core[:, None]  # each vertex's cycle neighbours
     leaves = (~off | ((deg == 1) & (on_cycle != 0))).all(axis=1)
     centres = np.bitwise_or.reduce(np.where(off, on_cycle, 0), axis=1)
-    odd = ((bfs_rows(nb)[1] & 1) << every).sum(axis=1)
+    odd = bfs_rows(nb)[1]
     one_side = ((centres & odd) == 0) | ((centres & ~odd) == 0)
     stars = leaves & even & one_side
     hubs = off & (deg >= 2)

@@ -23,7 +23,8 @@ pattern (a bit per non-tree edge) names one signing per switching class.
 `_cotree_pattern` finds the pattern of any signing from its tree
 potentials: a co-tree edge's bit is the sign of its fundamental cycle.
 `bfs_rows` builds the same tree for many graphs at once, in numpy, from
-their neighbour bitmasks.
+their neighbour bitmasks, with each vertex's depth parity, which gives a
+bipartition where there is one.
 """
 
 from __future__ import annotations
@@ -205,16 +206,17 @@ def _spanning_cotree(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 def bfs_rows(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of neighbour bitmasks (one row per graph, one integer column
     per vertex, bit w of nb[i, v] set when w is a neighbour of v, padded
-    columns zero), the tree of `_spanning_cotree`: (parent, depth), each
-    with one column per vertex, parent -1 at vertex 0 and at a vertex the
-    search does not reach.  The rows run in lockstep: each keeps a queue
-    seeded with vertex 0, and step t takes the t-th vertex of every queue
-    that long and appends its unseen neighbours, ascending."""
+    columns zero), the tree of `_spanning_cotree`: (parent, odd).  parent
+    has one column per vertex, -1 at vertex 0 and at a vertex the search
+    does not reach; odd[i] is row i's bitmask of the vertices at odd
+    depth.  The rows run in lockstep: each keeps a queue seeded with
+    vertex 0, and step t takes the t-th vertex of every queue that long
+    and appends its unseen neighbours, ascending."""
     rows, width = nb.shape
     adj = nb.astype(np.int64)
     bit = np.int64(1) << np.arange(width)
     parent = np.full((rows, width), -1, dtype=np.int64)
-    depth = np.zeros((rows, width), dtype=np.int64)
+    odd = np.zeros(rows, dtype=np.int64)
     queue = np.zeros((rows, width), dtype=np.int64)
     seen = np.ones(rows, dtype=np.int64)
     tail = np.ones(rows, dtype=np.int64)
@@ -226,14 +228,15 @@ def bfs_rows(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = queue[live, head]
         new = adj[live, u] & ~seen[live]
         seen[live] |= new
+        # a child's depth is one more than its parent's
+        odd[live] |= np.where((odd[live] >> u) & 1, 0, new)
         bits = (new[:, None] & bit) != 0
         at, w = np.nonzero(bits)  # ascending w within each row
         row = live[at]
         parent[row, w] = u[at]
-        depth[row, w] = depth[row, u[at]] + 1
         queue[row, tail[row] + np.cumsum(bits, axis=1)[at, w] - 1] = w
         tail[live] += bits.sum(axis=1)
-    return parent, depth
+    return parent, odd
 
 
 def _cotree_pattern(

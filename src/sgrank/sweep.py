@@ -21,7 +21,9 @@ Per underlying graph, one signing per switching class is enumerated
 (edges of the spanning tree of `invariants._spanning_cotree` positive,
 all co-tree sign patterns; pattern 0 is the balanced representative).
 The sweep builds that tree for a whole chunk at once (`_row_cotrees`,
-by a lockstep search over the rows, `invariants.bfs_rows`).
+by a lockstep search over the rows, `invariants.bfs_rows`), and reads
+off the same search whether each graph is bipartite: no edge joins two
+vertices of the same depth parity.
 
 The default checks tell ranks apart only at or below the girth g, so the
 sweep asks for min(rank, g + 1).  Two rules decide a graph at intake,
@@ -65,13 +67,15 @@ submatrix of rank 2k on every signing.  So every signing has rank >=
 2(p + k), and the rule decides a graph with 2(p + k) >= g + 1.  It is
 not run at girth 3, where it finds p + k = 1 on every graph without a
 witness.
-A decided graph goes into running sums by (order, girth).  It keeps a
-record only when the case table accepts a pattern for it or a
-spot-check stride samples one of its instances.  A decided row that
-accepts no pattern, holds no sample and is not marked costs no Python
-of its own: `add_batch` sums such rows in numpy.  The other rows read
-their adjacency and edge lists and their co-trees off the rows, and go
-one by one in stream order to `_Engine._decide` or `_Engine._rank`.
+A decided graph goes into running sums by (order, girth), taken in
+numpy.  It keeps a record only when the case table accepts a pattern
+for it or a spot-check stride samples one of its instances.  A decided
+row that accepts no pattern, holds no sample and is not marked costs
+no Python of its own.  The other rows read their edge lists, co-trees
+and bipartite flags off the rows, and go one by one in stream order
+through the case table, adjacency lists being read off a row only for
+the marked shapes' per-graph lookup, and then as records to
+`_Engine._decide` or `_Engine._rank`.
 Spot checks sample by chunk-local stream position: every graph takes
 the next 2^(m - n + 1) positions, and an instance is sampled when its
 position is a multiple of the stride.
@@ -91,10 +95,10 @@ and in each stage of the chunks (`STAGES`), and the work counters of
 the chunks (`COUNTERS`).
 Checks are vectorized across instance buffers.  The girth-4
 consequence check takes a flush's girth-4 rank-4 instances together: it
-tests each underlying graph for a bipartition once, twin-reduces the
-int8 matrices the kernel ranked in one numpy pass
-(`core.reduced_vertices`), and ranks each distinct reduced matrix once
-per chunk with `exact.rank`, apart from the kernel.
+reads whether each underlying graph is bipartite from its record, which
+took it at intake, twin-reduces the int8 matrices the kernel ranked in
+one numpy pass (`core.reduced_vertices`), and ranks each distinct
+reduced matrix once per chunk with `exact.rank`, apart from the kernel.
 The two "iff classified" checks compare the kernel's ranks with the
 co-tree patterns of the case table of `classify.py`, taken once per
 underlying graph, on the rows or by `accepted_cotree_patterns`.  Sampled instances,
@@ -134,7 +138,7 @@ from .exact import _MAX_ORDER, batch_ranks, capped_ranks, rank as exact_rank
 from .invariants import (
     _cotree_signing,
     bfs_rows,
-    bipartition,
+    bipartition,  # not called here either, kept for the tracer as batch_ranks is
     girth_of_adjacency,
     shortest_cycle,
 )
@@ -240,14 +244,15 @@ _SPOT_CLASSIFY_STRIDE = 4096  # a multiple of _SPOT_RANK_STRIDE
 # the report's stage timers, in seconds.  `plan` is the main process's
 # planning: decoding graph6 files into rows and testing their co-tree
 # limit on the rows, and the sparse stream's core and hanging tables, for
-# its length.  The others are summed over chunks.  Each
-# chunk's flushes time the kernel (stacking the blocks and ranking them)
-# and the checks, and the spot checks of decided graphs count as
-# spot_checks; intake is the rest of the chunk: enumeration, girth, the
-# part counts behind the witness, the case table, the matching bounds,
-# co-trees, block build and the decided graphs' sums, whole chunks at a
-# time where numpy takes them.  With jobs > 1 the chunk
-# stages add up the workers' time.
+# its length.  The others are summed over chunks.  Each chunk's flushes
+# time the kernel (stacking the blocks and ranking them) and the checks;
+# girth_four_consequences is the twin reduction and the reduced ranks.
+# The spot checks of decided graphs count as spot_checks.  intake is the
+# rest of the chunk: enumeration, girth, the part counts behind the
+# witness, the case table, the matching bounds, co-trees and the
+# bipartite test, block build and the decided graphs' sums, whole chunks
+# at a time where numpy takes them.  With jobs > 1 the chunk stages add
+# up the workers' time.
 STAGES = ("plan", "intake", "kernel", "vector_checks", "girth_four_consequences",
           "spot_checks", "instance_checks")
 
@@ -354,6 +359,11 @@ class SweepReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+# the counterexample fields written as CSV columns, in order
+_CSV_COLUMNS = ("check", "source", "n", "m", "girth", "rank", "rank_capped",
+                "signing_index", "edges", "sgr")
+
+
 def write_counterexamples_csv(report: SweepReport, target) -> None:
     """Write the counterexamples as CSV to `target`, a path or an open
     text stream."""
@@ -364,27 +374,9 @@ def write_counterexamples_csv(report: SweepReport, target) -> None:
         else open(target, "w", newline="")
     ) as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "check", "source", "n", "m", "girth", "rank", "rank_capped",
-                "signing_index", "edges", "sgr",
-            ]
-        )
+        writer.writerow(_CSV_COLUMNS)
         for ce in report.counterexamples:
-            writer.writerow(
-                [
-                    ce["check"],
-                    ce["source"],
-                    ce["n"],
-                    ce["m"],
-                    ce["girth"],
-                    ce["rank"],
-                    ce["rank_capped"],
-                    ce["signing_index"],
-                    ce["edges"],
-                    ce["sgr"],
-                ]
-            )
+            writer.writerow([ce[name] for name in _CSV_COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -559,24 +551,30 @@ def _mask_pairs(nb: np.ndarray) -> list[list[tuple[int, int]]]:
     return [pairs[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _row_cotrees(nb: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+def _row_cotrees(nb: np.ndarray) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
     """Per row of neighbour bitmasks of a connected graph, zero-padded or
     not, the co-tree of its `bfs_rows` tree, which is the tree of
-    `_spanning_cotree`: (marks, positions).  marks[i, u, v] is True for
-    each co-tree edge (u, v), u < v, and positions[i] lists row i's
-    co-tree edges as indexes into its `_mask_pairs` edge list,
-    ascending."""
+    `_spanning_cotree`, and whether the graph is bipartite: (marks,
+    positions, bipartite).  marks[i, u, v] is True for each co-tree edge
+    (u, v), u < v, and positions[i] lists row i's co-tree edges as
+    indexes into its `_mask_pairs` edge list, ascending.  A search tree
+    of a connected graph gives each edge ends at equal depth or at
+    depths one apart, so the graph is bipartite exactly when no edge
+    joins two vertices of the same depth parity."""
     rows, width = nb.shape
     every = np.arange(width)
-    parent, _ = bfs_rows(nb)
-    edge = np.triu(((nb[:, :, None].astype(np.int64) >> every) & 1) == 1, 1)
+    parent, odd = bfs_rows(nb)
+    adj = nb.astype(np.int64)
+    side = np.where((odd[:, None] >> every) & 1, odd[:, None], ~odd[:, None])
+    bipartite = ~(adj & side).any(axis=1)
+    edge = np.triu(((adj[:, :, None] >> every) & 1) == 1, 1)
     tree = parent[:, :, None] == every  # [i, v, u]: u is v's parent
     marks = edge & ~(tree | tree.transpose(0, 2, 1))
     index = np.cumsum(edge.reshape(rows, -1), axis=1) - 1
     row, at = np.nonzero(marks.reshape(rows, -1))
     positions = index[row, at].tolist()
     ends = np.cumsum(np.bincount(row, minlength=rows)).tolist()
-    return marks, [positions[a:b] for a, b in zip([0, *ends], ends)]
+    return marks, [positions[a:b] for a, b in zip([0, *ends], ends)], bipartite
 
 
 def dense_graphs(n: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -964,38 +962,29 @@ class _GraphMeta:
         "key",
         "n",
         "edges",
-        "adj",
+        "bipartite",
         "m",
         "girth",
         "cotree",
         "accepted",
     )
 
-    def __init__(self, source, key, n, edges, adj, girth, cotree, accepted):
+    def __init__(self, source, key, n, edges, bipartite, girth, cotree, accepted):
         self.source = source
         self.key = key
         self.n = n
         self.edges = edges
-        self.adj = adj
+        self.bipartite = bipartite
         self.m = len(edges)
         self.girth = girth
         self.cotree = cotree
         self.accepted = accepted  # (classify_gminus2, classify_equals_g) patterns
 
 
-class _SetBits(dict):
-    """The set bits of each neighbour bitmask looked up, ascending: its
-    adjacency list, computed at first use."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        bits = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            bits.append(low.bit_length() - 1)
-            rest ^= low
-        self[mask] = bits = tuple(bits)
-        return bits
+def _adjacency(row: list[int], n: int) -> list[list[int]]:
+    """The adjacency lists, ascending, of a graph on n vertices given by
+    its row of neighbour bitmasks."""
+    return [[w for w in range(n) if mask >> w & 1] for mask in row[:n]]
 
 
 def _matching_bounds(order, nb: np.ndarray) -> np.ndarray:
@@ -1118,21 +1107,6 @@ def _edges_compact(g: SignedGraph) -> str:
     )
 
 
-class _ChunkResult:
-    def __init__(self):
-        self.graphs = 0
-        self.instances = 0
-        self.checked: dict[str, int] = {}
-        self.failures: dict[str, int] = {}
-        self.counterexamples: list[dict] = []
-        self.skipped_graph6_records = 0
-        self.decided_instances = 0
-        self.decided_by_witness = 0
-        self.histogram: dict[tuple[int, int, int], int] = {}
-        self.stages = dict.fromkeys(STAGES, 0.0)
-        self.counters = dict.fromkeys(COUNTERS, 0)
-
-
 class _Engine:
     def __init__(self, config: SweepConfig):
         self.config = config
@@ -1146,7 +1120,7 @@ class _Engine:
             for name in self.sel
             if CHECKS[name].kind == "vector" and name != "girth_four_consequences"
         ]
-        self.result = _ChunkResult()
+        self.result = SweepReport(config=config)
         # graphs decided at intake, summed by (order, girth) as [graphs,
         # instances] until `finish`
         self.decided: dict[tuple[int, int], list[int]] = {}
@@ -1168,7 +1142,6 @@ class _Engine:
         # exact rank of each twin-reduced girth-4 rank-4 matrix met so
         # far, keyed by its bytes
         self.reduced_ranks: dict[bytes, int] = {}
-        self.set_bits = _SetBits()
 
     # -- accounting helpers
 
@@ -1225,22 +1198,24 @@ class _Engine:
         (`multipartite_parts`, which `row_cases` reads too).  The rows
         whose hint is not 3 get their pendant pairs and matching in one
         pass (`_matching_bounds`), and a row of girth g >= 4 is decided
-        when 2(p + k) >= g + 1.  A decided row with no accepted pattern,
-        no shape of cases (c), (g) or (h) and no spot sample is only
-        counted, in numpy, by (order, girth).  The other rows read their
-        adjacency and edge lists (`_mask_pairs`) and their co-trees
-        (`_row_cotrees`) off the rows, and go to `_decide` or `_rank` in
-        stream order; the signing blocks of the ranked rows are built in
-        groups (`_blocks_in_order`)."""
+        when 2(p + k) >= g + 1.  Every decided row is summed in numpy by
+        (order, girth), and one with no accepted pattern, no shape of
+        cases (c), (g) or (h) and no spot sample is only counted.  The
+        other rows read their edge lists (`_mask_pairs`), their co-trees
+        and whether they are bipartite (`_row_cotrees`) off the rows, and
+        go in stream order through the case table, once per row, and then
+        as a record to `_decide` or `_rank`; only the rows of the three
+        marked shapes read adjacency lists off the rows, for the
+        per-graph case table.  The signing blocks of the ranked rows are
+        built in groups (`_blocks_in_order`)."""
         counts = np.left_shift(1, m - order + 1)
         starts = self.position + np.cumsum(counts) - counts
         self.position += int(counts.sum())
         parts = multipartite_parts(order, nb)
         gm2, eqg, lookup, girth = row_cases(order, m, nb, hints, parts)
-        bits = self.set_bits
         search = np.flatnonzero(girth == 0)
         for i, n, row in zip(search.tolist(), order[search].tolist(), nb[search].tolist()):
-            girth[i] = girth_of_adjacency([bits[b] for b in row[:n]])
+            girth[i] = girth_of_adjacency(_adjacency(row, n))
         bound = np.zeros(len(order), dtype=np.int64)
         if self.capped:
             rows = np.flatnonzero(hints != 3)
@@ -1254,89 +1229,78 @@ class _Engine:
         counters = self.result.counters
         counters["bulk_rows"] += int(bulk.sum())
         counters["per_graph_rows"] += int(alone.sum()) + int((~alone[search]).sum())
-        group = order[bulk] * (_MAX_ORDER + 1) + girth[bulk]
-        summed = counts[bulk]
+        group = order[decided] * (_MAX_ORDER + 1) + girth[decided]
+        summed = counts[decided]
         for g in np.flatnonzero(np.bincount(group)).tolist():
             rows = group == g
-            n, length = divmod(g, _MAX_ORDER + 1)
-            self._sum_decided(n, length, int(rows.sum()), int(summed[rows].sum()))
+            sums = self.decided.setdefault(divmod(g, _MAX_ORDER + 1), [0, 0])
+            sums[0] += int(rows.sum())
+            sums[1] += int(summed[rows].sum())
         rest = np.flatnonzero(~bulk)
         if not len(rest):
             return
-        marks, cotrees = _row_cotrees(nb[rest])
+        marks, cotrees, bipartite = _row_cotrees(nb[rest])
         ranked = ~decided[rest]
         at = rest[ranked]
         blocks = _blocks_in_order(order[at], m[at] - order[at] + 1, nb[at], marks[ranked])
-        for n, row, key, edges, cotree, found, g, table, masks, start in zip(
+        for (n, row, key, edges, flag, cotree, found, g, table, gm2_mask, eqg_mask, held,
+             start) in zip(
             order[rest].tolist(), nb[rest].tolist(), keys[rest].tolist(),
-            _mask_pairs(nb[rest]), cotrees, decided[rest].tolist(),
-            girth[rest].tolist(), lookup[rest].tolist(),
-            zip(gm2[rest].tolist(), eqg[rest].tolist()), starts[rest].tolist(),
+            _mask_pairs(nb[rest]), bipartite.tolist(), cotrees, decided[rest].tolist(),
+            girth[rest].tolist(), lookup[rest].tolist(), gm2[rest].tolist(),
+            eqg[rest].tolist(), sample[rest].tolist(), starts[rest].tolist(),
         ):
-            adj = [bits[b] for b in row[:n]]
-            accepted = None if table else (_PATTERN_SETS[masks[0]], _PATTERN_SETS[masks[1]])
-            if found:
-                self._decide(source, key, n, edges, adj, g, cotree, accepted, start)
+            if table:
+                accepted = self._case_table(_adjacency(row, n), edges, cotree)
             else:
-                self._rank(source, key, n, edges, adj, g, cotree, accepted, start,
-                           next(blocks))
+                accepted = _PATTERN_SETS[gm2_mask], _PATTERN_SETS[eqg_mask]
+            if found and not (accepted[0] or accepted[1] or held):
+                continue  # summed above, and nothing to report or sample
+            meta = _GraphMeta(source, key, n, edges, flag, g, cotree, accepted)
+            if found:
+                self._decide(meta, start)
+            else:
+                self._rank(meta, start, next(blocks))
 
     def _case_table(self, adj, edges, cotree):
         """The pattern sets of one graph from the per-graph case table."""
         self.result.counters["case_table_calls"] += 1
         return accepted_cotree_patterns(adj, lambda: [edges[i] for i in cotree])
 
-    def _rank(self, source, key, n, edges, adj, girth, cotree, accepted, start, blocks):
+    def _rank(self, meta: _GraphMeta, start: int, blocks) -> None:
         """Buffer the signing blocks of a graph that no rule decides, as
-        (j0, block) pairs, by (order, girth).  `accepted` holds the
-        pattern sets of `row_cases`, or None for a graph whose cases
-        read the co-tree, which looks them up in the case table.  A
-        capped sweep ranks a graph of girth 3 only when it has no
-        witness, so when it is complete tripartite."""
-        if accepted is None:
-            accepted = self._case_table(adj, edges, cotree)
-        meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
+        (j0, block) pairs, by (order, girth); signing 0 is at stream
+        position `start`.  A capped sweep ranks a graph of girth 3 only
+        when it has no witness, so when it is complete tripartite."""
         self.result.graphs += 1
-        self.result.instances += 1 << len(cotree)
+        self.result.instances += 1 << len(meta.cotree)
         self.result.counters["ranked_graphs"] += 1
         for j0, block in blocks:
-            self._append_block((n, girth), meta, j0, block, start + j0)
+            self._append_block((meta.n, meta.girth), meta, j0, block, start + j0)
 
-    def _decide(self, source, key, n, edges, adj, girth, cotree, accepted, start):
-        """Check all signings of a graph without ranking any, when each of
-        them has rank >= girth + 1, so min(rank, girth + 1) is girth + 1.
-        At girth 3 the graph has a witness: it is not complete tripartite,
-        so it induces the paw or K4, every signing of which has rank 4, and
-        a principal submatrix never has larger rank than the matrix.  At
-        girth >= 4, 2(p + k) >= girth + 1 for the p pendant pairs and k
-        matched pairs that `_matching_bounds` counts, which give every
-        signing rank >= 2(p + k).
-
-        The graph's counts go into running sums by (order, girth), folded
-        into the result by `finish`.  `accepted` holds the pattern sets of
-        `row_cases`, or None for a graph of the shape of case (c), (g) or
-        (h), which looks them up in the case table; no pattern may be
-        accepted at rank girth + 1.  A graph keeps a record only when a
-        pattern is accepted or a spot-check stride samples one of its
-        instances.  `start` is the graph's stream position."""
-        total = 1 << len(cotree)
-        self._sum_decided(n, girth, 1, total)
-        if accepted is None:
-            accepted = self._case_table(adj, edges, cotree)
-        if accepted[0] or accepted[1] or _holds_sample(start, total, self.stride):
-            meta = _GraphMeta(source, key, n, edges, adj, girth, cotree, accepted)
-            for name, patterns in zip(_IFF_CHECKS, accepted):
-                if name in self.sel:
-                    for signing in sorted(patterns):
-                        self._fail(name, meta, signing, girth + 1, "classifier=hit")
-            clock = time.perf_counter()
-            self._spot_checks([_Segment(meta, 0, total, start)], (0, total), None)
-            _lap(self.result.stages, "spot_checks", clock)
-
-    def _sum_decided(self, n, girth, graphs, instances):
-        sums = self.decided.setdefault((n, girth), [0, 0])
-        sums[0] += graphs
-        sums[1] += instances
+    def _decide(self, meta: _GraphMeta, start: int) -> None:
+        """Report and spot-check a graph that is checked without ranking
+        any signing, since each has rank >= girth + 1, so min(rank,
+        girth + 1) is girth + 1.  At girth 3 the graph has a witness: it
+        is not complete tripartite, so it induces the paw or K4, every
+        signing of which has rank 4, and a principal submatrix never has
+        larger rank than the matrix.  At girth >= 4, 2(p + k) >= girth + 1
+        for the p pendant pairs and k matched pairs that
+        `_matching_bounds` counts, which give every signing rank >=
+        2(p + k).  Its counts are already in the sums by (order, girth),
+        which `finish` folds into the result.  Every pattern the case
+        table accepts is a failure, since none may be at rank girth + 1;
+        a decided graph gets a record only when it accepts one or a
+        spot-check stride samples one of its instances.  `start` is the
+        graph's stream position."""
+        for name, patterns in zip(_IFF_CHECKS, meta.accepted):
+            if name in self.sel:
+                for signing in sorted(patterns):
+                    self._fail(name, meta, signing, meta.girth + 1, "classifier=hit")
+        clock = time.perf_counter()
+        total = 1 << len(meta.cotree)
+        self._spot_checks([_Segment(meta, 0, total, start)], (0, total), None)
+        _lap(self.result.stages, "spot_checks", clock)
 
     def _append_block(
         self, key: tuple[int, int], meta: _GraphMeta, j0: int, block: np.ndarray,
@@ -1354,7 +1318,7 @@ class _Engine:
         self.buffered[key] = self.buffered.get(key, 0) + count
         self.total_buffered += count
 
-    def finish(self) -> _ChunkResult:
+    def finish(self) -> SweepReport:
         for key in sorted(self.buffers):
             self._flush(key)
         res = self.result
@@ -1443,21 +1407,18 @@ class _Engine:
 
     def _girth_four_consequences(self, stack, ranks, girth, segments, starts, report):
         """Check each girth-4 rank-4 instance of a flush: its underlying
-        graph is bipartite, tested once per graph, and its twin-reduced
-        graph has rank 4.  The hits' matrices are twin-reduced together
-        (`reduced_vertices`), and each distinct reduced matrix is ranked
-        once per engine by `exact.rank`, apart from the kernel.  Failures
-        are reported in ascending buffer position."""
+        graph is bipartite, as its record holds from intake
+        (`_row_cotrees`), and its twin-reduced graph has rank 4.  The
+        hits' matrices are twin-reduced together (`reduced_vertices`),
+        and each distinct reduced matrix is ranked once per engine by
+        `exact.rank`, apart from the kernel.  Failures are reported in
+        ascending buffer position."""
         hits = np.flatnonzero(ranks == 4) if girth == 4 else ()
         self._count("girth_four_consequences", len(hits))
         if not len(hits):
             return
         metas = [segments[i].meta for i in
                  (np.searchsorted(starts, hits, side="right") - 1).tolist()]
-        bipartite: dict[_GraphMeta, bool] = {}
-        for meta in metas:
-            if meta not in bipartite:
-                bipartite[meta] = bipartition(meta.adj) is not None
         mats = stack[hits]
         keep = reduced_vertices(mats)
         order = keep.sum(axis=1)
@@ -1477,7 +1438,7 @@ class _Engine:
                     cache[key] = exact_rank(block.tolist()).rank
                 reduced_rank[row] = cache[key]
         for pos, meta, r_red in zip(hits.tolist(), metas, reduced_rank.tolist()):
-            if not bipartite[meta]:
+            if not meta.bipartite:
                 report("girth_four_consequences", pos, "underlying graph not bipartite")
             elif r_red != 4:
                 report("girth_four_consequences", pos, f"twin-reduced rank {r_red} != 4")
@@ -1646,7 +1607,7 @@ def _plan_chunks(config: SweepConfig) -> list[tuple]:
     return chunks
 
 
-def _run_chunk(config: SweepConfig, desc: tuple) -> _ChunkResult:
+def _run_chunk(config: SweepConfig, desc: tuple) -> SweepReport:
     clock = time.perf_counter()
     engine = _Engine(config)
     source = desc[0]
@@ -1694,20 +1655,14 @@ def run(config: SweepConfig) -> SweepReport:
     return report
 
 
-def _merge(report: SweepReport, res: _ChunkResult) -> None:
-    report.graphs += res.graphs
-    report.instances += res.instances
-    report.skipped_graph6_records += res.skipped_graph6_records
-    report.decided_instances += res.decided_instances
-    report.decided_by_witness += res.decided_by_witness
-    for key, count in res.histogram.items():
-        report.histogram[key] = report.histogram.get(key, 0) + count
-    for name, seconds in res.stages.items():
-        report.stages[name] += seconds
-    for name, count in res.counters.items():
-        report.counters[name] += count
-    for name, count in res.checked.items():
-        report.checked[name] = report.checked.get(name, 0) + count
-    for name, count in res.failures.items():
-        report.failures[name] = report.failures.get(name, 0) + count
+def _merge(report: SweepReport, res: SweepReport) -> None:
+    """Add the counts, sums and counterexamples of `res`, a chunk's
+    report, into `report`."""
+    for name in ("graphs", "instances", "skipped_graph6_records",
+                 "decided_instances", "decided_by_witness"):
+        setattr(report, name, getattr(report, name) + getattr(res, name))
+    for name in ("histogram", "stages", "counters", "checked", "failures"):
+        into = getattr(report, name)
+        for key, value in getattr(res, name).items():
+            into[key] = into.get(key, 0) + value
     report.counterexamples.extend(res.counterexamples)

@@ -21,6 +21,7 @@ from sgrank import (
     accepted_cotree_patterns,
     adjacency_matrix,
     batch_ranks,
+    bipartition,
     canonical_switching_representative,
     classify_equals_g,
     classify_gminus2,
@@ -567,15 +568,19 @@ class TestCaseShapes:
 
 class TestRowCotrees:
     """`_row_cotrees` builds the tree of `_spanning_cotree` for a whole
-    chunk, and gives its co-tree edges as indexes into `_mask_pairs`."""
+    chunk, gives its co-tree edges as indexes into `_mask_pairs`, and
+    tells bipartite graphs apart as `bipartition` does."""
 
     def _check(self, order, nb):
-        marks, positions = _row_cotrees(nb)
+        marks, positions, bipartite = _row_cotrees(nb)
         edge_lists = _mask_pairs(nb)
-        assert len(positions) == len(edge_lists) == len(nb)
-        for n, edges, cotree, mark in zip(order.tolist(), edge_lists, positions, marks):
+        assert len(positions) == len(edge_lists) == len(bipartite) == len(nb)
+        for n, edges, cotree, mark, flag in zip(
+            order.tolist(), edge_lists, positions, marks, bipartite.tolist()
+        ):
             assert cotree == _spanning_cotree(n, edges), (n, edges)
             assert [edges[i] for i in cotree] == list(zip(*np.nonzero(mark)))
+            assert flag == (bipartition(_adjacency(n, edges)) is not None), (n, edges)
         return len(nb)
 
     def test_dense_rows(self):
@@ -1261,7 +1266,14 @@ class TestGirthFourConsequencesAreLive:
         assert rep.total_failures() == 0
 
     def test_non_bipartite_graphs_are_reported(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "bipartition", lambda adj: None)
+        # every row's search reports its graph as not bipartite
+        real_rows = sweep_module._row_cotrees
+
+        def rows(nb):
+            marks, positions, bipartite = real_rows(nb)
+            return marks, positions, np.zeros_like(bipartite)
+
+        monkeypatch.setattr(sweep_module, "_row_cotrees", rows)
         rep = _girth_four_sweep()
         checked = rep.checked["girth_four_consequences"]
         assert rep.failures["girth_four_consequences"] == checked > 0
@@ -1422,6 +1434,15 @@ class TestDecidedAtIntake:
             return real_rows(nb)
 
         monkeypatch.setattr(sweep_module, "_row_cotrees", rows)
+        # bipartiteness is read off the rows' search, never per graph
+        bipartitions = []
+        real_bipartition = sweep_module.bipartition
+
+        def bipartition_spy(adj):
+            bipartitions.append(adj)
+            return real_bipartition(adj)
+
+        monkeypatch.setattr(sweep_module, "bipartition", bipartition_spy)
         ranked, sampled, accepting = {}, {}, {}  # id -> meta
         records = []
         decided_keys = []
@@ -1463,6 +1484,7 @@ class TestDecidedAtIntake:
         monkeypatch.setattr(sweep_module._Engine, "finish", finish)
         rep = run(SweepConfig(max_n_dense=6, max_n_sparse=9))
         assert rep.total_failures() == 0 and not accepting
+        assert rep.checked["girth_four_consequences"] > 0 and not bipartitions
         # each sampled graph holds one of the stride's samples at least
         assert 0 < len(sampled) <= rep.checked["spot_check_exact_rank"]
         needed = {
@@ -1568,10 +1590,10 @@ def _quick_sweep():
     seen = set()
     decide = sweep_module._Engine._decide
 
-    def spy(self, source, key, n, edges, adj, girth, *args):
-        decided.append(_Decided(n, tuple(edges), girth, girth == 3, False))
-        seen.add((source, n, key))  # a dense key is a mask: it needs n
-        decide(self, source, key, n, edges, adj, girth, *args)
+    def spy(self, meta, start):
+        decided.append(_Decided(meta.n, tuple(meta.edges), meta.girth, meta.girth == 3, False))
+        seen.add((meta.source, meta.n, meta.key))  # a dense key is a mask: it needs n
+        decide(self, meta, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module._Engine, "_decide", spy)
@@ -1988,10 +2010,11 @@ class TestSweepRuns:
     def test_large_graph6_records_state_girth_and_witness(self, tmp_path, monkeypatch):
         # the girth and witness `add_batch` hands on for records of order
         # > 7, against the girth search and the brute-force witness search.
-        # With every row marked for the per-graph case table, no row is
-        # only counted: a row that a rule decides goes to `_decide`, at
-        # girth 3 by its witness and above by its matching bound, and
-        # every other to `_rank`
+        # With every row marked for the per-graph case table and routed as
+        # if it held a spot sample, no row is only counted: a row that a
+        # rule decides goes to `_decide` with a record, at girth 3 by its
+        # witness and above by its matching bound, and every other to
+        # `_rank`
         rng = random.Random(29)
         graphs = [
             nx.gnp_random_graph(n, 3.0 / n, seed=rng.randrange(10**6))
@@ -2013,22 +2036,26 @@ class TestSweepRuns:
             assert witness == (girth == 3 and _brute_force_witness(n, edges)), edges
             stated[key] = (girth, witness)
 
-        def decide_spy(self, source, key, n, edges, adj, girth, *args):
+        def decide_spy(self, meta, start):
+            n, edges, girth = meta.n, meta.edges, meta.girth
             if girth > 3:
                 assert 2 * sum(map(len, _matching_pairs(_adjacency(n, edges)))) > girth
-            state(key, n, edges, girth, girth == 3)
+            state(meta.key, n, edges, girth, girth == 3)
             by_bound.append(girth > 3)
-            decide(self, source, key, n, edges, adj, girth, *args)
+            decide(self, meta, start)
 
-        def rank_spy(self, source, key, n, edges, adj, girth, *args):
-            state(key, n, edges, girth, False)
-            rank(self, source, key, n, edges, adj, girth, *args)
+        def rank_spy(self, meta, *args):
+            state(meta.key, meta.n, meta.edges, meta.girth, False)
+            rank(self, meta, *args)
 
         def every_row(*args):
             gm2, eqg, per_graph, girth = real_cases(*args)
             return 0 * gm2, 0 * eqg, per_graph | True, girth
 
         monkeypatch.setattr(sweep_module, "row_cases", every_row)
+        # the spot checks still sample by the real strides
+        monkeypatch.setattr(sweep_module, "_holds_sample",
+                            lambda start, count, stride: np.ones(len(start), dtype=bool))
         monkeypatch.setattr(sweep_module._Engine, "_decide", decide_spy)
         monkeypatch.setattr(sweep_module._Engine, "_rank", rank_spy)
         rep = run(SweepConfig(max_n_dense=0, max_n_sparse=0, graph6_paths=(path,)))
